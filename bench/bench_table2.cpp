@@ -14,11 +14,13 @@
 // row granularity is the natural checkpoint unit here, mirroring the
 // trial-granularity journals run_campaign uses for Table I.
 //
+// Unknown flags and missing values print the flag and exit with status 2
+// (bench/cli.h).
+//
 // There is no --search flag here: this bench re-executes a fixed list of
 // known attacks rather than searching a strategy space, so grid-vs-greybox
 // (bench_table1 / bench_campaign) does not apply.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "obs/json.h"
 #include "packet/dccp_format.h"
 #include "packet/tcp_format.h"
@@ -355,11 +358,9 @@ int main(int argc, char** argv) {
   const char* json_path = nullptr;
   const char* journal_path = nullptr;
   bool resume = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json") && i + 1 < argc) json_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--journal") && i + 1 < argc) journal_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--resume")) resume = true;
-  }
+  bench::Cli cli("bench_table2");
+  cli.text("--json", json_path).text("--journal", journal_path).flag("--resume", resume);
+  if (!cli.parse(argc, argv)) return 2;
   if (resume && journal_path == nullptr) {
     std::fprintf(stderr, "--resume requires --journal PATH\n");
     return 1;

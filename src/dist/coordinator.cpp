@@ -20,7 +20,6 @@
 #include "dist/supervisor.h"
 #include "dist/wire.h"
 #include "obs/metrics.h"
-#include "sim/scheduler.h"
 #include "snake/arena.h"
 #include "snake/trial_runner.h"
 
@@ -564,12 +563,6 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   wc.retry_seed_offset = config.retry_seed_offset;
   wc.retest_seed_offset = config.retest_seed_offset;
   wc.collect_metrics = config.collect_metrics;
-  wc.use_snapshots = config.use_snapshots;
-  wc.early_exit = config.early_exit;
-  // Workers exec fresh, so the coordinator's process-wide engine choice
-  // must travel explicitly or a heap-default coordinator would silently
-  // compare against wheel-engine workers.
-  wc.scheduler_engine = sim::to_string(sim::Scheduler::default_engine());
   wc.search_mode = search::to_string(config.search_mode);
   wc.identity_hash = core::campaign_identity_hash(config);
   wc.heartbeat_interval_ms = im.options.heartbeat_interval_ms;
@@ -708,8 +701,13 @@ core::TrialOutcome DistributedBackend::wait_outcome() {
 void DistributedBackend::on_feedback(const std::vector<core::JournalObservation>& pairs) {
   if (pairs.empty()) return;
   const std::string frame = encode_feedback(pairs);
+  // A worker can exit between sending its last result and this broadcast.
+  // The failed send breaks its channel, which drops it from the poll set, so
+  // its death must be handled here: otherwise its shard is never requeued
+  // and the campaign waits forever for those trials.
   for (Impl::Worker& w : impl_->workers)
-    if (impl_->worker_alive(w)) w.ch->send_frame(frame);
+    if (impl_->worker_alive(w) && !w.ch->send_frame(frame))
+      impl_->declare_dead(w, "send failed");
 }
 
 void DistributedBackend::finish(obs::MetricsRegistry* into) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/json.h"
+#include "util/strings.h"
 
 namespace snake::dist {
 
@@ -19,27 +20,6 @@ std::uint64_t fnv1a(std::string_view text) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
-std::optional<std::uint64_t> from_hex16(const std::string& s) {
-  if (s.size() != 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9')
-      v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      return std::nullopt;
-  }
-  return v;
 }
 
 std::string render_record(const core::TrialRecord& record) {
@@ -71,8 +51,8 @@ std::optional<ParsedLine> parse_line(std::string_view line) {
       !check_v->is_string() || record_v == nullptr) {
     return std::nullopt;
   }
-  auto identity = from_hex16(identity_v->str_v);
-  auto check = from_hex16(check_v->str_v);
+  auto identity = parse_hex16(identity_v->str_v);
+  auto check = parse_hex16(check_v->str_v);
   auto record = core::trial_record_from_json(*record_v);
   if (!identity.has_value() || !check.has_value() || !record.has_value() || record->key.empty()) {
     return std::nullopt;

@@ -12,6 +12,7 @@
 
 #include "dist/result_cache.h"
 #include "tcp/profile.h"
+#include "util/strings.h"
 
 namespace snake::dist {
 
@@ -365,27 +366,6 @@ std::optional<core::ScenarioConfig> parse_scenario(const obs::JsonValue& v) {
 
 std::string finish(obs::JsonWriter& w) { return w.take(); }
 
-std::string check_hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
-
-std::optional<std::uint64_t> check_from_hex16(const std::string& s) {
-  if (s.size() != 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9')
-      v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      return std::nullopt;
-  }
-  return v;
-}
-
 obs::JsonWriter& begin(obs::JsonWriter& w, MsgType type) {
   w.begin_object();
   w.key("type").value(to_string(type));
@@ -413,11 +393,8 @@ std::string encode_campaign(const WorkerCampaign& wc) {
   w.key("retry_seed_offset").value(wc.retry_seed_offset);
   w.key("retest_seed_offset").value(wc.retest_seed_offset);
   w.key("collect_metrics").value(wc.collect_metrics);
-  w.key("use_snapshots").value(wc.use_snapshots);
-  w.key("early_exit").value(wc.early_exit);
-  w.key("scheduler_engine").value(wc.scheduler_engine);
   w.key("search_mode").value(wc.search_mode);
-  w.key("identity_hash").value(wc.identity_hash);
+  w.key("identity_hash").value(hex16(wc.identity_hash));
   w.key("worker_index").value(wc.worker_index);
   w.key("journal_path").value(wc.journal_path);
   w.key("heartbeat_interval_ms").value(wc.heartbeat_interval_ms);
@@ -464,7 +441,7 @@ std::string encode_result(std::uint64_t seq, const core::TrialRecord& record) {
   obs::JsonWriter w;
   begin(w, MsgType::kResult);
   w.key("seq").value(seq);
-  w.key("check").value(check_hex16(scoped_record_checksum(seq, record)));
+  w.key("check").value(hex16(scoped_record_checksum(seq, record)));
   w.key("record");
   core::write_json(w, record);
   w.end_object();
@@ -560,13 +537,10 @@ std::optional<Message> parse_message(std::string_view payload) {
       m.campaign.retry_seed_offset = u64_field(*doc, "retry_seed_offset", 7919);
       m.campaign.retest_seed_offset = u64_field(*doc, "retest_seed_offset", 1000003);
       m.campaign.collect_metrics = bool_field(*doc, "collect_metrics", true);
-      m.campaign.use_snapshots = bool_field(*doc, "use_snapshots", true);
-      m.campaign.early_exit = bool_field(*doc, "early_exit", true);
-      m.campaign.scheduler_engine = str_field(*doc, "scheduler_engine");
       m.campaign.search_mode = str_field(*doc, "search_mode");
       if (!search::search_mode_from_string(m.campaign.search_mode).has_value())
         m.campaign.search_mode = "grid";
-      m.campaign.identity_hash = u64_field(*doc, "identity_hash", 0);
+      m.campaign.identity_hash = parse_hex16(str_field(*doc, "identity_hash")).value_or(0);
       m.campaign.worker_index = static_cast<int>(i64_field(*doc, "worker_index", 0));
       m.campaign.journal_path = str_field(*doc, "journal_path");
       m.campaign.heartbeat_interval_ms =
@@ -616,7 +590,7 @@ std::optional<Message> parse_message(std::string_view payload) {
       if (seq == nullptr || check == nullptr || !check->is_string() || record == nullptr)
         return std::nullopt;
       auto seq_v = u64_of(*seq);
-      auto check_v = check_from_hex16(check->str_v);
+      auto check_v = parse_hex16(check->str_v);
       auto rec = core::trial_record_from_json(*record);
       if (!seq_v.has_value() || !check_v.has_value() || !rec.has_value()) return std::nullopt;
       // Integrity gate: recompute the checksum over the canonical

@@ -155,20 +155,6 @@ struct WorkerCampaign {
   std::uint64_t retry_seed_offset = 7919;
   std::uint64_t retest_seed_offset = 1000003;
   bool collect_metrics = true;
-  /// Serve first-attempt trials from per-worker snapshot checkpoints instead
-  /// of replaying from t=0. Bit-identical either way (snapshot_test.cpp), so
-  /// it never enters the campaign identity hash.
-  bool use_snapshots = true;
-  /// Stop trials at the deterministic quiescence cut (see
-  /// CampaignConfig::early_exit). Like use_snapshots: changes wall-clock
-  /// only, never outcomes, and stays out of the identity hash.
-  bool early_exit = true;
-  /// Scheduler engine the worker must adopt ("wheel" / "heap"; "" keeps the
-  /// worker's compiled-in default). Workers are exec'd fresh, so the
-  /// coordinator's process-wide engine choice only reaches them through this
-  /// field. Both engines pop in the same total order, so — like
-  /// use_snapshots — this never enters the identity hash.
-  std::string scheduler_engine;
   /// The coordinator's CampaignConfig::search_mode ("grid" / "greybox"),
   /// mirrored so the worker's reconstructed config is faithful. Strategy
   /// selection happens coordinator-side — workers execute the trials they
@@ -177,7 +163,11 @@ struct WorkerCampaign {
   /// hash. An unknown value falls back to "grid" at decode.
   std::string search_mode = "grid";
 
-  std::uint64_t identity_hash = 0;  ///< campaign_identity_hash, cross-checked
+  /// The coordinator's campaign_identity_hash. Travels as a hex string (a
+  /// JSON number would round it); the worker stamps it into its journal
+  /// header so per-worker journals merge and resume under the campaign's
+  /// identity.
+  std::uint64_t identity_hash = 0;
   int worker_index = 0;
   std::string journal_path;  ///< per-worker journal file ("" = none)
   int heartbeat_interval_ms = 250;

@@ -17,7 +17,6 @@
 
 #include "dist/wire.h"
 #include "obs/metrics.h"
-#include "sim/scheduler.h"
 #include "snake/arena.h"
 #include "snake/snapshot.h"
 #include "snake/trial_runner.h"
@@ -55,8 +54,6 @@ core::CampaignConfig campaign_config_for(const WorkerCampaign& wc) {
   cc.retry_seed_offset = wc.retry_seed_offset;
   cc.retest_seed_offset = wc.retest_seed_offset;
   cc.collect_metrics = wc.collect_metrics;
-  cc.use_snapshots = wc.use_snapshots;
-  cc.early_exit = wc.early_exit;
   if (auto mode = search::search_mode_from_string(wc.search_mode); mode.has_value())
     cc.search_mode = *mode;
   return cc;
@@ -84,14 +81,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   if (!campaign_msg.has_value() || campaign_msg->type != MsgType::kCampaign) return 1;
   const WorkerCampaign wc = std::move(campaign_msg->campaign);
 
-  // Adopt the coordinator's scheduler engine before any world is built. This
-  // process is exec'd fresh and single-campaign, so flipping the process-wide
-  // default here is safe and reaches every arena/session created below.
-  if (wc.scheduler_engine == "heap")
-    sim::Scheduler::set_default_engine(sim::SchedulerEngine::kBinaryHeap);
-  else if (wc.scheduler_engine == "wheel")
-    sim::Scheduler::set_default_engine(sim::SchedulerEngine::kTimerWheel);
-
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* reg = wc.collect_metrics ? &registry : nullptr;
 
@@ -106,9 +95,10 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   run_config.metrics = reg;
   run_config.faults = nullptr;
   run_config.inspector = inspector.get();
-  // Baselines and trials must share the coordinator's early-exit setting or
-  // the cross-process byte-equality check would compare different cuts.
-  run_config.early_exit = wc.early_exit;
+  // Baselines and trials take the campaign's early-exit cut, exactly as the
+  // coordinator's do, or the cross-process byte-equality check would
+  // compare different cuts.
+  run_config.early_exit = core::CampaignConfig::early_exit;
   core::ScenarioConfig retest_config = run_config;
   retest_config.seed += wc.retest_seed_offset;
 
@@ -139,7 +129,7 @@ int run_worker(int fd, const WorkerHooks& hooks) {
         std::fflush(journal_file);
       });
       try {
-        journal->write_header(campaign_config_for(wc));
+        journal->write_header(campaign_config_for(wc), wc.identity_hash);
       } catch (...) {
         journal.reset();
       }
@@ -159,7 +149,7 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   // campaigns carry an inspector, which the store declines per-trial, so the
   // oracle always sees a from-zero run.
   core::SnapshotStore snapshots;
-  ctx.snapshots = wc.use_snapshots ? &snapshots : nullptr;
+  ctx.snapshots = &snapshots;
 
   std::deque<WireTrial> queue;
   std::mutex queue_mutex;  // heartbeat thread reads the depth

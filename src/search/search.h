@@ -18,9 +18,9 @@
 // flight, nothing pending). Every random draw comes from an Rng keyed by
 // (campaign seed, mutation counter), never from global state. Together that
 // makes a greybox campaign a pure function of its seed: bit-identical across
-// executor counts, worker processes, snapshots on/off and warm/cold result
-// caches — the same guarantee the grid mode has, enforced in
-// tests/search_test.cpp.
+// executor counts, worker processes, snapshot-forked vs from-zero trials and
+// warm/cold result caches — the same guarantee the grid mode has, enforced
+// in tests/search_test.cpp.
 #pragma once
 
 #include <cstdint>

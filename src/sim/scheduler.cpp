@@ -1,7 +1,6 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
@@ -11,28 +10,12 @@ namespace snake::sim {
 
 namespace {
 
-// Ascending (at, seq) — the execution order both engines must realize.
+// Ascending (at, seq) — the execution order the wheel must realize.
 bool entry_less(const Scheduler::HeapEntry& a, const Scheduler::HeapEntry& b) {
   return b > a;
 }
 
-std::atomic<SchedulerEngine> g_default_engine{
-#if defined(SNAKE_SCHEDULER_HEAP_DEFAULT) && SNAKE_SCHEDULER_HEAP_DEFAULT
-    SchedulerEngine::kBinaryHeap
-#else
-    SchedulerEngine::kTimerWheel
-#endif
-};
-
 }  // namespace
-
-const char* to_string(SchedulerEngine engine) {
-  switch (engine) {
-    case SchedulerEngine::kTimerWheel: return "wheel";
-    case SchedulerEngine::kBinaryHeap: return "heap";
-  }
-  return "?";
-}
 
 const char* to_string(WatchdogTrip trip) {
   switch (trip) {
@@ -43,52 +26,24 @@ const char* to_string(WatchdogTrip trip) {
   return "?";
 }
 
-SchedulerEngine Scheduler::default_engine() {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void Scheduler::set_default_engine(SchedulerEngine engine) {
-  g_default_engine.store(engine, std::memory_order_relaxed);
-}
-
-bool Scheduler::set_engine(SchedulerEngine engine) {
-  if (queued_ != 0) return false;
-  queue_clear();  // drop drained-ready residue / stale cursor
-  engine_ = engine;
-  return true;
-}
-
 // --- Ready queue -----------------------------------------------------------
 
 void Scheduler::queue_push(const HeapEntry& entry) {
   ++queued_;
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-  } else {
-    wheel_insert(entry);
-  }
+  wheel_insert(entry);
 }
 
 const Scheduler::HeapEntry* Scheduler::queue_front() {
-  if (engine_ == SchedulerEngine::kBinaryHeap)
-    return heap_.empty() ? nullptr : heap_.data();
   if (ready_pos_ >= ready_.size() && !wheel_refill()) return nullptr;
   return &ready_[ready_pos_];
 }
 
 void Scheduler::queue_pop_front() {
   --queued_;
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-    heap_.pop_back();
-  } else {
-    ++ready_pos_;  // queue_front() established ready_[ready_pos_]
-  }
+  ++ready_pos_;  // queue_front() established ready_[ready_pos_]
 }
 
 void Scheduler::queue_clear() {
-  heap_.clear();
   ready_.clear();
   ready_pos_ = 0;
   far_.clear();
@@ -109,10 +64,6 @@ void Scheduler::queue_clear() {
 
 template <typename Fn>
 void Scheduler::for_each_queued(Fn&& fn) const {
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    for (const HeapEntry& e : heap_) fn(e);
-    return;
-  }
   for (std::size_t i = ready_pos_; i < ready_.size(); ++i) fn(ready_[i]);
   for (int level = 0; level < kWheelLevels; ++level) {
     for (std::size_t word = 0; word < kWheelSlots / 64; ++word) {
@@ -454,13 +405,8 @@ void Scheduler::restore(const Snapshot& snap) {
     into.lazy = from.lazy;
   }
   queue_clear();
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    heap_ = snap.heap;  // sorted ascending is a valid min-heap as-is
-    queued_ = heap_.size();
-  } else {
-    cur_tick_ = tick_of(snap.now);
-    for (const HeapEntry& e : snap.heap) queue_push(e);  // ascending: appends O(1)
-  }
+  cur_tick_ = tick_of(snap.now);
+  for (const HeapEntry& e : snap.heap) queue_push(e);  // ascending: appends O(1)
   for (const HeapEntry& e : snap.heap) slots_[e.slot].at = e.at;
   free_ = snap.free_slots;
   now_ = snap.now;

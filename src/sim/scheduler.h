@@ -10,17 +10,15 @@
 // free list, callbacks are stored in place (util::SmallFunction), and the
 // ready queue is a hierarchical timing wheel of plain {time, seq, slot}
 // records — the common schedule/fire/cancel cycle allocates nothing once
-// the slab and wheel buckets are warm, and costs O(1) instead of the
-// previous binary heap's O(log n). The heap remains as a runtime-selectable
-// reference engine (SchedulerEngine::kBinaryHeap) that the property suite
-// replays against the wheel: both engines execute every script in the exact
-// same order (see DESIGN.md, "Event engine"). The scheduler also owns the
-// scenario's packet BufferPool so every component on the data path (links,
-// nodes, transport stacks) can recycle wire buffers without a second
-// ownership channel. reset() rewinds the scheduler to its initial state
-// while keeping slab and buffer capacity, which is what lets a campaign
-// executor's ScenarioArena reuse one scheduler across thousands of strategy
-// trials.
+// the slab and wheel buckets are warm, and costs O(1) instead of a binary
+// heap's O(log n). The property tests replay random scripts against a small
+// (time, seq) reference model kept on the test side (see DESIGN.md, "Event
+// engine"). The scheduler also owns the scenario's packet BufferPool so
+// every component on the data path (links, nodes, transport stacks) can
+// recycle wire buffers without a second ownership channel. reset() rewinds
+// the scheduler to its initial state while keeping slab and buffer
+// capacity, which is what lets a campaign executor's ScenarioArena reuse
+// one scheduler across thousands of strategy trials.
 #pragma once
 
 #include <array>
@@ -40,15 +38,6 @@ namespace snake::sim {
 
 class Scheduler;
 
-/// Which ready-queue implementation a Scheduler uses. kTimerWheel is the
-/// production engine; kBinaryHeap is the O(log n) reference implementation
-/// kept for differential testing (the wheel must execute every event script
-/// in the heap's exact order). The engine never changes observable event
-/// order — it is a pure performance/verification switch.
-enum class SchedulerEngine : std::uint8_t { kTimerWheel, kBinaryHeap };
-
-const char* to_string(SchedulerEngine engine);
-
 /// How an event relates to a trial's observable outcome. kActive (the
 /// default) marks events that can emit packets or otherwise change what a
 /// scenario measures. kLazy marks pure bookkeeping whose effects are
@@ -57,8 +46,8 @@ const char* to_string(SchedulerEngine engine);
 /// sending anything. The deterministic early-exit cut (see
 /// run_until_quiescent) stops a run once no armed kActive event remains at
 /// or before the horizon; misclassifying an effectful event as kLazy would
-/// break the early-exit-on == early-exit-off equality that snapshot_test
-/// and dist_test enforce, so when in doubt an event is kActive.
+/// break the early-exit-on == early-exit-off equality the campaign tests
+/// enforce, so when in doubt an event is kActive.
 enum class EventClass : std::uint8_t { kActive, kLazy };
 
 /// Trial watchdog limits for one run_until episode. A runaway scenario (event
@@ -105,21 +94,7 @@ class Timer {
 
 class Scheduler {
  public:
-  Scheduler() : engine_(default_engine()) {}
-
   TimePoint now() const { return now_; }
-
-  /// The process-wide engine new Schedulers start with. Defaults to the
-  /// timer wheel (or the heap when built with SNAKE_SCHEDULER_HEAP_DEFAULT);
-  /// tests and benches flip it to run identical workloads on both engines.
-  static SchedulerEngine default_engine();
-  static void set_default_engine(SchedulerEngine engine);
-
-  SchedulerEngine engine() const { return engine_; }
-  /// Switches the ready-queue engine. Only legal while the queue is empty
-  /// (reset() or never used); returns false and leaves the engine unchanged
-  /// otherwise.
-  bool set_engine(SchedulerEngine engine);
 
   /// Schedules `fn` at absolute time `at` (clamped to now if in the past).
   template <typename F>
@@ -233,10 +208,9 @@ class Scheduler {
   /// Move-only (SmallFunction is move-only).
   ///
   /// The pending-event set (`heap`) is stored sorted by (at, seq) — the
-  /// canonical engine-independent encoding. A sorted ascending array is a
-  /// valid min-heap, so the heap engine adopts it verbatim, and the wheel
-  /// engine re-places each entry; a snapshot captured under either engine
-  /// restores under either engine with identical event order.
+  /// canonical encoding, independent of where the wheel happened to hold
+  /// each entry. restore() re-places the entries in ascending order, which
+  /// appends each one in O(1).
   struct Snapshot {
     struct Slot {
       SmallFunction fn;  ///< clone of the armed callback; empty when !armed
@@ -314,7 +288,7 @@ class Scheduler {
     if (!event.lazy && event.at <= horizon_) --active_in_horizon_;
   }
 
-  // --- Ready queue (both engines) ------------------------------------------
+  // --- Ready queue ----------------------------------------------------------
   // The wheel places an entry by the highest byte in which its tick differs
   // from cur_tick_ (the wheel cursor): level = that byte's index, bucket =
   // the entry's tick byte at that level. Because the entry's higher bytes
@@ -355,10 +329,7 @@ class Scheduler {
   template <bool Quiescent>
   bool run_until_impl(TimePoint until);
 
-  SchedulerEngine engine_;
-  std::uint64_t queued_ = 0;  ///< entries pending across ready/buckets/far/heap
-
-  std::vector<HeapEntry> heap_;  ///< kBinaryHeap engine: min-heap via std::push_heap
+  std::uint64_t queued_ = 0;  ///< entries pending across ready/buckets/far
 
   std::vector<HeapEntry> ready_;  ///< due entries, sorted by (at, seq)
   std::size_t ready_pos_ = 0;     ///< drain cursor into ready_

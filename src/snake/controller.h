@@ -72,22 +72,16 @@ struct CampaignConfig {
   /// by the determinism test in observability_test.cpp).
   bool collect_metrics = true;
 
-  /// When true (default), executors serve eligible trials from per-seed
-  /// world checkpoints instead of replaying every run from t=0 (see
-  /// snake/snapshot.h). Forked trials are bit-identical to replayed ones —
-  /// campaigns produce byte-identical results either way (enforced in
-  /// snapshot_test.cpp); this switch exists for benchmarking the speedup and
-  /// as an escape hatch.
-  bool use_snapshots = true;
-
-  /// When true (default), trials stop at the deterministic quiescence cut
-  /// instead of simulating out the fixed horizon (see
-  /// ScenarioConfig::early_exit). Detections, classifications and signatures
-  /// are equal on vs off (enforced in snapshot_test.cpp); the switch exists
-  /// for A/B benchmarking and as an escape hatch. Rides the dist wire like
-  /// use_snapshots and, like it, is excluded from the campaign identity hash
-  /// — flipping it does not invalidate a resume journal.
-  bool early_exit = true;
+  /// Trials always stop at the deterministic quiescence cut instead of
+  /// simulating out the fixed horizon (see ScenarioConfig::early_exit), and
+  /// executors always serve eligible trials from the campaign's snapshot
+  /// store (snake/snapshot.h). Neither changes a detection, classification
+  /// or signature; the tests compare both against from-zero, full-horizon
+  /// references. The cut stays a named constant rather than disappearing
+  /// because code that runs a campaign's scenarios outside the controller
+  /// copies it into its ScenarioConfig — campbench/traced.cpp does so when
+  /// it replays journaled trials.
+  static constexpr bool early_exit = true;
 
   /// Progress callback (strategies committed, total queued so far). Invoked
   /// from the coordinating thread, in commit order, with no campaign lock

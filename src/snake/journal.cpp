@@ -1,11 +1,11 @@
 #include "snake/journal.h"
 
-#include <cmath>
 #include <cstring>
 
 #include "obs/json.h"
 #include "search/search.h"
 #include "snake/controller.h"
+#include "util/strings.h"
 
 namespace snake::core {
 
@@ -72,11 +72,6 @@ bool bool_field(const obs::JsonValue& obj, const char* key, bool fallback) {
   return v != nullptr && v->is_bool() ? v->bool_v : fallback;
 }
 
-double num_field(const obs::JsonValue& obj, const char* key, double fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr ? v->number_or(fallback) : fallback;
-}
-
 }  // namespace
 
 void write_json(obs::JsonWriter& w, const TrialRecord& record) {
@@ -139,16 +134,19 @@ const char* to_string(TrialVerdict verdict) {
 }
 
 void TrialJournal::write_header(const CampaignConfig& config) {
+  write_header(config, campaign_identity_hash(config));
+}
+
+void TrialJournal::write_header(const CampaignConfig& config, std::uint64_t identity_hash) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value(kJournalSchema);
+  w.key("identity_hash").value(hex16(identity_hash));
   w.key("protocol").value(to_string(config.scenario.protocol));
   w.key("implementation")
       .value(config.scenario.protocol == Protocol::kTcp ? config.scenario.tcp_profile.name
                                                         : "linux-3.13");
   w.key("seed").value(config.scenario.seed);
-  w.key("detect_threshold").value(config.detect_threshold);
-  w.key("duration_seconds").value(config.scenario.test_duration.to_seconds());
   w.end_object();
   std::string line = w.take();
   line.push_back('\n');
@@ -173,13 +171,7 @@ void TrialJournal::append_raw(std::string_view json_object_line) {
 }
 
 bool JournalSnapshot::compatible_with(const CampaignConfig& config) const {
-  const std::string impl = config.scenario.protocol == Protocol::kTcp
-                               ? config.scenario.tcp_profile.name
-                               : "linux-3.13";
-  return protocol == to_string(config.scenario.protocol) && implementation == impl &&
-         seed == config.scenario.seed &&
-         std::abs(detect_threshold - config.detect_threshold) < 1e-12 &&
-         std::abs(duration_seconds - config.scenario.test_duration.to_seconds()) < 1e-9;
+  return identity_hash == campaign_identity_hash(config);
 }
 
 std::optional<JournalSnapshot> load_journal(std::string_view text,
@@ -205,11 +197,7 @@ std::optional<JournalSnapshot> load_journal(std::string_view text,
       // First parseable line must be the header.
       const obs::JsonValue* schema = doc->find("schema");
       if (schema == nullptr || schema->str_v != kJournalSchema) return std::nullopt;
-      snap.protocol = str_field(*doc, "protocol");
-      snap.implementation = str_field(*doc, "implementation");
-      snap.seed = u64_field(*doc, "seed", 0);
-      snap.detect_threshold = num_field(*doc, "detect_threshold", 0.5);
-      snap.duration_seconds = num_field(*doc, "duration_seconds", 0.0);
+      snap.identity_hash = parse_hex16(str_field(*doc, "identity_hash")).value_or(0);
       have_header = true;
       continue;
     }
@@ -246,12 +234,7 @@ std::optional<JournalSnapshot> merge_journals(const std::vector<std::string_view
       merged = std::move(snap);
       continue;
     }
-    const bool same_identity =
-        merged->protocol == snap->protocol &&
-        merged->implementation == snap->implementation && merged->seed == snap->seed &&
-        std::abs(merged->detect_threshold - snap->detect_threshold) < 1e-12 &&
-        std::abs(merged->duration_seconds - snap->duration_seconds) < 1e-9;
-    if (!same_identity) return std::nullopt;
+    if (merged->identity_hash != snap->identity_hash) return std::nullopt;
     for (auto& [key, rec] : snap->trials) merged->trials.try_emplace(key, std::move(rec));
     if (merged->search_pool_json.empty())
       merged->search_pool_json = std::move(snap->search_pool_json);

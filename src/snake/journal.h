@@ -82,8 +82,14 @@ class TrialJournal {
   explicit TrialJournal(Sink sink) : sink_(std::move(sink)) {}
 
   /// Writes the header line identifying the campaign this journal belongs
-  /// to. Call once on a fresh journal; resumed journals already carry one.
+  /// to: campaign_identity_hash(config), plus the protocol, implementation
+  /// and seed for a human reader. Call once on a fresh journal; resumed
+  /// journals already carry one.
   void write_header(const CampaignConfig& config);
+  /// Same, with the identity hash given. A worker process writes the hash
+  /// the coordinator computed, so its journal merges under the campaign's
+  /// identity even if its reconstructed config hashed differently.
+  void write_header(const CampaignConfig& config, std::uint64_t identity_hash);
 
   /// Appends one finished trial. Thread-safe; may throw if the sink throws
   /// (the controller converts that into a journal_errors counter and keeps
@@ -105,11 +111,9 @@ class TrialJournal {
 /// Parsed journal: the campaign identity from the header plus every complete
 /// trial line, keyed by canonical strategy key.
 struct JournalSnapshot {
-  std::string protocol;
-  std::string implementation;
-  std::uint64_t seed = 0;
-  double detect_threshold = 0.5;
-  double duration_seconds = 0.0;
+  /// campaign_identity_hash of the recording campaign; 0 when the header
+  /// carries none, which matches no campaign.
+  std::uint64_t identity_hash = 0;
   std::map<std::string, TrialRecord> trials;
   /// Raw text of the journal's last search-pool checkpoint line (schema
   /// "snake-search-pool/v1"), empty when the campaign wrote none. Kept
@@ -119,9 +123,9 @@ struct JournalSnapshot {
   /// deterministic replay.
   std::string search_pool_json;
 
-  /// Whether this journal was recorded by a campaign with the same identity
-  /// (protocol, implementation, seed, threshold, duration) — resuming across
-  /// differing configs would silently mix incompatible outcomes.
+  /// Whether this journal was recorded by a campaign with the same
+  /// campaign_identity_hash — resuming across configs that can change a
+  /// verdict would silently mix incompatible outcomes.
   bool compatible_with(const CampaignConfig& config) const;
 };
 
@@ -143,8 +147,8 @@ std::optional<TrialRecord> trial_record_from_json(const obs::JsonValue& v);
 
 /// Merges per-worker journals into one snapshot (coordinator side of the
 /// crash-atomic multi-writer scheme: every worker appends to a private file,
-/// nobody interleaves). Parts must agree on the campaign identity header —
-/// a mismatched part is rejected (nullopt) rather than silently mixed.
+/// nobody interleaves). Parts must agree on the header's identity hash — a
+/// mismatched part is rejected (nullopt) rather than silently mixed.
 /// Truncated tails and corrupt lines are skipped per part, summed into
 /// `skipped_lines`; duplicate keys keep the first occurrence.
 std::optional<JournalSnapshot> merge_journals(const std::vector<std::string_view>& parts,

@@ -106,8 +106,8 @@ struct ScenarioConfig {
   /// invisible bookkeeping (TIME_WAIT sockets whose lazy release timer never
   /// fires still show as TIME_WAIT in server1_socket_states, which nothing
   /// reads for detection). Off by default so direct run_scenario callers
-  /// keep exact historical behaviour; campaigns switch it on via
-  /// CampaignConfig::early_exit. The cut point is a pure function of the
+  /// keep exact historical behaviour; campaigns always switch it on (see
+  /// CampaignConfig::early_exit). The cut point is a pure function of the
   /// event history, so forked and from-zero runs agree on it.
   bool early_exit = false;
 

@@ -153,7 +153,6 @@ struct ThreadBackend::Impl {
   std::uint32_t max_attempts = 1;
   std::uint64_t retry_seed_offset = 7919;
   bool collect_metrics = true;
-  bool use_snapshots = true;
 
   /// One snapshot store shared by every executor (see SnapshotStore):
   /// sessions are built once per seed instead of once per executor thread,
@@ -181,7 +180,7 @@ struct ThreadBackend::Impl {
     ScenarioConfig retest_config = retest_template;
     retest_config.metrics = reg;
     TrialContext ctx;
-    ctx.snapshots = use_snapshots && snapshots.has_value() ? &*snapshots : nullptr;
+    ctx.snapshots = snapshots.has_value() ? &*snapshots : nullptr;
     ctx.run_template = &run_config;
     ctx.retest_template = &retest_config;
     ctx.baseline = &baseline;
@@ -235,7 +234,6 @@ bool ThreadBackend::start(const CampaignConfig& config, const RunMetrics& baseli
   im.max_attempts = std::max<std::uint32_t>(1, config.trial_attempts);
   im.retry_seed_offset = config.retry_seed_offset;
   im.collect_metrics = config.collect_metrics;
-  im.use_snapshots = config.use_snapshots;
   im.snapshots.emplace();  // fresh campaign-scoped store (sessions key by seed)
   // One session per executor: the pool's whole point is that every executor
   // can fork trials concurrently; capping below the thread count turns the

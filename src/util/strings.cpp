@@ -45,6 +45,27 @@ std::string to_lower(const std::string& text) {
   return out;
 }
 
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return std::string(buf, 16);
+}
+
+std::optional<std::uint64_t> parse_hex16(std::string_view text) {
+  if (text.size() != 16) return std::nullopt;
+  std::uint64_t v = 0;
+  for (char c : text) {
+    v <<= 4;
+    if (c >= '0' && c <= '9')
+      v |= static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      v |= static_cast<std::uint64_t>(c - 'a' + 10);
+    else
+      return std::nullopt;
+  }
+  return v;
+}
+
 std::string str_format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

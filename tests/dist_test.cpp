@@ -38,7 +38,6 @@
 #include "dist/wire.h"
 #include "dist/worker.h"
 #include "obs/json.h"
-#include "sim/scheduler.h"
 #include "snake/controller.h"
 #include "snake/faultpoint.h"
 #include "snake/trial_runner.h"
@@ -209,7 +208,7 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
   auto merged = backend.merged_journal(&skipped);
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(skipped, 0u);
-  EXPECT_EQ(merged->seed, config.scenario.seed);
+  EXPECT_TRUE(merged->compatible_with(config));
   EXPECT_EQ(merged->trials.size(), distributed.strategies_tried);
 }
 
@@ -399,34 +398,6 @@ TEST(Distributed, ChaosSoakBitIdenticalUnderFullFaultLoad) {
         << "seed " << seed << "\n" << backend.fleet_report();
     EXPECT_EQ(backend.slots_quarantined(), 0) << backend.fleet_report();
   }
-}
-
-TEST(Distributed, SchedulerEngineChoiceDoesNotChangeFleetResults) {
-  // Workers exec fresh from /proc/self/exe, so the coordinator's scheduler
-  // engine only reaches them through the campaign wire message
-  // (WorkerCampaign::scheduler_engine). A heap-engine fleet must reproduce
-  // the wheel-engine fleet byte for byte.
-  struct EngineGuard {
-    sim::SchedulerEngine saved = sim::Scheduler::default_engine();
-    ~EngineGuard() { sim::Scheduler::set_default_engine(saved); }
-  } guard;
-
-  auto run_fleet = [] {
-    core::CampaignConfig config = small_campaign();
-    dist::DistOptions options;
-    options.workers = 2;
-    dist::DistributedBackend backend(options);
-    config.backend = &backend;
-    core::CampaignResult result = core::run_campaign(config);
-    EXPECT_EQ(result.metrics.counter("campaign.backend_fallback"), 0u);
-    return result_fingerprint(result);
-  };
-
-  sim::Scheduler::set_default_engine(sim::SchedulerEngine::kTimerWheel);
-  const std::string wheel = run_fleet();
-  sim::Scheduler::set_default_engine(sim::SchedulerEngine::kBinaryHeap);
-  const std::string heap = run_fleet();
-  EXPECT_EQ(wheel, heap);
 }
 
 // ---------------------------------------------------------------------------
@@ -1159,7 +1130,7 @@ TEST(JournalMerge, InterleavedPartsUnionWithTruncatedTails) {
   EXPECT_TRUE(merged->trials.count(a.key));
   EXPECT_TRUE(merged->trials.count(b.key));
   EXPECT_EQ(merged->trials.at(c.key).verdict, core::TrialVerdict::kQuarantined);
-  EXPECT_EQ(merged->seed, config.scenario.seed);
+  EXPECT_TRUE(merged->compatible_with(config));
 
   // Duplicate keys across parts keep the first occurrence.
   core::TrialRecord a2 = a;

@@ -397,6 +397,61 @@ TEST(Journal, IncompatibleResumeSnapshotIsIgnored) {
   EXPECT_EQ(result.strategies_tried, 12u);
 }
 
+/// A campaign's report without its metrics (which carry the resume
+/// counters and wall-clock timings).
+std::string report_without_metrics(CampaignResult r) {
+  r.metrics = obs::MetricsRegistry();
+  return r.to_json();
+}
+
+/// Records a full journal under `recorded`, resumes small_campaign() from it
+/// and checks the journal is refused: the journal header carries
+/// campaign_identity_hash, so any config field that can change a verdict
+/// makes it incompatible, and the resumed campaign equals a fresh one.
+void expect_resume_refused(const CampaignConfig& recorded) {
+  std::string text;
+  TrialJournal journal([&](std::string_view line) { text.append(line); });
+  CampaignConfig recording = recorded;
+  recording.journal = &journal;
+  run_campaign(recording);
+  std::optional<JournalSnapshot> snap = load_journal(text);
+  ASSERT_TRUE(snap.has_value());
+  ASSERT_FALSE(snap->trials.empty());
+
+  const CampaignConfig config = small_campaign();
+  EXPECT_FALSE(snap->compatible_with(config));
+  CampaignConfig resumed = config;
+  resumed.resume = &*snap;
+  CampaignResult result = run_campaign(resumed);
+  EXPECT_EQ(result.metrics.counter("campaign.resume_incompatible"), 1u);
+  EXPECT_EQ(result.resume_skipped, 0u);
+  EXPECT_EQ(report_without_metrics(result), report_without_metrics(run_campaign(config)));
+}
+
+TEST(Journal, ResumeUnderDifferentDownloadSizeIsRefused) {
+  CampaignConfig recorded = small_campaign();
+  recorded.scenario.download_bytes = 200000;
+  expect_resume_refused(recorded);
+}
+
+TEST(Journal, ResumeUnderDifferentBottleneckRateIsRefused) {
+  CampaignConfig recorded = small_campaign();
+  recorded.scenario.topology.bottleneck_rate_bps = 2e6;
+  expect_resume_refused(recorded);
+}
+
+TEST(Journal, ResumeOfTraceJournalIntoBulkCampaignIsRefused) {
+  CampaignConfig recorded = small_campaign();
+  recorded.scenario.workload = Workload::kTrace;
+  recorded.scenario.trace_text =
+      "# snake-trace/v1\n"
+      "0.0 web open\n"
+      "0.2 web recv 80000\n"
+      "1.0 web recv 120000\n"
+      "2.0 web close\n";
+  expect_resume_refused(recorded);
+}
+
 // ------------------------------------------------- greybox search resume
 
 TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {

@@ -1,17 +1,19 @@
-// Differential suite for the scheduler's two ready-queue engines.
+// Differential suite for the scheduler's timer-wheel ready queue.
 //
-// The timer wheel is the production engine; the binary heap is the O(log n)
-// reference it must shadow exactly: for any script of schedule / cancel /
-// run operations, both engines fire the same events in the same order with
-// the same clock and counters (scheduler.h, "Event engine" in DESIGN.md).
-// Snapshots use an engine-agnostic encoding, so a capture taken under either
-// engine must restore under either engine. On top of the scheduler-level
-// properties, whole campaigns must be byte-identical across engines, and the
-// deterministic early-exit cut must never change what a campaign detects.
+// The wheel must shadow a reference model kept here in the test: a plain
+// vector of pending events popped by linear scan for the smallest
+// (time, seq). For any script of schedule / cancel / run operations both
+// fire the same events in the same order with the same clock and counters
+// (scheduler.h, "Event engine" in DESIGN.md), including after a snapshot
+// restore. On top of the scheduler-level properties, whole campaigns must
+// be byte-identical between snapshot-forked and from-zero trial execution,
+// and the deterministic early-exit cut must never change what a trial
+// measures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,7 +22,11 @@
 
 #include "obs/json.h"
 #include "sim/scheduler.h"
+#include "snake/arena.h"
 #include "snake/controller.h"
+#include "snake/trial_runner.h"
+#include "strategy/generator.h"
+#include "tcp/profile.h"
 #include "testing/property.h"
 #include "util/rng.h"
 
@@ -28,21 +34,14 @@ namespace snake {
 namespace {
 
 using sim::Scheduler;
-using sim::SchedulerEngine;
 using sim::Timer;
 
-/// Restores the process-wide default engine on scope exit (campaign tests
-/// flip it; a failing EXPECT must not leak the heap default into later
-/// tests).
-struct DefaultEngineGuard {
-  SchedulerEngine saved = Scheduler::default_engine();
-  ~DefaultEngineGuard() { Scheduler::set_default_engine(saved); }
-};
-
 // ---------------------------------------------------------------------------
-// Scheduler-level properties: random scripts replayed against both engines.
+// Scheduler-level properties: random scripts replayed against the wheel and
+// the reference model.
 
-/// One scripted operation, interpreted identically against both engines.
+/// One scripted operation, interpreted identically by the wheel and the
+/// reference model.
 struct Op {
   enum Kind : std::uint8_t { kSchedule, kScheduleLazy, kCancel, kRunUntil, kRunEvents };
   Kind kind = kSchedule;
@@ -83,7 +82,7 @@ std::vector<Op> make_script(std::uint64_t seed, std::size_t n) {
   return ops;
 }
 
-/// One engine's world: a scheduler plus the log its callbacks append to.
+/// The wheel's world: a scheduler plus the log its callbacks append to.
 /// Callbacks capture `this`, so every Env lives behind a unique_ptr (stable
 /// address) for its whole lifetime.
 struct Env {
@@ -91,8 +90,6 @@ struct Env {
   std::vector<std::uint64_t> fired;
   std::vector<Timer> timers;
   std::uint64_t next_id = 1;
-
-  explicit Env(SchedulerEngine engine) { EXPECT_TRUE(sched.set_engine(engine)); }
 
   void apply(const Op& op) {
     switch (op.kind) {
@@ -130,28 +127,121 @@ struct Env {
   }
 };
 
+/// The reference the wheel must shadow: every pending event in one vector,
+/// the earliest (at, seq) found by linear scan. Obviously correct and O(n)
+/// per pop, which is plenty for scripts of a few hundred events. It mirrors
+/// Scheduler's contract: past times clamp to now, cancelled events still pop
+/// (counted, not fired), run_until advances the clock to its horizon unless
+/// the horizon is TimePoint::max(), and run_events stops on the last popped
+/// event's time. A value copy is a snapshot.
+struct Reference {
+  struct Event {
+    std::int64_t at = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t id = 0;
+    bool cancelled = false;
+  };
+  std::vector<Event> pending;
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> timers;  ///< seq of each scheduled event, in schedule order
+  std::int64_t now = 0;
+  std::uint64_t next_seq = 0;
+  std::uint64_t next_id = 1;
+  std::uint64_t executed = 0;
+  std::uint64_t cancelled = 0;
+
+  void schedule(std::int64_t at, std::uint64_t id) {
+    timers.push_back(next_seq);
+    pending.push_back(Event{std::max(at, now), next_seq++, id, false});
+  }
+
+  void cancel(std::uint64_t seq) {
+    for (Event& e : pending)
+      if (e.seq == seq) e.cancelled = true;
+  }
+
+  /// Pops the earliest event if it is due by `until`; false otherwise.
+  bool pop(std::int64_t until) {
+    if (pending.empty()) return false;
+    auto first = std::min_element(pending.begin(), pending.end(),
+                                  [](const Event& a, const Event& b) {
+                                    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+                                  });
+    if (first->at > until) return false;
+    const Event e = *first;
+    pending.erase(first);
+    now = e.at;
+    if (e.cancelled) {
+      ++cancelled;
+    } else {
+      ++executed;
+      fired.push_back(e.id);
+    }
+    return true;
+  }
+
+  void run_until(std::int64_t until) {
+    while (pop(until)) {
+    }
+    if (now < until) now = until;
+  }
+
+  void run_all() {
+    while (pop(std::numeric_limits<std::int64_t>::max())) {
+    }
+  }
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case Op::kSchedule:
+        schedule(now + op.delta_ns, next_id++);
+        break;
+      case Op::kScheduleLazy:
+        schedule(now + op.delta_ns, next_id++ | (std::uint64_t{1} << 63));
+        break;
+      case Op::kCancel:
+        if (!timers.empty()) cancel(timers[op.pick % timers.size()]);
+        break;
+      case Op::kRunUntil:
+        run_until(now + op.delta_ns);
+        break;
+      case Op::kRunEvents:
+        for (std::uint64_t i = 0; i < op.pick && pop(std::numeric_limits<std::int64_t>::max());
+             ++i) {
+        }
+        break;
+    }
+  }
+
+  std::string digest() const {
+    std::ostringstream os;
+    os << now << '/' << executed << '/' << cancelled << '/' << pending.empty();
+    return os.str();
+  }
+};
+
 TEST(SchedulerEngines, IdenticalExecutionOnRandomScripts) {
   auto config = testing::PropertyConfig::from_env(/*default_iterations=*/30, /*seed=*/17);
   auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
                                                     -> std::optional<std::string> {
     const std::vector<Op> script = make_script(seed, 250);
-    auto wheel = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
-    auto heap = std::make_unique<Env>(SchedulerEngine::kBinaryHeap);
+    auto wheel = std::make_unique<Env>();
+    Reference reference;
     for (std::size_t i = 0; i < script.size(); ++i) {
       wheel->apply(script[i]);
-      heap->apply(script[i]);
-      if (wheel->fired != heap->fired)
+      reference.apply(script[i]);
+      if (wheel->fired != reference.fired)
         return "fired order diverged after op " + std::to_string(i);
-      if (wheel->digest() != heap->digest())
+      if (wheel->digest() != reference.digest())
         return "state diverged after op " + std::to_string(i) + ": wheel " +
-               wheel->digest() + " vs heap " + heap->digest();
+               wheel->digest() + " vs reference " + reference.digest();
     }
     wheel->sched.run_all();
-    heap->sched.run_all();
-    if (wheel->fired != heap->fired) return std::string("final drain order diverged");
-    if (wheel->digest() != heap->digest())
-      return "final state diverged: wheel " + wheel->digest() + " vs heap " +
-             heap->digest();
+    reference.run_all();
+    if (wheel->fired != reference.fired) return std::string("final drain order diverged");
+    if (wheel->digest() != reference.digest())
+      return "final state diverged: wheel " + wheel->digest() + " vs reference " +
+             reference.digest();
     return std::nullopt;
   });
   ASSERT_FALSE(failure.has_value())
@@ -163,49 +253,47 @@ TEST(SchedulerEngines, SnapshotsRestoreIdenticallyAcrossEngines) {
   auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
                                                     -> std::optional<std::string> {
     const std::vector<Op> script = make_script(seed, 160);
-    auto wheel = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
-    auto heap = std::make_unique<Env>(SchedulerEngine::kBinaryHeap);
+    auto wheel = std::make_unique<Env>();
+    Reference reference;
     const std::size_t half = script.size() / 2;
     for (std::size_t i = 0; i < half; ++i) {
       wheel->apply(script[i]);
-      heap->apply(script[i]);
+      reference.apply(script[i]);
     }
-    Scheduler::Snapshot wheel_snap;
-    Scheduler::Snapshot heap_snap;
-    if (!wheel->sched.capture(wheel_snap)) return std::string("wheel capture declined");
-    if (!heap->sched.capture(heap_snap)) return std::string("heap capture declined");
+    Scheduler::Snapshot snap;
+    if (!wheel->sched.capture(snap)) return std::string("wheel capture declined");
+    const Reference at_capture = reference;
 
     // Live tails must agree first (sanity: the worlds were equal mid-script).
     for (std::size_t i = half; i < script.size(); ++i) {
       wheel->apply(script[i]);
-      heap->apply(script[i]);
+      reference.apply(script[i]);
     }
     wheel->sched.run_all();
-    heap->sched.run_all();
-    if (wheel->fired != heap->fired) return std::string("live tails diverged");
+    reference.run_all();
+    if (wheel->fired != reference.fired) return std::string("live tails diverged");
 
-    // Each engine restored from its own snapshot drains the same sequence.
-    auto drain_restored = [](Env& env, const Scheduler::Snapshot& snap,
-                             std::vector<std::uint64_t>& log) {
-      env.sched.restore(snap);
-      const std::size_t mark = log.size();
-      env.sched.run_all();
-      return std::vector<std::uint64_t>(log.begin() + static_cast<std::ptrdiff_t>(mark),
-                                        log.end());
-    };
-    auto wheel_tail = drain_restored(*wheel, wheel_snap, wheel->fired);
-    auto heap_tail = drain_restored(*heap, heap_snap, heap->fired);
-    if (wheel_tail != heap_tail) return std::string("restored drains diverged");
-
-    // Cross-engine: the same (wheel-captured) snapshot restored into the
-    // heap-engine scheduler drains identically. Its callbacks log into the
-    // wheel Env either way, so slice that log for both drains.
-    auto native = drain_restored(*wheel, wheel_snap, wheel->fired);
-    auto cross = drain_restored(*heap, wheel_snap, wheel->fired);
-    if (native != cross) return std::string("cross-engine restore diverged");
-    if (wheel->sched.now() != heap->sched.now() ||
-        wheel->sched.events_executed() != heap->sched.events_executed())
-      return std::string("cross-engine restore left different clocks/counters");
+    // The reference drains its copy from the capture point; the wheel,
+    // restored from the snapshot, must drain the same events with the same
+    // clock and counters. Restoring twice checks that a restore into a
+    // scheduler that already ran past the snapshot starts clean.
+    Reference expected = at_capture;
+    const std::size_t mark = expected.fired.size();
+    expected.run_all();
+    const std::vector<std::uint64_t> expected_tail(
+        expected.fired.begin() + static_cast<std::ptrdiff_t>(mark), expected.fired.end());
+    for (int round = 0; round < 2; ++round) {
+      wheel->sched.restore(snap);
+      const std::size_t from = wheel->fired.size();
+      wheel->sched.run_all();
+      const std::vector<std::uint64_t> tail(
+          wheel->fired.begin() + static_cast<std::ptrdiff_t>(from), wheel->fired.end());
+      if (tail != expected_tail)
+        return "restored drain " + std::to_string(round) + " diverged from the reference";
+      if (wheel->digest() != expected.digest())
+        return "restored drain " + std::to_string(round) + " left wheel " + wheel->digest() +
+               " vs reference " + expected.digest();
+    }
     return std::nullopt;
   });
   ASSERT_FALSE(failure.has_value())
@@ -218,8 +306,8 @@ TEST(SchedulerEngines, QuiescentRunMatchesPlainRunOnActiveEvents) {
                                                     -> std::optional<std::string> {
     Rng rng(seed);
     const TimePoint horizon = TimePoint::from_ns(30'000'000);
-    auto plain = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
-    auto quick = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
+    auto plain = std::make_unique<Env>();
+    auto quick = std::make_unique<Env>();
     for (int i = 0; i < 120; ++i) {
       Op op;
       op.kind = rng.uniform(0, 3) == 0 ? Op::kScheduleLazy : Op::kSchedule;
@@ -253,10 +341,10 @@ TEST(SchedulerEngines, QuiescentRunMatchesPlainRunOnActiveEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-level: engines and early-exit are invisible to campaign results.
+// Campaign-level: snapshot forks and the early-exit cut are invisible to
+// what a campaign measures.
 
-core::CampaignResult small_campaign(core::Protocol protocol, bool early_exit,
-                                    bool collect_metrics) {
+core::CampaignConfig small_campaign(core::Protocol protocol) {
   core::CampaignConfig config;
   config.scenario.protocol = protocol;
   config.scenario.test_duration = Duration::seconds(4.0);
@@ -264,82 +352,133 @@ core::CampaignResult small_campaign(core::Protocol protocol, bool early_exit,
   config.scenario.event_budget = 40'000'000;
   config.executors = 2;
   config.max_strategies = 20;
-  config.collect_metrics = collect_metrics;
-  config.early_exit = early_exit;
-  return core::run_campaign(config);
+  return config;
+}
+
+/// Does nothing, but its presence makes every trial run from zero: snapshot
+/// stores decline configs that carry an inspector.
+class NoopInspector : public core::RunInspector {
+ public:
+  void on_run_complete(sim::Dumbbell&, proxy::AttackProxy&, const core::RunMetrics&) override {}
+};
+
+/// A campaign's report with its metrics dropped (wall-clock histograms never
+/// repeat), plus the number of trials it served from snapshot forks.
+struct CampaignRun {
+  std::string json;
+  std::uint64_t forked_runs = 0;
+};
+
+CampaignRun run_without_metrics(const core::CampaignConfig& config) {
+  core::CampaignResult result = core::run_campaign(config);
+  CampaignRun run;
+  run.forked_runs = result.metrics.counter("snapshot.forked_runs");
+  result.metrics = obs::MetricsRegistry();
+  run.json = result.to_json();
+  return run;
 }
 
 TEST(SchedulerEngines, CampaignResultsAreByteIdenticalAcrossEngines) {
-  DefaultEngineGuard guard;
-  for (core::Protocol protocol : {core::Protocol::kTcp, core::Protocol::kDccp}) {
-    SCOPED_TRACE(core::to_string(protocol));
-    Scheduler::set_default_engine(SchedulerEngine::kTimerWheel);
-    core::CampaignResult wheel =
-        small_campaign(protocol, /*early_exit=*/true, /*collect_metrics=*/false);
-    Scheduler::set_default_engine(SchedulerEngine::kBinaryHeap);
-    core::CampaignResult heap =
-        small_campaign(protocol, /*early_exit=*/true, /*collect_metrics=*/false);
-    EXPECT_EQ(wheel.to_json(), heap.to_json());
+  // The production path restores wheel snapshots into forked trials; the
+  // twin builds every trial's world from zero. Same report, byte for byte.
+  // SACK recovery and TFRC feedback put the densest timer traffic through
+  // the wheel, and snapshot_test's campaign covers the default profiles.
+  core::CampaignConfig sack = small_campaign(core::Protocol::kTcp);
+  sack.scenario.tcp_profile = tcp::tcp_profile_by_name("sack-rfc2018");
+  sack.generator = strategy::tcp_sack_generator_config();
+  core::CampaignConfig tfrc = small_campaign(core::Protocol::kDccp);
+  tfrc.scenario.dccp_ccid = 3;
+  for (const core::CampaignConfig& config : {sack, tfrc}) {
+    SCOPED_TRACE(core::to_string(config.scenario.protocol));
+    NoopInspector noop;
+    core::CampaignConfig from_zero = config;
+    from_zero.scenario.inspector = &noop;
+    const CampaignRun forked = run_without_metrics(config);
+    const CampaignRun reference = run_without_metrics(from_zero);
+    EXPECT_EQ(forked.json, reference.json);
+    EXPECT_GT(forked.forked_runs, 0u) << "no trial was served from a snapshot";
+    EXPECT_EQ(reference.forked_runs, 0u) << "the from-zero twin forked a trial";
   }
 }
 
-/// The detector-visible surface of a CampaignResult: everything except
-/// metrics (wall-clock histograms never repeat) and the baseline's terminal
-/// socket-state table (early exit legitimately leaves TIME_WAIT entries
-/// unreleased there — the one observable difference the cut permits).
-std::string detection_fingerprint(const core::CampaignResult& r) {
+/// Forwards to the in-process executor pool and records every dispatched
+/// strategy, so a test can re-run a campaign's exact trials by hand.
+class RecordingBackend : public core::TrialBackend {
+ public:
+  explicit RecordingBackend(int executors) : pool_(executors) {}
+  bool start(const core::CampaignConfig& config, const core::RunMetrics& baseline,
+             const core::RunMetrics& retest_baseline) override {
+    return pool_.start(config, baseline, retest_baseline);
+  }
+  std::size_t capacity() const override { return pool_.capacity(); }
+  void submit(core::TrialTask task) override {
+    strategies.push_back(task.strat);
+    pool_.submit(std::move(task));
+  }
+  core::TrialOutcome wait_outcome() override { return pool_.wait_outcome(); }
+  void finish(obs::MetricsRegistry* into) override { pool_.finish(into); }
+
+  std::vector<strategy::Strategy> strategies;
+
+ private:
+  core::ThreadBackend pool_;
+};
+
+/// Everything a run reports except the servers' socket-state table: the cut
+/// legitimately leaves TIME_WAIT sockets unreleased there, and nothing reads
+/// that table for detection.
+std::string measured(core::RunMetrics m) {
+  m.server1_socket_states.clear();
   obs::JsonWriter w;
-  w.begin_object();
-  w.key("summary").value(r.summary_row());
-  w.key("tried").value(r.strategies_tried);
-  w.key("found").begin_array();
-  for (const core::StrategyOutcome& o : r.found) {
-    w.begin_object();
-    w.key("key").value(strategy::canonical_key(o.strat));
-    w.key("signature").value(o.signature);
-    w.key("cls").value(static_cast<int>(o.cls));
-    w.key("target_ratio").value(o.detection.target_ratio);
-    w.key("competing_ratio").value(o.detection.competing_ratio);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("signatures").begin_array();
-  for (const std::string& s : r.unique_signatures) w.value(s);
-  w.end_array();
-  w.key("quarantined").begin_array();
-  for (const auto& q : r.quarantined) {
-    w.begin_object();
-    w.key("key").value(q.key);
-    w.key("verdict").value(core::to_string(q.verdict));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("baseline_target").value(r.baseline.target_bytes);
-  w.key("baseline_competing").value(r.baseline.competing_bytes);
-  w.key("aborted").value(r.trials_aborted);
-  w.key("errored").value(r.trials_errored);
-  w.key("retried").value(r.trials_retried);
-  w.end_object();
+  core::write_json(w, m);
   return w.take();
 }
 
 TEST(EarlyExit, CampaignDetectionsAreIdenticalOnAndOff) {
   for (core::Protocol protocol : {core::Protocol::kTcp, core::Protocol::kDccp}) {
     SCOPED_TRACE(core::to_string(protocol));
-    core::CampaignResult on =
-        small_campaign(protocol, /*early_exit=*/true, /*collect_metrics=*/true);
-    core::CampaignResult off =
-        small_campaign(protocol, /*early_exit=*/false, /*collect_metrics=*/true);
-    EXPECT_EQ(detection_fingerprint(on), detection_fingerprint(off));
-    // The cut must actually engage in DCCP campaigns (both iperf sources
-    // close at dccp_data_fraction of the run, after which only lazy
-    // TIME_WAIT releases remain), otherwise this test is vacuous. TCP gets
-    // no such guarantee: the competing wget's effectively-unbounded download
-    // keeps an active pump timer armed until the very end by design.
-    if (protocol == core::Protocol::kDccp)
-      EXPECT_GT(on.metrics.counter("scenario.early_exit_runs"), 0u);
-    // The counter must never tick when the flag is off.
-    EXPECT_EQ(off.metrics.counter("scenario.early_exit_runs"), 0u);
+    core::CampaignConfig config = small_campaign(protocol);
+    RecordingBackend backend(config.executors);
+    config.backend = &backend;
+    const core::CampaignResult result = core::run_campaign(config);
+    ASSERT_EQ(backend.strategies.size(), result.strategies_tried);
+    ASSERT_GT(result.strategies_tried, 0u);
+
+    // Every trial the campaign ran, plus the baseline, re-run with the cut
+    // (as campaigns run them) and without it (the full-horizon reference).
+    obs::MetricsRegistry cut_reg;
+    obs::MetricsRegistry full_reg;
+    core::ScenarioConfig cut = config.scenario;
+    cut.early_exit = true;
+    cut.metrics = &cut_reg;
+    core::ScenarioConfig full = config.scenario;
+    full.early_exit = false;
+    full.metrics = &full_reg;
+    core::ScenarioArena arena;
+    const core::RunMetrics cut_baseline = core::run_scenario(arena, cut, std::nullopt);
+    const core::RunMetrics full_baseline = core::run_scenario(arena, full, std::nullopt);
+    EXPECT_EQ(measured(cut_baseline), measured(full_baseline));
+    for (const strategy::Strategy& s : backend.strategies) {
+      SCOPED_TRACE(strategy::canonical_key(s));
+      const core::RunMetrics with_cut = core::run_scenario(arena, cut, s);
+      const core::RunMetrics without = core::run_scenario(arena, full, s);
+      EXPECT_EQ(measured(with_cut), measured(without));
+      obs::JsonWriter a;
+      core::write_json(a, core::detect(cut_baseline, with_cut, config.detect_threshold));
+      obs::JsonWriter b;
+      core::write_json(b, core::detect(full_baseline, without, config.detect_threshold));
+      EXPECT_EQ(a.take(), b.take());
+    }
+    // The cut must actually engage in DCCP runs (both iperf sources close at
+    // dccp_data_fraction of the run, after which only lazy TIME_WAIT
+    // releases remain), otherwise this test is vacuous. TCP gets no such
+    // guarantee: the competing wget's effectively-unbounded download keeps
+    // an active pump timer armed until the very end by design.
+    if (protocol == core::Protocol::kDccp) {
+      EXPECT_GT(cut_reg.counter("scenario.early_exit_runs"), 0u);
+    }
+    // The counter must never tick on the full-horizon reference.
+    EXPECT_EQ(full_reg.counter("scenario.early_exit_runs"), 0u);
   }
 }
 

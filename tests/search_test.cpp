@@ -6,8 +6,8 @@
 //    strict rejection of torn/poisoned pool state — failing property seeds
 //    are printed like the chaos soak's;
 //  - the determinism contract of greybox campaigns: bit-identical results
-//    across executor counts, snapshots on/off, single-process vs worker
-//    processes, and cold vs warm result caches;
+//    across executor counts, snapshot-forked vs from-zero trials,
+//    single-process vs worker processes, and cold vs warm result caches;
 //  - the differential guarantee: on a small strategy space an uncapped
 //    greybox campaign visits the whole grid universe, so its attack set is
 //    a superset of (in practice equal to) the exhaustive grid's — checked
@@ -381,12 +381,19 @@ TEST(GreyboxCampaign, ExecutorCountDoesNotChangeResults) {
 }
 
 TEST(GreyboxCampaign, SnapshotsOnOffBitIdentical) {
+  // Reference: the from-zero twin. Snapshot stores decline configs that
+  // carry an inspector, so a no-op one makes every trial run from t=0.
+  class NoopInspector : public core::RunInspector {
+    void on_run_complete(sim::Dumbbell&, proxy::AttackProxy&,
+                         const core::RunMetrics&) override {}
+  } noop;
   core::CampaignConfig config = greybox_campaign();
-  config.use_snapshots = true;
-  const std::string on = result_fingerprint(core::run_campaign(config));
-  config.use_snapshots = false;
-  const std::string off = result_fingerprint(core::run_campaign(config));
-  EXPECT_EQ(on, off);
+  core::CampaignResult forked = core::run_campaign(config);
+  config.scenario.inspector = &noop;
+  core::CampaignResult from_zero = core::run_campaign(config);
+  EXPECT_EQ(result_fingerprint(forked), result_fingerprint(from_zero));
+  EXPECT_GT(forked.metrics.counter("snapshot.forked_runs"), 0u);
+  EXPECT_EQ(from_zero.metrics.counter("snapshot.forked_runs"), 0u);
 }
 
 TEST(GreyboxCampaign, DistributedMatchesSingleProcessExactly) {

@@ -130,26 +130,23 @@ TEST(Scheduler, PastClampKeepsInsertionOrderAmongSameTickEvents) {
   // Regression for the timer-wheel engine: a past-time schedule_at clamps to
   // now(), which lands it in the *ready* run (already partially drained on
   // the wheel). The clamped entry must still interleave with genuinely
-  // same-time entries purely by insertion order (its seq), on both engines.
-  for (SchedulerEngine engine : {SchedulerEngine::kTimerWheel, SchedulerEngine::kBinaryHeap}) {
-    Scheduler s;
-    ASSERT_TRUE(s.set_engine(engine)) << to_string(engine);
-    s.schedule_at(TimePoint::from_ns(5'000'000), [] {});
-    s.run_all();  // now = 5ms
-    std::vector<int> order;
-    s.schedule_at(s.now(), [&] {
-      order.push_back(1);
-      // Scheduled mid-drain at a past time: clamps to now, fires after every
-      // earlier same-tick entry.
-      s.schedule_at(TimePoint::from_ns(0), [&] { order.push_back(5); });
-    });
-    s.schedule_at(TimePoint::from_ns(1'000'000), [&] { order.push_back(2); });  // past
-    s.schedule_in(Duration::zero(), [&] { order.push_back(3); });
-    s.schedule_at(TimePoint::from_ns(2'000'000), [&] { order.push_back(4); });  // past
-    s.run_all();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5})) << to_string(engine);
-    EXPECT_EQ(s.now().ns(), 5'000'000) << to_string(engine);
-  }
+  // same-time entries purely by insertion order (its seq).
+  Scheduler s;
+  s.schedule_at(TimePoint::from_ns(5'000'000), [] {});
+  s.run_all();  // now = 5ms
+  std::vector<int> order;
+  s.schedule_at(s.now(), [&] {
+    order.push_back(1);
+    // Scheduled mid-drain at a past time: clamps to now, fires after every
+    // earlier same-tick entry.
+    s.schedule_at(TimePoint::from_ns(0), [&] { order.push_back(5); });
+  });
+  s.schedule_at(TimePoint::from_ns(1'000'000), [&] { order.push_back(2); });  // past
+  s.schedule_in(Duration::zero(), [&] { order.push_back(3); });
+  s.schedule_at(TimePoint::from_ns(2'000'000), [&] { order.push_back(4); });  // past
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(s.now().ns(), 5'000'000);
 }
 
 Packet make_packet(Address src, Address dst, std::size_t payload_bytes) {

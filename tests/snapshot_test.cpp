@@ -282,25 +282,47 @@ TEST(SnapshotFork, IneligibleRequestsDecline) {
   EXPECT_FALSE(store.run_trial(with_inspector, attacks).has_value());
 }
 
-CampaignResult small_campaign(bool use_snapshots, Protocol protocol) {
+/// Does nothing, but its presence makes every trial run from zero: stores
+/// decline configs that carry an inspector.
+class NoopInspector : public core::RunInspector {
+ public:
+  void on_run_complete(sim::Dumbbell&, proxy::AttackProxy&, const RunMetrics&) override {}
+};
+
+/// A campaign's report with its metrics dropped (registries legitimately
+/// differ, see DESIGN.md), plus how many trials it forked from snapshots.
+struct CampaignRun {
+  std::string json;
+  std::uint64_t forked_runs = 0;
+};
+
+CampaignRun small_campaign(Protocol protocol, core::RunInspector* inspector) {
   CampaignConfig config;
   config.scenario.protocol = protocol;
   config.scenario.test_duration = Duration::seconds(4.0);
   config.scenario.seed = 7;
   config.scenario.event_budget = 40'000'000;
+  config.scenario.inspector = inspector;
   config.executors = 2;
   config.max_strategies = 20;
-  config.collect_metrics = false;  // registries legitimately differ (see DESIGN.md)
-  config.use_snapshots = use_snapshots;
-  return core::run_campaign(config);
+  CampaignResult result = core::run_campaign(config);
+  CampaignRun run;
+  run.forked_runs = result.metrics.counter("snapshot.forked_runs");
+  result.metrics = obs::MetricsRegistry();
+  run.json = result.to_json();
+  return run;
 }
 
 TEST(SnapshotFork, CampaignResultsAreByteIdenticalWithSnapshotsOnAndOff) {
+  // Reference: the from-zero twin, the same campaign with a no-op inspector.
   for (Protocol protocol : {Protocol::kTcp, Protocol::kDccp}) {
     SCOPED_TRACE(core::to_string(protocol));
-    CampaignResult on = small_campaign(true, protocol);
-    CampaignResult off = small_campaign(false, protocol);
-    EXPECT_EQ(on.to_json(), off.to_json());
+    NoopInspector noop;
+    const CampaignRun forked = small_campaign(protocol, nullptr);
+    const CampaignRun from_zero = small_campaign(protocol, &noop);
+    EXPECT_EQ(forked.json, from_zero.json);
+    EXPECT_GT(forked.forked_runs, 0u) << "no trial was served from a snapshot";
+    EXPECT_EQ(from_zero.forked_runs, 0u) << "the from-zero twin forked a trial";
   }
 }
 

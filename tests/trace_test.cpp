@@ -7,7 +7,8 @@
 //    server->client bytes, bit-identically across fresh and arena runs;
 //  - campaign plumbing: the trace content is folded into the campaign
 //    identity hash, rides the dist wire, and trace campaigns stay
-//    bit-identical with snapshots on/off and across executor widths.
+//    bit-identical between snapshot-forked and from-zero trials and across
+//    executor widths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -359,18 +360,36 @@ TEST(TraceWire, ScenarioConfigRoundTripsTraceFields) {
 }
 
 TEST(TraceCampaign, BitIdenticalAcrossSnapshotsAndExecutorWidths) {
+  // Each run's metrics are counted, then dropped before comparing reports:
+  // registries legitimately differ.
+  auto run = [](const CampaignConfig& config, std::uint64_t* forked_runs) {
+    CampaignResult result = core::run_campaign(config);
+    *forked_runs = result.metrics.counter("snapshot.forked_runs");
+    result.metrics = obs::MetricsRegistry();
+    return result;
+  };
   CampaignConfig base = trace_campaign();
-  CampaignResult reference = core::run_campaign(base);
-  EXPECT_EQ(reference.strategies_tried, 12u);
-  EXPECT_GT(reference.baseline.target_bytes, 0u);
+  base.collect_metrics = true;
+  std::uint64_t forked = 0;
+  const CampaignResult first = run(base, &forked);
+  EXPECT_EQ(first.strategies_tried, 12u);
+  EXPECT_GT(first.baseline.target_bytes, 0u);
+  EXPECT_GT(forked, 0u) << "no trial was served from a snapshot";
+  const std::string reference = first.to_json();
 
-  CampaignConfig no_snapshots = trace_campaign();
-  no_snapshots.use_snapshots = false;
-  EXPECT_EQ(core::run_campaign(no_snapshots).to_json(), reference.to_json());
+  // The from-zero twin: snapshot stores decline configs that carry an
+  // inspector, so a no-op one makes every trial run from t=0.
+  class NoopInspector : public core::RunInspector {
+    void on_run_complete(sim::Dumbbell&, proxy::AttackProxy&, const RunMetrics&) override {}
+  } noop;
+  CampaignConfig from_zero = base;
+  from_zero.scenario.inspector = &noop;
+  EXPECT_EQ(run(from_zero, &forked).to_json(), reference);
+  EXPECT_EQ(forked, 0u) << "the from-zero twin forked a trial";
 
-  CampaignConfig wide = trace_campaign();
+  CampaignConfig wide = base;
   wide.executors = 4;
-  EXPECT_EQ(core::run_campaign(wide).to_json(), reference.to_json());
+  EXPECT_EQ(run(wide, &forked).to_json(), reference);
 }
 
 }  // namespace
