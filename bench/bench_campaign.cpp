@@ -97,7 +97,6 @@
 
 #include "cli.h"
 #include "dist/coordinator.h"
-#include "dist/result_cache.h"
 #include "dist/worker.h"
 #include "obs/json.h"
 #include "search/search.h"
@@ -288,12 +287,12 @@ int main(int argc, char** argv) {
   // campaign's identity hash so a config change can never replay stale
   // records. Set up before the backend so the same view can double as the
   // coordinator's byzantine verify_cache.
-  std::optional<dist::ResultCache> cache;
-  std::optional<dist::ResultCache::View> cache_view;
+  std::optional<core::TrialLog> cache;
+  std::optional<core::TrialLog::View> cache_view;
   if (cache_path != nullptr) {
     cache.emplace(cache_path);
     if (compact_cache) {
-      dist::ResultCache::CompactStats st = cache->compact();
+      core::TrialLog::CompactStats st = cache->compact();
       if (!st.ok)
         std::fprintf(stderr, "result cache %s: compaction failed, loading as-is\n", cache_path);
       else

@@ -45,7 +45,9 @@
 // journal (PREFIX.<implementation>.<protocol>.jsonl); --resume loads those
 // journals back and skips the trials they already record, so a killed bench
 // restarted with the same configuration picks up where it died and still
-// produces the exact results of an uninterrupted run.
+// produces the exact results of an uninterrupted run. Journals and result
+// caches share one line format, so the concatenated journals of a run are a
+// valid --result-cache file.
 //
 // --json records the whole bench trajectory as a structured report (schema
 // "snake-bench-table1/v1"): run configuration plus one full campaign report
@@ -76,7 +78,6 @@
 
 #include "cli.h"
 #include "dist/coordinator.h"
-#include "dist/result_cache.h"
 #include "dist/worker.h"
 #include "obs/json.h"
 #include "search/search.h"
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
 
   // One cross-campaign result cache shared by all five implementation
   // sweeps; each campaign binds a view scoped to its own identity hash.
-  std::optional<dist::ResultCache> result_cache;
+  std::optional<TrialLog> result_cache;
   if (cache_path != nullptr) {
     result_cache.emplace(cache_path);
     if (!result_cache->load())
@@ -220,33 +221,33 @@ int main(int argc, char** argv) {
     // Per-campaign checkpoint journal. Each finished trial is appended and
     // flushed immediately, so a killed bench leaves every complete line
     // behind; --resume replays them instead of re-running the trials.
+    const std::uint64_t identity = journal_prefix != nullptr || result_cache.has_value()
+                                       ? campaign_identity_hash(config)
+                                       : 0;
     std::FILE* journal_file = nullptr;
     std::unique_ptr<TrialJournal> journal;
-    std::optional<JournalSnapshot> snapshot;
+    std::optional<TrialLog> resume_log;
     if (journal_prefix != nullptr) {
       std::string path = std::string(journal_prefix) + "." + profile.name + "." +
                          (protocol == Protocol::kTcp ? "tcp" : "dccp") + ".jsonl";
       if (resume) {
-        if (std::optional<std::string> text = read_file(path)) {
-          std::size_t skipped = 0;
-          snapshot = load_journal(*text, &skipped);
-          if (!snapshot.has_value())
-            std::fprintf(stderr, "  (journal %s unreadable; starting fresh)\n", path.c_str());
-          else if (skipped > 0)
-            std::fprintf(stderr, "  (journal %s: skipped %zu incomplete line(s))\n",
-                         path.c_str(), skipped);
+        resume_log.emplace();
+        if (!resume_log->ingest_file(path))
+          std::fprintf(stderr, "  (journal %s unreadable; starting fresh)\n", path.c_str());
+        else if (resume_log->rejected() > 0)
+          std::fprintf(stderr, "  (journal %s: skipped %llu invalid line(s))\n", path.c_str(),
+                       static_cast<unsigned long long>(resume_log->rejected()));
+        if (!resume_log->holds(identity)) {
+          if (!resume_log->empty())
+            std::fprintf(stderr,
+                         "  (journal %s was recorded by a different configuration; "
+                         "starting fresh)\n", path.c_str());
+          resume_log.reset();
         }
       }
-      if (snapshot.has_value() && !snapshot->compatible_with(config)) {
-        std::fprintf(stderr,
-                     "  (journal %s was recorded by a different configuration; "
-                     "starting fresh)\n", path.c_str());
-        snapshot.reset();
-      }
-      // Compatible snapshot: append new trials after the recorded ones.
-      // Fresh (or unusable) journal: truncate and let the campaign write a
-      // new header.
-      journal_file = std::fopen(path.c_str(), snapshot.has_value() ? "a" : "w");
+      // Resumable log: append new trials after the recorded ones. Fresh (or
+      // unusable) journal: truncate.
+      journal_file = std::fopen(path.c_str(), resume_log.has_value() ? "a" : "w");
       if (journal_file == nullptr) {
         std::fprintf(stderr, "cannot open journal %s\n", path.c_str());
         std::exit(1);
@@ -256,14 +257,14 @@ int main(int argc, char** argv) {
         std::fflush(journal_file);
       });
       config.journal = journal.get();
-      if (snapshot.has_value()) config.resume = &*snapshot;
+      if (resume_log.has_value()) config.resume = &*resume_log;
     }
 
     // Cache view first: the same view doubles as the coordinator's
     // byzantine verify_cache below.
-    std::optional<dist::ResultCache::View> cache_view;
+    std::optional<TrialLog::View> cache_view;
     if (result_cache.has_value()) {
-      cache_view.emplace(result_cache->view(campaign_identity_hash(config)));
+      cache_view.emplace(result_cache->view(identity));
       config.cache = &*cache_view;
     }
 

@@ -11,10 +11,8 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "dist/supervisor.h"
@@ -772,18 +770,10 @@ const std::vector<std::string>& DistributedBackend::journal_paths() const {
   return impl_->journal_files;
 }
 
-std::optional<core::JournalSnapshot> DistributedBackend::merged_journal(
-    std::size_t* skipped) const {
-  std::vector<std::string> texts;
-  for (const std::string& path : impl_->journal_files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) continue;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    texts.push_back(buf.str());
-  }
-  std::vector<std::string_view> parts(texts.begin(), texts.end());
-  return core::merge_journals(parts, skipped);
+core::TrialLog DistributedBackend::merged_journal() const {
+  core::TrialLog log;
+  for (const std::string& path : impl_->journal_files) log.ingest_file(path);
+  return log;
 }
 
 }  // namespace snake::dist

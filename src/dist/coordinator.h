@@ -49,8 +49,8 @@ struct DistOptions {
 
   /// Directory for per-worker journals ("" = none). Worker i appends to
   /// <dir>/worker-<i>.jsonl (respawned incarnations get distinct
-  /// worker-<i>.r<k>.jsonl files); merge with core::merge_journals (or the
-  /// merged_journal() convenience below).
+  /// worker-<i>.r<k>.jsonl files); every part is a core::TrialLog file, and
+  /// merged_journal() below reads them all into one.
   std::string journal_dir;
 
   /// Ask workers to attach the embedding executable's oracle inspector
@@ -101,7 +101,7 @@ struct DistOptions {
   /// quarantined and the re-executed record committed.
   std::uint64_t verify_sample = 0;
   /// Cross-check worker results against this cache (normally the same
-  /// cross-campaign ResultCache view the controller uses): a result whose
+  /// cross-campaign result-cache view the controller uses): a result whose
   /// key hits the cache with a *different* record triggers re-execution and,
   /// if the worker was wrong, quarantine. Borrowed; may be null.
   core::TrialCache* verify_cache = nullptr;
@@ -163,8 +163,9 @@ class DistributedBackend : public core::TrialBackend {
 
   /// Per-worker journal paths (empty when journal_dir was "").
   const std::vector<std::string>& journal_paths() const;
-  /// Reads and merges the per-worker journals (core::merge_journals).
-  std::optional<core::JournalSnapshot> merged_journal(std::size_t* skipped = nullptr) const;
+  /// Reads every per-worker journal into one log (first copy of a key
+  /// wins; torn tails and damaged lines count in rejected()).
+  core::TrialLog merged_journal() const;
 
  private:
   struct Impl;

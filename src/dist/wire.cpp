@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "dist/result_cache.h"
 #include "tcp/profile.h"
 #include "util/strings.h"
 
@@ -224,43 +223,6 @@ std::optional<MsgType> type_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> u64_of(const obs::JsonValue& v) {
-  if (!v.is_number()) return std::nullopt;
-  double d = v.num_v;
-  if (!(d >= 0.0) || d >= 18446744073709551616.0) return std::nullopt;
-  return static_cast<std::uint64_t>(d);
-}
-
-std::uint64_t u64_field(const obs::JsonValue& obj, const char* key,
-                        std::uint64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  return u64_of(*v).value_or(fallback);
-}
-
-double num_field(const obs::JsonValue& obj, const char* key, double fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr ? v->number_or(fallback) : fallback;
-}
-
-std::string str_field(const obs::JsonValue& obj, const char* key) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->str_v : std::string();
-}
-
-bool bool_field(const obs::JsonValue& obj, const char* key, bool fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_bool() ? v->bool_v : fallback;
-}
-
-std::int64_t i64_field(const obs::JsonValue& obj, const char* key, std::int64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  double d = v->num_v;
-  if (!(d >= -9223372036854775808.0) || d >= 9223372036854775808.0) return fallback;
-  return static_cast<std::int64_t>(d);
-}
-
 void write_scenario(obs::JsonWriter& w, const core::ScenarioConfig& s) {
   w.begin_object();
   w.key("protocol").value(core::to_string(s.protocol));
@@ -441,7 +403,7 @@ std::string encode_result(std::uint64_t seq, const core::TrialRecord& record) {
   obs::JsonWriter w;
   begin(w, MsgType::kResult);
   w.key("seq").value(seq);
-  w.key("check").value(hex16(scoped_record_checksum(seq, record)));
+  w.key("check").value(hex16(core::scoped_record_checksum(seq, record)));
   w.key("record");
   core::write_json(w, record);
   w.end_object();
@@ -597,7 +559,7 @@ std::optional<Message> parse_message(std::string_view payload) {
       // re-rendering of the parsed record (exact round-trip, journal.cpp).
       // Any in-flight corruption — or a result replayed under another seq —
       // fails here and is handled like any other malformed frame.
-      if (scoped_record_checksum(*seq_v, *rec) != *check_v) return std::nullopt;
+      if (core::scoped_record_checksum(*seq_v, *rec) != *check_v) return std::nullopt;
       m.seq = *seq_v;
       m.record = std::move(*rec);
       break;

@@ -164,8 +164,8 @@ struct WorkerCampaign {
   std::string search_mode = "grid";
 
   /// The coordinator's campaign_identity_hash. Travels as a hex string (a
-  /// JSON number would round it); the worker stamps it into its journal
-  /// header so per-worker journals merge and resume under the campaign's
+  /// JSON number would round it); the worker stamps it on every journal
+  /// line so per-worker journals merge and resume under the campaign's
   /// identity.
   std::uint64_t identity_hash = 0;
   int worker_index = 0;
@@ -242,8 +242,8 @@ std::string encode_campaign(const WorkerCampaign& wc);
 std::string encode_ready(const core::RunMetrics& baseline,
                          const core::RunMetrics& retest_baseline);
 std::string encode_trials(const std::vector<WireTrial>& trials);
-/// Result frames carry a mandatory integrity checksum (the result-cache
-/// construction with scope = seq, see dist/result_cache.h); parse_message
+/// Result frames carry a mandatory integrity checksum (the trial-log
+/// construction with scope = seq, see core::scoped_record_checksum); parse_message
 /// rejects a result whose checksum is missing or fails re-validation, so
 /// transport corruption surfaces as a malformed frame.
 std::string encode_result(std::uint64_t seq, const core::TrialRecord& record);

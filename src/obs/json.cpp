@@ -438,4 +438,39 @@ std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
   return Parser(text, error).run();
 }
 
+std::optional<std::uint64_t> u64_of(const JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  const double d = v.num_v;
+  if (!(d >= 0.0) || d >= 18446744073709551616.0) return std::nullopt;  // !(>=0) catches NaN
+  return static_cast<std::uint64_t>(d);
+}
+
+std::uint64_t u64_field(const JsonValue& obj, const char* key, std::uint64_t fallback) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr ? u64_of(*v).value_or(fallback) : fallback;
+}
+
+std::int64_t i64_field(const JsonValue& obj, const char* key, std::int64_t fallback) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || !v->is_number()) return fallback;
+  const double d = v->num_v;
+  if (!(d >= -9223372036854775808.0) || d >= 9223372036854775808.0) return fallback;
+  return static_cast<std::int64_t>(d);
+}
+
+double num_field(const JsonValue& obj, const char* key, double fallback) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr ? v->number_or(fallback) : fallback;
+}
+
+bool bool_field(const JsonValue& obj, const char* key, bool fallback) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_bool() ? v->bool_v : fallback;
+}
+
+std::string str_field(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->is_string() ? v->str_v : std::string();
+}
+
 }  // namespace snake::obs

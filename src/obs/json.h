@@ -116,4 +116,22 @@ inline constexpr int kJsonMaxDepth = 256;
 /// surrogate pairs are combined (lone surrogates become U+FFFD).
 std::optional<JsonValue> parse_json(std::string_view text, std::string* error = nullptr);
 
+// Lenient field readers, shared by every decoder of this repo's documents
+// (trial-log lines, wire frames, run metrics, strategies). A missing key or
+// a value of the wrong type yields the fallback. Numbers are range-checked
+// before conversion: casting a NaN, negative or out-of-range double to an
+// integer is undefined behaviour (fuzz-found via UBSan's float-cast-overflow
+// on hand-corrupted journal lines). Checkpoint formats that must *reject*
+// such values rather than default them keep their own strict readers.
+
+/// A number in [0, 2^64), fraction truncated; nullopt otherwise.
+std::optional<std::uint64_t> u64_of(const JsonValue& v);
+std::uint64_t u64_field(const JsonValue& obj, const char* key, std::uint64_t fallback);
+/// A number in [-2^63, 2^63), fraction truncated; the fallback otherwise.
+std::int64_t i64_field(const JsonValue& obj, const char* key, std::int64_t fallback);
+double num_field(const JsonValue& obj, const char* key, double fallback);
+bool bool_field(const JsonValue& obj, const char* key, bool fallback);
+/// The string value, or "" when absent or not a string.
+std::string str_field(const JsonValue& obj, const char* key);
+
 }  // namespace snake::obs

@@ -80,20 +80,4 @@ class TrialBackend {
   virtual void finish(obs::MetricsRegistry* into) = 0;
 };
 
-/// Memoized trial verdicts, pre-bound to one campaign identity (see
-/// campaign_identity_hash). A hit replays exactly like a journal resume —
-/// recorded outcome plus recorded generator feedback — so cached and
-/// uncached campaigns produce equal results (enforced in dist_test.cpp).
-class TrialCache {
- public:
-  virtual ~TrialCache() = default;
-
-  /// Returns the cached record for a canonical strategy key, or nullptr.
-  /// The pointer must stay valid until the next store() call.
-  virtual const TrialRecord* lookup(const std::string& key) = 0;
-
-  /// Remembers a freshly computed trial record. Called in commit order.
-  virtual void store(const TrialRecord& record) = 0;
-};
-
 }  // namespace snake::core

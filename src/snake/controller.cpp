@@ -43,11 +43,6 @@ void count_detection_reasons(obs::MetricsRegistry* reg, const Detection& d,
 
 namespace {
 
-const TrialRecord* find_record(const JournalSnapshot& snapshot, const std::string& key) {
-  auto it = snapshot.trials.find(key);
-  return it == snapshot.trials.end() ? nullptr : &it->second;
-}
-
 void write_baseline_json(obs::JsonWriter& w, const RunMetrics& m) {
   w.begin_object();
   w.key("target_bytes").value(m.target_bytes);
@@ -210,31 +205,30 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   obs::MetricsRegistry main_registry;
   obs::MetricsRegistry* main_reg = config.collect_metrics ? &main_registry : nullptr;
 
-  // Resume: an incompatible snapshot (different protocol / implementation /
-  // seed / threshold / duration) would silently mix outcomes from a
-  // different campaign — ignore it and run everything live.
-  const JournalSnapshot* resume = config.resume;
-  if (resume != nullptr && !resume->compatible_with(config)) {
-    if (main_reg != nullptr) ++main_reg->counter("campaign.resume_incompatible");
+  // Journal lines and resume lookups are keyed by the campaign identity,
+  // hashed only when one of them is attached (a trace workload hashes its
+  // whole trace text).
+  const std::uint64_t identity = config.journal != nullptr || config.resume != nullptr
+                                     ? campaign_identity_hash(config)
+                                     : 0;
+  // Resume: a log holding nothing of this identity was recorded by a
+  // campaign whose verdicts can differ (different protocol / profile / seed
+  // / threshold / duration ...) — ignore it and run everything live.
+  const TrialLog* resume = config.resume;
+  if (resume != nullptr && !resume->holds(identity)) {
+    if (main_reg != nullptr && !resume->empty())
+      ++main_reg->counter("campaign.resume_incompatible");
     resume = nullptr;
   }
-  // Validate the resumed journal's last pool checkpoint through the strict
+  // Validate the resumed log's last pool checkpoint through the strict
   // search-library parser. A torn or poisoned checkpoint is rejected and
   // counted; correctness is unaffected either way, because the resumed
-  // engine is reconstructed by replaying the journaled trials in order.
-  if (resume != nullptr && engine != nullptr && !resume->search_pool_json.empty()) {
-    if (search::pool_state_from_text(resume->search_pool_json).has_value()) {
+  // engine is reconstructed by replaying the logged trials in order.
+  if (resume != nullptr && engine != nullptr && !resume->search_pool(identity).empty()) {
+    if (search::pool_state_from_text(resume->search_pool(identity)).has_value()) {
       if (main_reg != nullptr) ++main_reg->counter("campaign.search_pool_resumed");
     } else {
       if (main_reg != nullptr) ++main_reg->counter("campaign.search_pool_invalid");
-    }
-  }
-  if (config.journal != nullptr && config.resume == nullptr) {
-    try {
-      config.journal->write_header(config);
-    } catch (...) {
-      ++result.journal_errors;
-      if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");
     }
   }
 
@@ -331,7 +325,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     const std::uint64_t seq = dispatched++;
     const std::string key = strategy::canonical_key(strat);
 
-    if (const TrialRecord* prior = resume != nullptr ? find_record(*resume, key) : nullptr;
+    if (const TrialRecord* prior = resume != nullptr ? resume->find(identity, key) : nullptr;
         prior != nullptr) {
       // Resume fast path: replay the journaled outcome — detection payload,
       // failure tallies, and the generator feedback — without running the
@@ -363,7 +357,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     try {
       obs::JsonWriter w;
       search::write_json(w, engine->state());
-      config.journal->append_raw(w.take());
+      config.journal->append_raw(identity, w.take());
     } catch (...) {
       ++result.journal_errors;
       if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");
@@ -382,7 +376,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     // the results matter, the checkpoint does not.
     if (p.source != TrialSource::kResume && config.journal != nullptr) {
       try {
-        config.journal->append(record);
+        config.journal->append(identity, record);
       } catch (...) {
         ++result.journal_errors;
         if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");

@@ -22,7 +22,6 @@
 namespace snake::core {
 
 class TrialBackend;
-class TrialCache;
 
 struct CampaignConfig {
   ScenarioConfig scenario;
@@ -101,17 +100,16 @@ struct CampaignConfig {
   /// campaigns stay reproducible for equal seeds.
   std::uint64_t retry_seed_offset = 7919;
   /// Optional checkpoint journal (not owned). Every finished strategy is
-  /// appended as one JSONL line; append failures increment
-  /// campaign.journal_errors and never fail the campaign. The campaign
-  /// writes the header line iff `resume` is null (a resumed journal already
-  /// carries one).
+  /// appended as one trial-log line stamped with campaign_identity_hash;
+  /// append failures increment campaign.journal_errors and never fail the
+  /// campaign.
   TrialJournal* journal = nullptr;
-  /// Optional resume snapshot (not owned). Strategies found in it are not
-  /// re-run: their outcome, failure tallies and generator feedback are
-  /// replayed, so a resumed campaign reproduces the uninterrupted campaign's
-  /// result for equal seeds. Snapshots from an incompatible campaign
-  /// identity are ignored (campaign.resume_incompatible).
-  const JournalSnapshot* resume = nullptr;
+  /// Optional resume log (not owned), read at this campaign's identity.
+  /// Strategies found there are not re-run: their outcome, failure tallies
+  /// and generator feedback are replayed, so a resumed campaign reproduces
+  /// the uninterrupted campaign's result for equal seeds. A non-empty log
+  /// with no line of this identity is ignored (campaign.resume_incompatible).
+  const TrialLog* resume = nullptr;
 
   // --- Distribution layer (see DESIGN.md, "Distribution architecture") -----
   /// Optional trial-execution backend (not owned). Null runs the default
@@ -124,7 +122,7 @@ struct CampaignConfig {
   /// (campaign.backend_fallback).
   TrialBackend* backend = nullptr;
   /// Optional cross-campaign result cache (not owned), pre-bound to this
-  /// campaign's identity hash (see dist::ResultCache). A hit skips the
+  /// campaign's identity hash (see TrialLog::View). A hit skips the
   /// simulation and replays the memoized record exactly like a journal
   /// resume; cached and uncached campaigns produce equal results.
   TrialCache* cache = nullptr;

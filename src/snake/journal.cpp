@@ -1,6 +1,9 @@
 #include "snake/journal.h"
 
-#include <cstring>
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
 
 #include "obs/json.h"
 #include "search/search.h"
@@ -11,7 +14,24 @@ namespace snake::core {
 
 namespace {
 
-constexpr const char* kJournalSchema = "snake-trial-journal/v1";
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void bytes(const void* data, std::size_t n) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  void str(std::string_view s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void b(bool v) { u64(v ? 1 : 0); }
+};
 
 void write_observations(obs::JsonWriter& w, const char* key,
                         const std::vector<JournalObservation>& obs_list) {
@@ -51,25 +71,72 @@ std::optional<AttackClass> class_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-std::uint64_t u64_field(const obs::JsonValue& obj, const char* key, std::uint64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  // Range-check before converting: casting a negative / huge / NaN double to
-  // an unsigned integer is undefined behaviour (fuzz-found via UBSan's
-  // float-cast-overflow on hand-corrupted journal lines).
-  double d = v->num_v;
-  if (!(d >= 0.0) || d >= 18446744073709551616.0) return fallback;  // !(>=0) catches NaN
-  return static_cast<std::uint64_t>(d);
+std::string render_record(const TrialRecord& record) {
+  obs::JsonWriter w;
+  write_json(w, record);
+  return w.take();
 }
 
-std::string str_field(const obs::JsonValue& obj, const char* key) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->str_v : std::string();
+/// The checksum covers the scope *and* the canonical record rendering, so
+/// neither can be edited — nor a record re-homed under another campaign or
+/// seq — without failing validation.
+std::uint64_t scoped_checksum(std::uint64_t scope, std::string_view record_json) {
+  Fnv1a h;
+  const std::string prefix = hex16(scope) + "|";
+  h.bytes(prefix.data(), prefix.size());
+  h.bytes(record_json.data(), record_json.size());
+  return h.h;
 }
 
-bool bool_field(const obs::JsonValue& obj, const char* key, bool fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_bool() ? v->bool_v : fallback;
+/// One validated log line: a checksummed record, or (record empty) a
+/// search-pool checkpoint, under its campaign identity.
+struct LogLine {
+  std::uint64_t identity = 0;
+  std::optional<TrialRecord> record;
+};
+
+std::optional<LogLine> parse_line(std::string_view line) {
+  std::optional<obs::JsonValue> doc = obs::parse_json(line);
+  if (!doc.has_value() || !doc->is_object()) return std::nullopt;
+  std::optional<std::uint64_t> identity = parse_hex16(str_field(*doc, "identity"));
+  if (!identity.has_value()) return std::nullopt;
+  if (str_field(*doc, "schema") == search::kPoolStateSchema)
+    return LogLine{*identity, std::nullopt};
+  // Content validation: the checksum is recomputed over the canonical
+  // re-rendering of the parsed record, so any edit to it — a swapped key, a
+  // forged verdict, a pasted-in identity — fails here.
+  std::optional<TrialRecord> record = trial_record_from_json(*doc);
+  std::optional<std::uint64_t> check = parse_hex16(str_field(*doc, "check"));
+  if (!record.has_value() || !check.has_value() ||
+      scoped_record_checksum(*identity, *record) != *check)
+    return std::nullopt;
+  return LogLine{*identity, std::move(record)};
+}
+
+/// Calls fn(line, parsed) for each non-empty line. A line is only
+/// trustworthy once its newline hit the disk: an unterminated tail — the
+/// signature of a killed writer — arrives with parsed == nullopt.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const bool complete = nl != std::string_view::npos;
+    std::string_view line = complete ? text.substr(pos, nl - pos) : text.substr(pos);
+    pos = complete ? nl + 1 : text.size();
+    if (!line.empty()) fn(line, complete ? parse_line(line) : std::nullopt);
+  }
+}
+
+/// The file's contents; "" when it does not exist, nullopt when it exists
+/// but cannot be read.
+std::optional<std::string> read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return std::string();
+  std::ostringstream text;
+  text << in.rdbuf();
+  if (in.bad()) return std::nullopt;
+  return text.str();
 }
 
 }  // namespace
@@ -133,144 +200,151 @@ const char* to_string(TrialVerdict verdict) {
   return "?";
 }
 
-void TrialJournal::write_header(const CampaignConfig& config) {
-  write_header(config, campaign_identity_hash(config));
+std::uint64_t scoped_record_checksum(std::uint64_t scope, const TrialRecord& record) {
+  return scoped_checksum(scope, render_record(record));
 }
 
-void TrialJournal::write_header(const CampaignConfig& config, std::uint64_t identity_hash) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(kJournalSchema);
-  w.key("identity_hash").value(hex16(identity_hash));
-  w.key("protocol").value(to_string(config.scenario.protocol));
-  w.key("implementation")
-      .value(config.scenario.protocol == Protocol::kTcp ? config.scenario.tcp_profile.name
-                                                        : "linux-3.13");
-  w.key("seed").value(config.scenario.seed);
-  w.end_object();
-  std::string line = w.take();
+std::string encode_trial_line(std::uint64_t identity, const TrialRecord& record) {
+  const std::string record_json = render_record(record);
+  std::string line = "{\"identity\":\"" + hex16(identity) + "\",\"check\":\"" +
+                     hex16(scoped_checksum(identity, record_json)) + "\",";
+  line.append(record_json, 1);  // the record's members, after its '{'
+  line.push_back('\n');
+  return line;
+}
+
+void TrialJournal::append(std::uint64_t identity, const TrialRecord& record) {
+  const std::string line = encode_trial_line(identity, record);
+  std::lock_guard<std::mutex> lock(mutex_);
+  sink_(line);
+}
+
+void TrialJournal::append_raw(std::uint64_t identity, std::string_view json_object) {
+  std::string line = "{\"identity\":\"" + hex16(identity) + "\",";
+  line.append(json_object.substr(1));
   line.push_back('\n');
   std::lock_guard<std::mutex> lock(mutex_);
   sink_(line);
 }
 
-void TrialJournal::append(const TrialRecord& record) {
-  obs::JsonWriter w;
-  write_json(w, record);
-  std::string line = w.take();
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_(line);
+bool TrialLog::ingest_file(const std::string& path) {
+  std::optional<std::string> text = read_text(path);
+  if (!text.has_value()) return false;
+  ingest(*text);
+  return true;
 }
 
-void TrialJournal::append_raw(std::string_view json_object_line) {
-  std::string line(json_object_line);
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_(line);
+void TrialLog::ingest(std::string_view text) {
+  for_each_line(text, [this](std::string_view line, std::optional<LogLine> parsed) {
+    if (!parsed.has_value()) {
+      ++rejected_;
+      return;
+    }
+    if (parsed->record.has_value())
+      entries_.try_emplace({parsed->identity, parsed->record->key}, std::move(*parsed->record));
+    else
+      pools_[parsed->identity].assign(line);  // later checkpoints supersede
+  });
 }
 
-bool JournalSnapshot::compatible_with(const CampaignConfig& config) const {
-  return identity_hash == campaign_identity_hash(config);
+const TrialRecord* TrialLog::find(std::uint64_t identity, const std::string& key) const {
+  auto it = entries_.find({identity, key});
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
-std::optional<JournalSnapshot> load_journal(std::string_view text,
-                                            std::size_t* skipped_lines) {
-  JournalSnapshot snap;
-  if (skipped_lines != nullptr) *skipped_lines = 0;
-  bool have_header = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    // A journal line is only trustworthy once its newline hit the disk; an
-    // unterminated tail is the signature of a killed writer — skip it.
-    bool complete = nl != std::string_view::npos;
-    std::string_view line = complete ? text.substr(pos, nl - pos) : text.substr(pos);
-    pos = complete ? nl + 1 : text.size();
-    if (line.empty()) continue;
-    std::optional<obs::JsonValue> doc = complete ? obs::parse_json(line) : std::nullopt;
-    if (!doc.has_value() || !doc->is_object()) {
-      if (skipped_lines != nullptr) ++*skipped_lines;
-      continue;
-    }
-    if (!have_header) {
-      // First parseable line must be the header.
-      const obs::JsonValue* schema = doc->find("schema");
-      if (schema == nullptr || schema->str_v != kJournalSchema) return std::nullopt;
-      snap.identity_hash = parse_hex16(str_field(*doc, "identity_hash")).value_or(0);
-      have_header = true;
-      continue;
-    }
-    // Search-pool checkpoint lines ride the same journal. Keep the raw text
-    // of the last one (later checkpoints supersede earlier ones); the search
-    // library validates it, this loader only recognizes it.
-    if (const obs::JsonValue* schema = doc->find("schema");
-        schema != nullptr && schema->is_string() &&
-        schema->str_v == search::kPoolStateSchema) {
-      snap.search_pool_json.assign(line.data(), line.size());
-      continue;
-    }
-    std::optional<TrialRecord> rec = trial_record_from_json(*doc);
-    if (!rec.has_value()) {
-      if (skipped_lines != nullptr) ++*skipped_lines;
-      continue;
-    }
-    snap.trials[rec->key] = std::move(*rec);
+void TrialLog::store(std::uint64_t identity, const TrialRecord& record) {
+  if (!entries_.try_emplace({identity, record.key}, record).second) return;
+  if (path_.empty()) return;
+  std::ofstream out(path_, std::ios::binary | std::ios::app);
+  if (out.is_open()) out << encode_trial_line(identity, record);
+}
+
+bool TrialLog::holds(std::uint64_t identity) const {
+  auto it = entries_.lower_bound({identity, std::string()});
+  return (it != entries_.end() && it->first.first == identity) || pools_.contains(identity);
+}
+
+std::size_t TrialLog::count(std::uint64_t identity) const {
+  auto first = entries_.lower_bound({identity, std::string()});
+  auto last = first;
+  while (last != entries_.end() && last->first.first == identity) ++last;
+  return static_cast<std::size_t>(std::distance(first, last));
+}
+
+std::string_view TrialLog::search_pool(std::uint64_t identity) const {
+  auto it = pools_.find(identity);
+  return it == pools_.end() ? std::string_view() : std::string_view(it->second);
+}
+
+TrialLog::CompactStats TrialLog::compact() {
+  CompactStats stats;
+  std::optional<std::string> text = path_.empty() ? std::string() : read_text(path_);
+  if (!text.has_value()) return stats;
+  if (text->empty()) {
+    stats.ok = true;  // memory-only, or nothing to compact yet
+    return stats;
   }
-  if (!have_header) return std::nullopt;
-  return snap;
-}
 
-std::optional<JournalSnapshot> merge_journals(const std::vector<std::string_view>& parts,
-                                              std::size_t* skipped_lines) {
-  if (skipped_lines != nullptr) *skipped_lines = 0;
-  std::optional<JournalSnapshot> merged;
-  for (std::string_view part : parts) {
-    std::size_t skipped = 0;
-    std::optional<JournalSnapshot> snap = load_journal(part, &skipped);
-    if (skipped_lines != nullptr) *skipped_lines += skipped;
-    if (!snap.has_value()) return std::nullopt;
-    if (!merged.has_value()) {
-      merged = std::move(snap);
-      continue;
+  std::set<std::pair<std::uint64_t, std::string>> seen;
+  std::map<std::uint64_t, std::string> pools;
+  std::string out_text;
+  for_each_line(*text, [&](std::string_view line, std::optional<LogLine> parsed) {
+    if (!parsed.has_value()) {
+      ++stats.dropped_invalid;
+    } else if (!parsed->record.has_value()) {
+      pools[parsed->identity].assign(line);
+    } else if (!seen.insert({parsed->identity, parsed->record->key}).second) {
+      ++stats.dropped_duplicate;  // first copy wins, matching store()
+    } else {
+      out_text += encode_trial_line(parsed->identity, *parsed->record);
+      ++stats.kept;
     }
-    if (merged->identity_hash != snap->identity_hash) return std::nullopt;
-    for (auto& [key, rec] : snap->trials) merged->trials.try_emplace(key, std::move(rec));
-    if (merged->search_pool_json.empty())
-      merged->search_pool_json = std::move(snap->search_pool_json);
+  });
+  for (const auto& [identity, line] : pools) {
+    out_text += line;
+    out_text.push_back('\n');
+    ++stats.kept;
   }
-  return merged;
+
+  const std::string tmp = path_ + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) return stats;
+    out << out_text;
+    out.flush();
+    if (!out.good()) return stats;
+  }
+  if (std::rename(tmp.c_str(), path_.c_str()) != 0) return stats;
+  stats.ok = true;
+  return stats;
 }
-
-namespace {
-
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* data, std::size_t n) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
-  }
-  void str(std::string_view s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void i64(std::int64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { bytes(&v, sizeof v); }
-  void b(bool v) { u64(v ? 1 : 0); }
-};
-
-}  // namespace
 
 std::uint64_t campaign_identity_hash(const CampaignConfig& config) {
   const ScenarioConfig& s = config.scenario;
   Fnv1a h;
-  h.str("snake-campaign-identity/v1");
+  h.str("snake-campaign-identity/v2");
   h.str(to_string(s.protocol));
-  h.str(s.protocol == Protocol::kTcp ? s.tcp_profile.name : "linux-3.13");
+  if (s.protocol == Protocol::kTcp) {
+    // The profile by content: an edited profile that keeps its name is a
+    // different implementation.
+    const tcp::TcpProfile& p = s.tcp_profile;
+    h.str(p.name);
+    h.u64(static_cast<std::uint64_t>(p.invalid_flags));
+    h.b(p.naive_cwnd_per_ack);
+    h.b(p.fast_retransmit);
+    h.b(p.dsack_dupack_suppression);
+    h.b(p.rst_data_after_fin);
+    h.b(p.sack);
+    h.b(p.dsack_blocks);
+    h.b(p.sack_renege);
+    h.i64(p.max_retries);
+    h.i64(p.min_rto.ns());
+    h.u64(p.initial_cwnd_segments);
+    h.u64(p.initial_ssthresh);
+    h.u64(p.max_cwnd);
+  } else {
+    h.str("linux-3.13");
+  }
   h.u64(s.seed);
   h.i64(s.test_duration.ns());
   h.u64(s.download_bytes);

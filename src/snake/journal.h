@@ -1,19 +1,22 @@
-// Checkpoint/resume for campaigns: a JSONL trial journal.
+// Checkpoint/resume and result memoization for campaigns: one JSONL
+// trial-record log.
 //
 // Executors append one line per *finished* strategy (completed or
-// quarantined) through a shared, mutex-guarded sink. Because each line is a
-// self-contained JSON document flushed at once, a killed campaign leaves a
-// journal whose every complete line is valid — the loader simply ignores a
-// truncated tail. A resumed campaign skips journaled strategies, replaying
-// their recorded outcome *and* their recorded state-machine observations
-// (the controller's feedback loop input), so the resumed run walks exactly
-// the strategy sequence the uninterrupted run would have and reproduces its
-// CampaignResult for equal seeds.
+// quarantined) through a shared, mutex-guarded sink. Each line is a
+// self-contained JSON document flushed at once and checksummed under the
+// campaign identity it belongs to, so a killed campaign leaves a log whose
+// every complete line is valid — the loader rejects a torn tail. A resumed
+// campaign skips logged strategies, replaying their recorded outcome *and*
+// their recorded state-machine observations (the controller's feedback loop
+// input), so the resumed run walks exactly the strategy sequence the
+// uninterrupted run would have and reproduces its CampaignResult for equal
+// seeds. A result cache is the same log read across identities: any
+// campaign whose identity matches replays the lines instead of simulating.
 //
 // This is the SNPSFuzzer idea — cheap mid-campaign state capture — realized
-// without process snapshots: the journal *is* the campaign state, because
-// every other input (topology, stacks, RNG streams) is derived
-// deterministically from the seed.
+// without process snapshots: the log *is* the campaign state, because every
+// other input (topology, stacks, RNG streams) is derived deterministically
+// from the seed.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "snake/detector.h"
@@ -72,92 +76,176 @@ struct TrialRecord {
   std::vector<JournalObservation> server_obs;
 };
 
-/// Thread-safe JSONL appender. The sink receives one complete line
-/// (newline-terminated) per call — an fwrite to an append-mode FILE gives a
-/// crash-tolerant checkpoint.
+/// The checksum construction every trial-log line and every wire result
+/// frame is validated with: FNV-1a over a 64-bit scope value bound to the
+/// *canonical* re-rendering of the record (write_json round-trips exactly,
+/// which makes that sound). Log lines use scope = campaign identity; the
+/// dist wire uses scope = result seq, so a result can neither be corrupted
+/// in flight nor replayed under another trial's seq without detection.
+std::uint64_t scoped_record_checksum(std::uint64_t scope, const TrialRecord& record);
+
+/// Renders one trial-log line (newline-terminated): the record's write_json
+/// object with two leading keys, "identity" (hex16 of the campaign identity)
+/// and "check" (hex16 of scoped_record_checksum(identity, record)). The line
+/// stays a plain record document — trial_record_from_json reads it as one —
+/// so a journal, a result cache and a concatenation of both are the same
+/// file format.
+std::string encode_trial_line(std::uint64_t identity, const TrialRecord& record);
+
+/// Thread-safe JSONL appender (the write side of TrialLog). The sink
+/// receives one complete line (newline-terminated) per call — an fwrite to
+/// an append-mode FILE gives a crash-tolerant checkpoint. Every line carries
+/// the campaign identity it belongs to.
 class TrialJournal {
  public:
   using Sink = std::function<void(std::string_view line)>;
 
   explicit TrialJournal(Sink sink) : sink_(std::move(sink)) {}
 
-  /// Writes the header line identifying the campaign this journal belongs
-  /// to: campaign_identity_hash(config), plus the protocol, implementation
-  /// and seed for a human reader. Call once on a fresh journal; resumed
-  /// journals already carry one.
-  void write_header(const CampaignConfig& config);
-  /// Same, with the identity hash given. A worker process writes the hash
-  /// the coordinator computed, so its journal merges under the campaign's
-  /// identity even if its reconstructed config hashed differently.
-  void write_header(const CampaignConfig& config, std::uint64_t identity_hash);
+  /// Appends one finished trial as encode_trial_line(identity, record).
+  /// Thread-safe; may throw if the sink throws (the controller converts that
+  /// into a journal_errors counter and keeps the campaign running —
+  /// checkpointing is best-effort, results are not).
+  void append(std::uint64_t identity, const TrialRecord& record);
 
-  /// Appends one finished trial. Thread-safe; may throw if the sink throws
-  /// (the controller converts that into a journal_errors counter and keeps
-  /// the campaign running — checkpointing is best-effort, results are not).
-  void append(const TrialRecord& record);
-
-  /// Appends one pre-rendered auxiliary JSON object as its own line (no
-  /// validation, no trailing newline expected). The greybox controller
-  /// checkpoints its search-pool state this way; the loader recognizes such
-  /// lines by their schema tag and keeps the last one (see
-  /// JournalSnapshot::search_pool_json) instead of counting them skipped.
-  void append_raw(std::string_view json_object_line);
+  /// Appends one pre-rendered, non-empty JSON object as its own line with
+  /// the "identity" key stamped in front (no other validation). The greybox
+  /// controller checkpoints its search-pool state this way; TrialLog keeps
+  /// the last such line per identity (see TrialLog::search_pool).
+  void append_raw(std::uint64_t identity, std::string_view json_object);
 
  private:
   std::mutex mutex_;
   Sink sink_;
 };
 
-/// Parsed journal: the campaign identity from the header plus every complete
-/// trial line, keyed by canonical strategy key.
-struct JournalSnapshot {
-  /// campaign_identity_hash of the recording campaign; 0 when the header
-  /// carries none, which matches no campaign.
-  std::uint64_t identity_hash = 0;
-  std::map<std::string, TrialRecord> trials;
-  /// Raw text of the journal's last search-pool checkpoint line (schema
-  /// "snake-search-pool/v1"), empty when the campaign wrote none. Kept
-  /// opaque here — the search library owns the format and its (strict,
-  /// fuzz-hardened) validation; resume correctness never depends on it
-  /// because a resumed greybox campaign reconstructs the pool by
-  /// deterministic replay.
-  std::string search_pool_json;
+/// Memoized trial verdicts, pre-bound to one campaign identity (see
+/// campaign_identity_hash). A hit replays exactly like a journal resume —
+/// recorded outcome plus recorded generator feedback — so cached and
+/// uncached campaigns produce equal results (enforced in dist_test.cpp).
+class TrialCache {
+ public:
+  virtual ~TrialCache() = default;
 
-  /// Whether this journal was recorded by a campaign with the same
-  /// campaign_identity_hash — resuming across configs that can change a
-  /// verdict would silently mix incompatible outcomes.
-  bool compatible_with(const CampaignConfig& config) const;
+  /// Returns the cached record for a canonical strategy key, or nullptr.
+  /// The pointer must stay valid until the next store() call.
+  virtual const TrialRecord* lookup(const std::string& key) = 0;
+
+  /// Remembers a freshly computed trial record. Called in commit order.
+  virtual void store(const TrialRecord& record) = 0;
 };
 
-/// Parses a JSONL journal. Lines that fail to parse — including a truncated
-/// final line from a killed run — are skipped; a missing/invalid header
-/// yields nullopt. `skipped_lines`, when given, receives the ignored count.
-std::optional<JournalSnapshot> load_journal(std::string_view text,
-                                            std::size_t* skipped_lines = nullptr);
+/// The one trial-record store: resume log, worker-journal merge and
+/// cross-campaign result cache. A trial is a pure function of (campaign
+/// identity, canonical strategy key), so the store is a map over that pair,
+/// read from any number of encode_trial_line files — one campaign's journal,
+/// a cache spanning many campaigns, or several of either concatenated.
+///
+/// Loading has a single rule: a line counts only once its newline is
+/// written and its checksum matches the canonical re-rendering of its
+/// record under its identity. Anything else — a torn tail, garbage, an
+/// edited verdict, a line re-homed under another identity — is skipped and
+/// counted in rejected(). The first copy of an (identity, key) wins. Search
+/// pool checkpoints (schema "snake-search-pool/v1" plus "identity") carry no
+/// record checksum: the search library's strict parser validates them, and
+/// resume correctness never depends on them.
+class TrialLog {
+ public:
+  /// In-memory log (tests, resume snapshots, intra-run caches).
+  TrialLog() = default;
 
-/// Writes one trial record as a JSON object — the journal line encoding,
-/// also used verbatim by the dist wire protocol and the result cache so a
-/// record survives any of the three round trips unchanged.
+  /// File-backed log: load() reads `path` if it exists, and every fresh
+  /// store() appends one line to it (crash-atomic: a torn final line is
+  /// rejected on the next load).
+  explicit TrialLog(std::string path) : path_(std::move(path)) {}
+
+  /// Loads the backing file. Missing file = empty log, returns true;
+  /// unreadable file returns false.
+  bool load() { return path_.empty() || ingest_file(path_); }
+  /// Ingests one file (a missing file is empty). Returns false when the
+  /// file exists but cannot be read.
+  bool ingest_file(const std::string& path);
+  /// Ingests log text; call once per file so one file's torn tail never
+  /// glues onto the next file's first line.
+  void ingest(std::string_view text);
+
+  /// The record for (identity, key), or nullptr.
+  const TrialRecord* find(std::uint64_t identity, const std::string& key) const;
+  /// Remembers a record under `identity` (first copy wins) and appends its
+  /// line to the backing file when it is new. Appending is best-effort.
+  void store(std::uint64_t identity, const TrialRecord& record);
+
+  /// Whether any line — record or pool checkpoint — belongs to `identity`.
+  bool holds(std::uint64_t identity) const;
+  /// Records stored under `identity`.
+  std::size_t count(std::uint64_t identity) const;
+  /// Raw text of the last pool checkpoint line of `identity` ("" if none).
+  std::string_view search_pool(std::uint64_t identity) const;
+
+  /// Records that survived validation, across every identity.
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty() && pools_.empty(); }
+  /// Lines rejected by the loading rule.
+  std::uint64_t rejected() const { return rejected_; }
+
+  using Entries = std::map<std::pair<std::uint64_t, std::string>, TrialRecord>;
+  const Entries& entries() const { return entries_; }
+
+  /// Crash-safe rewrite of the backing file: re-validates every line, drops
+  /// rejected and duplicate ones, writes the survivors canonically (records
+  /// first-wins, then the last pool line per identity) to `path + ".tmp"`
+  /// and renames it over the original — a crash at any point leaves either
+  /// the old file or the new one, never a mix. Call before load(); does not
+  /// touch in-memory entries. No-op (ok=true) for memory-only logs and
+  /// missing files.
+  struct CompactStats {
+    bool ok = false;
+    std::size_t kept = 0;
+    std::uint64_t dropped_invalid = 0;    ///< lines the loading rule rejects
+    std::uint64_t dropped_duplicate = 0;  ///< later copies of an (identity, key)
+  };
+  CompactStats compact();
+
+  /// The TrialCache the controller plugs in: lookups and stores scoped to
+  /// one campaign identity. The view borrows the log; one view at a time
+  /// per log (the controller is single-threaded about it).
+  class View : public TrialCache {
+   public:
+    View(TrialLog& log, std::uint64_t identity) : log_(&log), identity_(identity) {}
+    const TrialRecord* lookup(const std::string& key) override {
+      return log_->find(identity_, key);
+    }
+    void store(const TrialRecord& record) override { log_->store(identity_, record); }
+
+   private:
+    TrialLog* log_;
+    std::uint64_t identity_;
+  };
+  View view(std::uint64_t identity) { return View(*this, identity); }
+
+ private:
+  std::string path_;  ///< "" = memory-only
+  Entries entries_;
+  std::map<std::uint64_t, std::string> pools_;  ///< last pool line per identity
+  std::uint64_t rejected_ = 0;
+};
+
+/// Writes one trial record as a JSON object — the body of a trial-log line,
+/// also used verbatim by the dist wire protocol, so a record survives every
+/// round trip unchanged.
 void write_json(obs::JsonWriter& w, const TrialRecord& record);
 
-/// Parses write_json's encoding. nullopt on a line that is not a valid
-/// record (missing key/verdict, or a found-record without its detection
-/// payload).
+/// Parses write_json's encoding (extra keys, such as a log line's
+/// "identity" and "check", are ignored). nullopt on a document that is not a
+/// valid record (missing key/verdict, or a found-record without its
+/// detection payload).
 std::optional<TrialRecord> trial_record_from_json(const obs::JsonValue& v);
-
-/// Merges per-worker journals into one snapshot (coordinator side of the
-/// crash-atomic multi-writer scheme: every worker appends to a private file,
-/// nobody interleaves). Parts must agree on the header's identity hash — a
-/// mismatched part is rejected (nullopt) rather than silently mixed.
-/// Truncated tails and corrupt lines are skipped per part, summed into
-/// `skipped_lines`; duplicate keys keep the first occurrence.
-std::optional<JournalSnapshot> merge_journals(const std::vector<std::string_view>& parts,
-                                              std::size_t* skipped_lines = nullptr);
 
 /// Content-addressed campaign identity: a 64-bit FNV-1a over every config
 /// field that can change a trial's outcome for a given canonical strategy
-/// key — protocol, implementation profile, seed, durations, workload and
-/// topology shape, detection threshold, retry/retest plumbing. Strategies
+/// key — protocol, every field of the TCP implementation profile (not just
+/// its name), seed, durations, workload and topology shape, detection
+/// threshold, retry/retest plumbing. Strategies
 /// are *not* part of it (the cache keys trials by canonical_key under this
 /// hash); neither is anything that only changes which strategies get tried
 /// (generator config, max_strategies, executors, backend). Campaigns with a

@@ -26,30 +26,6 @@ std::optional<statemachine::TriggerKind> trigger_from_string(const std::string& 
   return std::nullopt;
 }
 
-std::optional<std::uint64_t> u64_of(const obs::JsonValue& v) {
-  if (!v.is_number()) return std::nullopt;
-  double d = v.num_v;
-  if (!(d >= 0.0) || d >= 18446744073709551616.0) return std::nullopt;
-  return static_cast<std::uint64_t>(d);
-}
-
-std::uint64_t u64_field(const obs::JsonValue& obj, const char* key,
-                        std::uint64_t fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  return u64_of(*v).value_or(fallback);
-}
-
-bool bool_field(const obs::JsonValue& obj, const char* key, bool fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_bool() ? v->bool_v : fallback;
-}
-
-std::string str_field(const obs::JsonValue& obj, const char* key) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->str_v : std::string();
-}
-
 void write_observations(obs::JsonWriter& w, const char* key,
                         const std::vector<statemachine::EndpointTracker::Observation>& obs) {
   w.key(key).begin_array();

@@ -57,30 +57,6 @@ std::optional<LieSpec::Mode> lie_mode_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-std::string str_field(const obs::JsonValue& obj, const char* key) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->str_v : std::string();
-}
-
-bool bool_field(const obs::JsonValue& obj, const char* key, bool fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_bool() ? v->bool_v : fallback;
-}
-
-double num_field(const obs::JsonValue& obj, const char* key, double fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr ? v->number_or(fallback) : fallback;
-}
-
-std::uint64_t u64_field(const obs::JsonValue& obj, const char* key,
-                        std::uint64_t fallback) {
-  double d = num_field(obj, key, -1.0);
-  // !(>=0) also rejects NaN; the upper bound guards the UB of an
-  // out-of-range double→u64 cast on corrupted wire input.
-  if (!(d >= 0.0) || d >= 18446744073709551616.0) return fallback;
-  return static_cast<std::uint64_t>(d);
-}
-
 }  // namespace
 
 void write_json(obs::JsonWriter& w, const Strategy& s) {

@@ -7,10 +7,12 @@
 //  - the wire protocol: exact round-trips for Strategy / Detection /
 //    RunMetrics / TrialRecord, frame codec behaviour, worker-side steal
 //    handling driven by a hand-rolled coordinator;
-//  - the cross-campaign result cache: hit/miss scoping by campaign identity,
-//    checksum rejection of tampered (poisoned) lines, persistence;
-//  - crash-atomic multi-writer journals: merge_journals on interleaved
-//    parts, truncated tails, mismatched identities.
+//  - the trial-record log as cross-campaign result cache: hit/miss scoping
+//    by campaign identity, checksum rejection of tampered (poisoned) lines,
+//    persistence, compaction;
+//  - the campaign identity's field coverage;
+//  - crash-atomic multi-writer journals: per-worker parts read into one log
+//    with truncated tails, duplicates and mismatched identities.
 //
 // This binary supplies its own main(): a worker re-entered through
 // /proc/self/exe must take the --snake-worker-child branch before gtest
@@ -27,13 +29,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/coordinator.h"
-#include "dist/result_cache.h"
 #include "dist/supervisor.h"
 #include "dist/wire.h"
 #include "dist/worker.h"
@@ -202,14 +204,12 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
   EXPECT_EQ(backend.workers_spawned(), 2);
   EXPECT_EQ(backend.workers_lost(), 0);
 
-  // Satellite: the per-worker journals merge into one snapshot covering
-  // every live-run trial, under the single campaign identity.
-  std::size_t skipped = 0;
-  auto merged = backend.merged_journal(&skipped);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_TRUE(merged->compatible_with(config));
-  EXPECT_EQ(merged->trials.size(), distributed.strategies_tried);
+  // Satellite: the per-worker journals merge into one log covering every
+  // live-run trial, under the single campaign identity.
+  const core::TrialLog merged = backend.merged_journal();
+  EXPECT_EQ(merged.rejected(), 0u);
+  EXPECT_EQ(merged.count(core::campaign_identity_hash(config)), distributed.strategies_tried);
+  EXPECT_EQ(merged.size(), distributed.strategies_tried);
 }
 
 TEST(Distributed, SackCampaignMatchesSingleProcessExactly) {
@@ -327,10 +327,9 @@ TEST(Distributed, CacheConflictTriggersVerificationWithoutQuarantine) {
     config.backend = &backend;
     core::CampaignResult result = core::run_campaign(config);
     honest_fp = result_fingerprint(result);
-    auto merged = backend.merged_journal();
-    ASSERT_TRUE(merged.has_value());
-    ASSERT_FALSE(merged->trials.empty());
-    truth = merged->trials.begin()->second;
+    const core::TrialLog merged = backend.merged_journal();
+    ASSERT_GT(merged.count(identity), 0u);
+    truth = merged.entries().begin()->second;
   }
 
   // A cross-campaign cache carrying a *forged* version of that record: the
@@ -340,7 +339,7 @@ TEST(Distributed, CacheConflictTriggersVerificationWithoutQuarantine) {
   core::TrialRecord forged = truth;
   forged.attempts += 7;
   forged.failure_reason = "forged-cache-line";
-  dist::ResultCache poisoned;
+  core::TrialLog poisoned;
   auto poisoned_view = poisoned.view(identity);
   poisoned_view.store(forged);
 
@@ -811,8 +810,8 @@ TEST(WireChaos, ResultChecksumRejectsTamperAndOmission) {
 
   // The checksum is scoped by seq: re-homing a record under another seq
   // (a replay of a stale result) also fails validation.
-  const std::uint64_t c9 = dist::scoped_record_checksum(9, sample_record());
-  const std::uint64_t c10 = dist::scoped_record_checksum(10, sample_record());
+  const std::uint64_t c9 = core::scoped_record_checksum(9, sample_record());
+  const std::uint64_t c10 = core::scoped_record_checksum(10, sample_record());
   EXPECT_NE(c9, c10);
 }
 
@@ -902,10 +901,10 @@ TEST(Supervision, RespawnLifecycleBudgetAndCrashLoopQuarantine) {
 }
 
 // ---------------------------------------------------------------------------
-// Result cache.
+// Result cache: the trial-record log read across identities.
 
 TEST(ResultCache, HitMissAndIdentityScoping) {
-  dist::ResultCache cache;
+  core::TrialLog cache;
   auto view_a = cache.view(0xAAAA);
   auto view_b = cache.view(0xBBBB);
   core::TrialRecord record = sample_record();
@@ -924,10 +923,10 @@ TEST(ResultCache, HitMissAndIdentityScoping) {
 
 TEST(ResultCache, PoisonedLinesAreRejected) {
   core::TrialRecord record = sample_record();
-  std::string good = dist::ResultCache::encode_line(0x1234, record);
+  std::string good = core::encode_trial_line(0x1234, record);
 
   {
-    dist::ResultCache cache;
+    core::TrialLog cache;
     cache.ingest(good);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.rejected(), 0u);
@@ -938,7 +937,7 @@ TEST(ResultCache, PoisonedLinesAreRejected) {
     auto pos = bad.find("drop|ESTABLISHED");
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos, 4, "lie!");
-    dist::ResultCache cache;
+    core::TrialLog cache;
     cache.ingest(bad);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.rejected(), 1u);
@@ -950,7 +949,7 @@ TEST(ResultCache, PoisonedLinesAreRejected) {
     auto pos = bad.find("0000000000001234");
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos, 16, "00000000deadbeef");
-    dist::ResultCache cache;
+    core::TrialLog cache;
     cache.ingest(bad);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.rejected(), 1u);
@@ -961,14 +960,14 @@ TEST(ResultCache, PoisonedLinesAreRejected) {
     auto pos = bad.find("\"found\":true");
     ASSERT_NE(pos, std::string::npos);
     bad.replace(pos, 12, "\"found\":false");
-    dist::ResultCache cache;
+    core::TrialLog cache;
     cache.ingest(bad);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.rejected(), 1u);
   }
   {
     // Torn tail (crash mid-append) is skipped without losing earlier lines.
-    dist::ResultCache cache;
+    core::TrialLog cache;
     cache.ingest(good + good.substr(0, good.size() / 2));
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.rejected(), 1u);
@@ -983,8 +982,8 @@ TEST(ResultCache, CompactRewritesDroppingPoisonedAndDuplicateLines) {
   core::TrialRecord b = sample_record();
   b.key = "delay|SYN_SENT|SYN|client->server";
   b.found = false;
-  const std::string line_a = dist::ResultCache::encode_line(0x1234, a);
-  const std::string line_b = dist::ResultCache::encode_line(0x1234, b);
+  const std::string line_a = core::encode_trial_line(0x1234, a);
+  const std::string line_b = core::encode_trial_line(0x1234, b);
   std::string poisoned = line_a;
   auto pos = poisoned.find("drop|ESTABLISHED");
   ASSERT_NE(pos, std::string::npos);
@@ -997,7 +996,7 @@ TEST(ResultCache, CompactRewritesDroppingPoisonedAndDuplicateLines) {
     out << line_a << poisoned << line_b << line_a << line_b.substr(0, line_b.size() / 2);
   }
 
-  dist::ResultCache cache(path);
+  core::TrialLog cache(path);
   auto stats = cache.compact();
   EXPECT_TRUE(stats.ok);
   EXPECT_EQ(stats.kept, 2u);
@@ -1014,14 +1013,14 @@ TEST(ResultCache, CompactRewritesDroppingPoisonedAndDuplicateLines) {
   // file is gone (rename is the commit point).
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   // Compacting an already-clean file is a no-op that keeps everything.
-  auto again = dist::ResultCache(path).compact();
+  auto again = core::TrialLog(path).compact();
   EXPECT_TRUE(again.ok);
   EXPECT_EQ(again.kept, 2u);
   EXPECT_EQ(again.dropped_invalid, 0u);
   EXPECT_EQ(again.dropped_duplicate, 0u);
   // Missing file / memory-only caches: trivially ok.
-  EXPECT_TRUE(dist::ResultCache((dir.path / "absent.jsonl").string()).compact().ok);
-  EXPECT_TRUE(dist::ResultCache().compact().ok);
+  EXPECT_TRUE(core::TrialLog((dir.path / "absent.jsonl").string()).compact().ok);
+  EXPECT_TRUE(core::TrialLog().compact().ok);
 }
 
 TEST(ResultCache, WarmCacheReproducesColdCampaignAndPersists) {
@@ -1032,7 +1031,7 @@ TEST(ResultCache, WarmCacheReproducesColdCampaignAndPersists) {
   config.max_strategies = 10;
   const std::uint64_t identity = core::campaign_identity_hash(config);
 
-  dist::ResultCache cold_cache(cache_path);
+  core::TrialLog cold_cache(cache_path);
   ASSERT_TRUE(cold_cache.load());
   EXPECT_EQ(cold_cache.size(), 0u);
   auto cold_view = cold_cache.view(identity);
@@ -1043,7 +1042,7 @@ TEST(ResultCache, WarmCacheReproducesColdCampaignAndPersists) {
 
   // Fresh cache object, loaded from disk: the campaign replays entirely
   // from memoized verdicts and still produces the identical result.
-  dist::ResultCache warm_cache(cache_path);
+  core::TrialLog warm_cache(cache_path);
   ASSERT_TRUE(warm_cache.load());
   EXPECT_EQ(warm_cache.size(), cold.cache_stores);
   EXPECT_EQ(warm_cache.rejected(), 0u);
@@ -1063,50 +1062,192 @@ TEST(ResultCache, WarmCacheReproducesColdCampaignAndPersists) {
   EXPECT_EQ(other.cache_hits, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Campaign identity hash.
-
-TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
+TEST(ResultCache, EditedProfileUnderSameNameMissesWarmCache) {
+  // The identity hashes a TCP profile by content: a linux-3.13 copy with a
+  // different min_rto, still under the same name, is another implementation
+  // and must not replay the original's memoized verdicts.
   core::CampaignConfig config = small_campaign();
-  const std::uint64_t base = core::campaign_identity_hash(config);
+  config.max_strategies = 6;
+  core::TrialLog cache;
+  auto original_view = cache.view(core::campaign_identity_hash(config));
+  config.cache = &original_view;
+  ASSERT_EQ(core::run_campaign(config).cache_stores, 6u);
 
-  core::CampaignConfig changed = config;
-  changed.scenario.seed += 1;
-  EXPECT_NE(core::campaign_identity_hash(changed), base);
-  changed = config;
-  changed.detect_threshold = 0.3;
-  EXPECT_NE(core::campaign_identity_hash(changed), base);
-  changed = config;
-  changed.scenario.test_duration = Duration::seconds(9.0);
-  EXPECT_NE(core::campaign_identity_hash(changed), base);
-  changed = config;
-  changed.scenario.tcp_profile = tcp::linux_3_0_profile();
-  EXPECT_NE(core::campaign_identity_hash(changed), base);
-
-  // Fields that only change *which* strategies run, not any single trial's
-  // outcome, must not invalidate the cache.
-  changed = config;
-  changed.executors = 13;
-  changed.max_strategies = 500;
-  changed.combine_top = 3;
-  changed.collect_metrics = false;
-  EXPECT_EQ(core::campaign_identity_hash(changed), base);
+  core::CampaignConfig edited = small_campaign();
+  edited.max_strategies = 6;
+  edited.scenario.tcp_profile.min_rto = Duration::seconds(1.0);
+  ASSERT_EQ(edited.scenario.tcp_profile.name, tcp::linux_3_13_profile().name);
+  const core::CampaignResult fresh = core::run_campaign(edited);
+  auto edited_view = cache.view(core::campaign_identity_hash(edited));
+  edited.cache = &edited_view;
+  const core::CampaignResult cached = core::run_campaign(edited);
+  EXPECT_EQ(cached.cache_hits, 0u);
+  EXPECT_EQ(cached.cache_stores, cached.strategies_tried);
+  EXPECT_EQ(result_fingerprint(cached), result_fingerprint(fresh));
 }
 
 // ---------------------------------------------------------------------------
-// Crash-atomic multi-writer journals.
+// Campaign identity hash.
 
-std::string journal_text(const core::CampaignConfig& config,
-                         const std::vector<core::TrialRecord>& records, bool header = true) {
+/// One perturbation of a campaign config and what it must do to the hash.
+struct IdentityRow {
+  const char* field;
+  bool trace_base;  ///< perturb a trace-workload campaign instead of a bulk one
+  bool sensitive;   ///< must change the hash; otherwise must leave it unchanged
+  std::function<void(core::CampaignConfig&)> perturb;
+};
+
+struct NullInspector : core::RunInspector {
+  void on_run_complete(sim::Dumbbell&, proxy::AttackProxy&, const core::RunMetrics&) override {}
+};
+
+TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
+  using core::CampaignConfig;
+  obs::MetricsRegistry registry;
+  NullInspector inspector;
+  core::FaultPlan faults;
+  core::TrialJournal journal([](std::string_view) {});
+  core::TrialLog log;
+  core::TrialLog::View view = log.view(1);
+  dist::DistributedBackend backend{dist::DistOptions{}};
+  const std::string trace =
+      "# snake-trace/v1\n0.0 web open\n0.2 web recv 80000\n1.0 web recv 120000\n"
+      "2.0 web close\n";
+
+  const std::vector<IdentityRow> rows = {
+      // ScenarioConfig.
+      {"protocol", false, true, [](auto& c) { c.scenario.protocol = core::Protocol::kDccp; }},
+      {"test_duration", false, true,
+       [](auto& c) { c.scenario.test_duration = Duration::seconds(9.0); }},
+      {"download_bytes", false, true, [](auto& c) { c.scenario.download_bytes = 200000; }},
+      {"client1_exit_fraction", false, true,
+       [](auto& c) { c.scenario.client1_exit_fraction = 0.5; }},
+      {"workload", false, true, [&](auto& c) {
+         c.scenario.workload = core::Workload::kTrace;
+         c.scenario.trace_text = trace;
+       }},
+      {"dccp_offer_rate_pps", false, true, [](auto& c) { c.scenario.dccp_offer_rate_pps = 1000; }},
+      {"dccp_payload_bytes", false, true, [](auto& c) { c.scenario.dccp_payload_bytes = 500; }},
+      {"dccp_data_fraction", false, true, [](auto& c) { c.scenario.dccp_data_fraction = 0.3; }},
+      {"dccp_tx_queue_packets", false, true,
+       [](auto& c) { c.scenario.dccp_tx_queue_packets = 10; }},
+      {"dccp_ccid", false, true, [](auto& c) { c.scenario.dccp_ccid = 3; }},
+      {"seed", false, true, [](auto& c) { c.scenario.seed += 1; }},
+      {"event_budget", false, true, [](auto& c) { c.scenario.event_budget = 400000; }},
+      {"wall_limit_seconds", false, true, [](auto& c) { c.scenario.wall_limit_seconds = 60; }},
+      {"faults (a plan is attached)", false, true, [&](auto& c) { c.scenario.faults = &faults; }},
+      // Trace fields count only under the trace workload.
+      {"trace_text", true, true, [](auto& c) { c.scenario.trace_text += "\n# comment"; }},
+      {"trace_max_flows", true, true, [](auto& c) { c.scenario.trace_max_flows = 2; }},
+      {"trace_time_scale", true, true, [](auto& c) { c.scenario.trace_time_scale = 0.5; }},
+      {"workload (trace to bulk)", true, true,
+       [](auto& c) { c.scenario.workload = core::Workload::kBulk; }},
+      {"trace_text under bulk", false, false, [](auto& c) { c.scenario.trace_text = "leftover"; }},
+      {"trace_max_flows under bulk", false, false, [](auto& c) { c.scenario.trace_max_flows = 2; }},
+      {"trace_time_scale under bulk", false, false,
+       [](auto& c) { c.scenario.trace_time_scale = 0.5; }},
+      // tcp::TcpProfile, by content.
+      {"tcp_profile (another profile)", false, true,
+       [](auto& c) { c.scenario.tcp_profile = tcp::linux_3_0_profile(); }},
+      {"tcp_profile.name", false, true, [](auto& c) { c.scenario.tcp_profile.name = "edited"; }},
+      {"tcp_profile.invalid_flags", false, true,
+       [](auto& c) { c.scenario.tcp_profile.invalid_flags = tcp::InvalidFlagPolicy::kRstFirst; }},
+      {"tcp_profile.naive_cwnd_per_ack", false, true,
+       [](auto& c) { c.scenario.tcp_profile.naive_cwnd_per_ack ^= true; }},
+      {"tcp_profile.fast_retransmit", false, true,
+       [](auto& c) { c.scenario.tcp_profile.fast_retransmit ^= true; }},
+      {"tcp_profile.dsack_dupack_suppression", false, true,
+       [](auto& c) { c.scenario.tcp_profile.dsack_dupack_suppression ^= true; }},
+      {"tcp_profile.rst_data_after_fin", false, true,
+       [](auto& c) { c.scenario.tcp_profile.rst_data_after_fin ^= true; }},
+      {"tcp_profile.sack", false, true, [](auto& c) { c.scenario.tcp_profile.sack ^= true; }},
+      {"tcp_profile.dsack_blocks", false, true,
+       [](auto& c) { c.scenario.tcp_profile.dsack_blocks ^= true; }},
+      {"tcp_profile.sack_renege", false, true,
+       [](auto& c) { c.scenario.tcp_profile.sack_renege ^= true; }},
+      {"tcp_profile.max_retries", false, true,
+       [](auto& c) { c.scenario.tcp_profile.max_retries += 1; }},
+      {"tcp_profile.min_rto", false, true,
+       [](auto& c) { c.scenario.tcp_profile.min_rto = Duration::seconds(1.0); }},
+      {"tcp_profile.initial_cwnd_segments", false, true,
+       [](auto& c) { c.scenario.tcp_profile.initial_cwnd_segments += 1; }},
+      {"tcp_profile.initial_ssthresh", false, true,
+       [](auto& c) { c.scenario.tcp_profile.initial_ssthresh += 1; }},
+      {"tcp_profile.max_cwnd", false, true, [](auto& c) { c.scenario.tcp_profile.max_cwnd += 1; }},
+      // sim::DumbbellConfig.
+      {"topology.access_rate_bps", false, true,
+       [](auto& c) { c.scenario.topology.access_rate_bps = 50e6; }},
+      {"topology.access_delay", false, true,
+       [](auto& c) { c.scenario.topology.access_delay = Duration::millis(2); }},
+      {"topology.access_queue_packets", false, true,
+       [](auto& c) { c.scenario.topology.access_queue_packets = 500; }},
+      {"topology.bottleneck_rate_bps", false, true,
+       [](auto& c) { c.scenario.topology.bottleneck_rate_bps = 2e6; }},
+      {"topology.bottleneck_delay", false, true,
+       [](auto& c) { c.scenario.topology.bottleneck_delay = Duration::millis(20); }},
+      {"topology.bottleneck_queue_packets", false, true,
+       [](auto& c) { c.scenario.topology.bottleneck_queue_packets = 80; }},
+      {"topology.bottleneck_drop_policy", false, true,
+       [](auto& c) { c.scenario.topology.bottleneck_drop_policy = sim::DropPolicy::kTail; }},
+      // CampaignConfig.
+      {"retest_seed_offset", false, true, [](auto& c) { c.retest_seed_offset += 1; }},
+      {"detect_threshold", false, true, [](auto& c) { c.detect_threshold = 0.3; }},
+      {"trial_attempts", false, true, [](auto& c) { c.trial_attempts = 3; }},
+      {"retry_seed_offset", false, true, [](auto& c) { c.retry_seed_offset += 1; }},
+      // The allow-list: fields that only change which strategies run, how
+      // and where — never a single trial's outcome.
+      {"executors", false, false, [](auto& c) { c.executors = 13; }},
+      {"max_strategies", false, false, [](auto& c) { c.max_strategies = 500; }},
+      {"combine_top", false, false, [](auto& c) { c.combine_top = 3; }},
+      {"collect_metrics", false, false, [](auto& c) { c.collect_metrics = false; }},
+      {"search_mode", false, false, [](auto& c) { c.search_mode = search::SearchMode::kGreybox; }},
+      {"search", false, false, [](auto& c) { c.search.round_size += 1; }},
+      {"generator", false, false, [](auto& c) { c.generator.hitseq_max_packets = 7; }},
+      {"on_progress", false, false,
+       [](auto& c) { c.on_progress = [](std::uint64_t, std::uint64_t) {}; }},
+      {"journal", false, false, [&](auto& c) { c.journal = &journal; }},
+      {"resume", false, false, [&](auto& c) { c.resume = &log; }},
+      {"backend", false, false, [&](auto& c) { c.backend = &backend; }},
+      {"cache", false, false, [&](auto& c) { c.cache = &view; }},
+      {"scenario.metrics", false, false, [&](auto& c) { c.scenario.metrics = &registry; }},
+      {"scenario.inspector", false, false, [&](auto& c) { c.scenario.inspector = &inspector; }},
+      {"scenario.early_exit", false, false, [](auto& c) { c.scenario.early_exit ^= true; }},
+      {"scenario.fault_key", false, false, [](auto& c) { c.scenario.fault_key = 99; }},
+      {"scenario.fault_attempt", false, false, [](auto& c) { c.scenario.fault_attempt = 1; }},
+  };
+
+  CampaignConfig bulk = small_campaign();
+  CampaignConfig traced = small_campaign();
+  traced.scenario.workload = core::Workload::kTrace;
+  traced.scenario.trace_text = trace;
+  for (const CampaignConfig* base : {&bulk, &traced}) {
+    const CampaignConfig copy = *base;
+    EXPECT_EQ(core::campaign_identity_hash(*base), core::campaign_identity_hash(copy));
+  }
+  EXPECT_NE(core::campaign_identity_hash(bulk), core::campaign_identity_hash(traced));
+
+  for (const IdentityRow& row : rows) {
+    const CampaignConfig& base = row.trace_base ? traced : bulk;
+    CampaignConfig changed = base;
+    row.perturb(changed);
+    const bool moved = core::campaign_identity_hash(changed) != core::campaign_identity_hash(base);
+    EXPECT_EQ(moved, row.sensitive) << row.field << (row.sensitive ? " must" : " must not")
+                                    << " change the campaign identity";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Crash-atomic multi-writer journals: every part is a trial-log file.
+
+std::string journal_text(std::uint64_t identity, const std::vector<core::TrialRecord>& records) {
   std::string text;
   core::TrialJournal journal([&](std::string_view line) { text.append(line); });
-  if (header) journal.write_header(config);
-  for (const core::TrialRecord& r : records) journal.append(r);
+  for (const core::TrialRecord& r : records) journal.append(identity, r);
   return text;
 }
 
 TEST(JournalMerge, InterleavedPartsUnionWithTruncatedTails) {
-  core::CampaignConfig config = small_campaign();
+  const std::uint64_t identity = core::campaign_identity_hash(small_campaign());
   core::TrialRecord a = sample_record();
   core::TrialRecord b = sample_record();
   b.key = "delay|SYN_SENT|SYN|client->server";
@@ -1116,40 +1257,54 @@ TEST(JournalMerge, InterleavedPartsUnionWithTruncatedTails) {
   c.verdict = core::TrialVerdict::kQuarantined;
   c.found = false;
 
-  std::string part1 = journal_text(config, {a, b});
-  std::string part2 = journal_text(config, {c});
+  std::string part1 = journal_text(identity, {a, b});
+  std::string part2 = journal_text(identity, {c});
   // Crash-truncate part2 mid-line: the complete lines must survive.
-  std::string part2_torn = part2 + journal_text(config, {a}, /*header=*/false)
-                                       .substr(0, 40);
+  std::string part2_torn = part2 + journal_text(identity, {a}).substr(0, 40);
 
-  std::size_t skipped = 0;
-  auto merged = core::merge_journals({part1, part2_torn}, &skipped);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->trials.size(), 3u);
-  EXPECT_EQ(skipped, 1u);
-  EXPECT_TRUE(merged->trials.count(a.key));
-  EXPECT_TRUE(merged->trials.count(b.key));
-  EXPECT_EQ(merged->trials.at(c.key).verdict, core::TrialVerdict::kQuarantined);
-  EXPECT_TRUE(merged->compatible_with(config));
+  core::TrialLog merged;
+  merged.ingest(part1);
+  merged.ingest(part2_torn);
+  EXPECT_EQ(merged.count(identity), 3u);
+  EXPECT_EQ(merged.rejected(), 1u);
+  EXPECT_NE(merged.find(identity, a.key), nullptr);
+  EXPECT_NE(merged.find(identity, b.key), nullptr);
+  ASSERT_NE(merged.find(identity, c.key), nullptr);
+  EXPECT_EQ(merged.find(identity, c.key)->verdict, core::TrialVerdict::kQuarantined);
 
   // Duplicate keys across parts keep the first occurrence.
   core::TrialRecord a2 = a;
   a2.found = false;
-  std::string part3 = journal_text(config, {a2});
-  merged = core::merge_journals({part1, part3});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_TRUE(merged->trials.at(a.key).found) << "later part overwrote earlier record";
+  core::TrialLog first_wins;
+  first_wins.ingest(part1);
+  first_wins.ingest(journal_text(identity, {a2}));
+  EXPECT_EQ(first_wins.rejected(), 0u);
+  EXPECT_TRUE(first_wins.find(identity, a.key)->found) << "later part overwrote earlier record";
 }
 
 TEST(JournalMerge, MismatchedIdentityRejected) {
+  // A part recorded under another identity merges into the log but stays
+  // scoped to that identity: the campaign's lookups never see its lines.
   core::CampaignConfig config = small_campaign();
   core::CampaignConfig other = config;
   other.scenario.seed += 5;
-  std::string part1 = journal_text(config, {sample_record()});
-  std::string part2 = journal_text(other, {sample_record()});
-  EXPECT_FALSE(core::merge_journals({part1, part2}).has_value());
-  EXPECT_FALSE(core::merge_journals({part1, "no header\n"}).has_value());
-  EXPECT_TRUE(core::merge_journals({part1, part1}).has_value());
+  const std::uint64_t identity = core::campaign_identity_hash(config);
+  const std::uint64_t other_identity = core::campaign_identity_hash(other);
+  core::TrialRecord foreign = sample_record();
+  foreign.key = "foreign|key";
+
+  core::TrialLog merged;
+  merged.ingest(journal_text(identity, {sample_record()}));
+  merged.ingest(journal_text(other_identity, {sample_record(), foreign}));
+  merged.ingest("no identity\n");
+  EXPECT_EQ(merged.count(identity), 1u);
+  EXPECT_EQ(merged.count(other_identity), 2u);
+  EXPECT_EQ(merged.rejected(), 1u);
+  EXPECT_EQ(merged.find(identity, foreign.key), nullptr);
+
+  core::TrialLog only_other;
+  only_other.ingest(journal_text(other_identity, {sample_record()}));
+  EXPECT_FALSE(only_other.holds(identity));
 }
 
 }  // namespace

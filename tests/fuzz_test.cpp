@@ -95,33 +95,61 @@ TEST(CorpusRegression, JsonMalformedTokensRejected) {
   }
 }
 
+namespace {
+
+/// Every journal corpus line is stamped with this campaign identity.
+constexpr std::uint64_t kCorpusIdentity = 0xc0ffee42;
+
+core::TrialLog load_log(const std::string& text) {
+  core::TrialLog log;
+  log.ingest(text);
+  return log;
+}
+
+}  // namespace
+
 TEST(CorpusRegression, JournalCorpusLoadsWithoutCrashing) {
   std::vector<CorpusFile> files = corpus("journal");
   ASSERT_FALSE(files.empty());
-  for (const CorpusFile& f : files) (void)core::load_journal(f.contents);
+  for (const CorpusFile& f : files) (void)load_log(f.contents);
+  // Hostile values inside checksummed lines load with the lenient readers'
+  // fallbacks instead of undefined behaviour.
+  for (const char* name : {"huge_counts.jsonl", "negative_counts.jsonl",
+                           "non_string_observations.jsonl", "reasons_not_strings.jsonl"}) {
+    const CorpusFile* f = find_file(files, name);
+    ASSERT_TRUE(f) << name;
+    core::TrialLog log = load_log(f->contents);
+    EXPECT_EQ(log.count(kCorpusIdentity), 1u) << name;
+    EXPECT_EQ(log.rejected(), 0u) << name;
+  }
 }
 
 TEST(CorpusRegression, JournalTruncatedTailSkippedGarbageTolerated) {
   std::vector<CorpusFile> files = corpus("journal");
   const CorpusFile* truncated = find_file(files, "truncated_tail.jsonl");
   ASSERT_TRUE(truncated);
-  std::size_t skipped = 0;
-  auto snap = core::load_journal(truncated->contents, &skipped);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_TRUE(snap->trials.count("k5"));
-  EXPECT_FALSE(snap->trials.count("k6"));
-  EXPECT_GE(skipped, 1u);
+  core::TrialLog log = load_log(truncated->contents);
+  EXPECT_NE(log.find(kCorpusIdentity, "k5"), nullptr);
+  EXPECT_EQ(log.find(kCorpusIdentity, "k6"), nullptr);
+  EXPECT_EQ(log.rejected(), 1u);
 
   const CorpusFile* garbage = find_file(files, "garbage_lines.jsonl");
   ASSERT_TRUE(garbage);
-  snap = core::load_journal(garbage->contents);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_TRUE(snap->trials.count("k7"));
+  log = load_log(garbage->contents);
+  EXPECT_NE(log.find(kCorpusIdentity, "k7"), nullptr);
+  EXPECT_EQ(log.rejected(), 2u);
 
-  for (const char* name : {"missing_header.jsonl", "wrong_schema.jsonl"}) {
+  // Lines that parse but break the loading rule — a verdict edited under a
+  // stale check, a line pasted under another identity, a checksummed line
+  // whose newline never reached the disk — are rejected one by one.
+  for (auto [name, lines] : {std::pair{"tampered_verdict.jsonl", 2u},
+                             std::pair{"identity_swapped.jsonl", 1u},
+                             std::pair{"unterminated_tail.jsonl", 1u}}) {
     const CorpusFile* f = find_file(files, name);
     ASSERT_TRUE(f) << name;
-    EXPECT_FALSE(core::load_journal(f->contents).has_value()) << name;
+    log = load_log(f->contents);
+    EXPECT_TRUE(log.empty()) << name;
+    EXPECT_EQ(log.rejected(), lines) << name;
   }
 }
 
@@ -389,8 +417,7 @@ TEST(ParserFuzz, JournalMutantsNeverCrash) {
     Rng rng(seed);
     const CorpusFile& base = seeds[rng.uniform(0, seeds.size() - 1)];
     std::string mutant = mutate_text(rng, base.contents);
-    std::size_t skipped = 0;
-    (void)core::load_journal(mutant, &skipped);  // must terminate, no crash/UB
+    (void)load_log(mutant);  // must terminate, no crash/UB
     return std::nullopt;
   });
   EXPECT_FALSE(failure.has_value())

@@ -1,7 +1,13 @@
 // Unit tests for the observability layer: metrics registry semantics
-// (counters, gauges, histograms, per-executor merge) and the JSON
-// writer/parser the structured reports are built on.
+// (counters, gauges, histograms, per-executor merge), the JSON
+// writer/parser the structured reports are built on, and the lenient field
+// readers every decoder shares.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -191,6 +197,81 @@ TEST(Json, NonFiniteDoublesSerializeAsNull) {
 }
 
 // ------------------------------------------------- histogram auto-ranging
+
+JsonValue number(double d) {
+  JsonValue v;
+  v.type = JsonValue::Type::kNumber;
+  v.num_v = d;
+  return v;
+}
+
+TEST(Json, LenientFieldReadersDefaultHostileValues) {
+  // Each row stores `value` under "f" (or nothing) and reads it back with
+  // every shared reader; the fallbacks are u64 7, i64 -7, num 0.25, bool
+  // true. Out-of-range, negative and NaN numbers must take the fallback
+  // rather than reach an undefined float-to-integer cast.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  JsonValue flag;
+  flag.type = JsonValue::Type::kBool;
+  JsonValue text;
+  text.type = JsonValue::Type::kString;
+  text.str_v = "12";
+  JsonValue null_value;
+  JsonValue array;
+  array.type = JsonValue::Type::kArray;
+  array.array_v.push_back(number(1));
+
+  struct Row {
+    const char* label;
+    std::optional<JsonValue> value;
+    std::uint64_t u64;
+    std::int64_t i64;
+    double num;
+    bool boolean;
+    std::string str;
+  };
+  const std::vector<Row> rows = {
+      {"absent", std::nullopt, 7, -7, 0.25, true, ""},
+      {"zero", number(0), 0, 0, 0, true, ""},
+      {"integer", number(42), 42, 42, 42, true, ""},
+      {"fraction truncates", number(1.9), 1, 1, 1.9, true, ""},
+      {"negative", number(-1), 7, -1, -1, true, ""},
+      {"negative fraction", number(-0.5), 7, 0, -0.5, true, ""},
+      {"huge", number(1e300), 7, -7, 1e300, true, ""},
+      {"huge negative", number(-1e308), 7, -7, -1e308, true, ""},
+      {"2^64", number(18446744073709551616.0), 7, -7, 18446744073709551616.0, true, ""},
+      {"largest below 2^64", number(18446744073709549568.0), 18446744073709549568ULL, -7,
+       18446744073709549568.0, true, ""},
+      {"2^63", number(9223372036854775808.0), 9223372036854775808ULL, -7,
+       9223372036854775808.0, true, ""},
+      {"-2^63", number(-9223372036854775808.0), 7, std::numeric_limits<std::int64_t>::min(),
+       -9223372036854775808.0, true, ""},
+      {"NaN", number(kNaN), 7, -7, kNaN, true, ""},
+      {"+inf", number(kInf), 7, -7, kInf, true, ""},
+      {"-inf", number(-kInf), 7, -7, -kInf, true, ""},
+      {"bool", flag, 7, -7, 0.25, false, ""},
+      {"string", text, 7, -7, 0.25, true, "12"},
+      {"null", null_value, 7, -7, 0.25, true, ""},
+      {"array", array, 7, -7, 0.25, true, ""},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.label);
+    JsonValue obj;
+    obj.type = JsonValue::Type::kObject;
+    if (row.value.has_value()) obj.object_v["f"] = *row.value;
+    EXPECT_EQ(u64_field(obj, "f", 7), row.u64);
+    EXPECT_EQ(u64_of(row.value.value_or(JsonValue())).value_or(7), row.u64);
+    EXPECT_EQ(i64_field(obj, "f", -7), row.i64);
+    const double num = num_field(obj, "f", 0.25);
+    EXPECT_TRUE(std::isnan(row.num) ? std::isnan(num) : num == row.num) << num;
+    EXPECT_EQ(bool_field(obj, "f", true), row.boolean);
+    EXPECT_EQ(str_field(obj, "f"), row.str);
+  }
+  // Readers on a non-object see every key as absent.
+  EXPECT_EQ(u64_field(number(3), "f", 7), 7u);
+  EXPECT_EQ(str_field(text, "f"), "");
+}
 
 TEST(Metrics, AutoExtendWidensBoundsAlongLogLadder) {
   MetricsRegistry reg;

@@ -8,10 +8,15 @@
 //   - serialize failure -> journal_errors, campaign unharmed
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
 
+#include "obs/json.h"
 #include "search/search.h"
 #include "sim/scheduler.h"
 #include "snake/controller.h"
@@ -283,74 +288,108 @@ TrialRecord sample_found_record() {
   return r;
 }
 
-TEST(Journal, RoundTripsHeaderAndRecords) {
+TEST(Journal, RoundTripsIdentityAndRecords) {
   std::string text;
   TrialJournal journal([&](std::string_view line) { text.append(line); });
   CampaignConfig config = small_campaign();
-  journal.write_header(config);
-  journal.append(sample_found_record());
+  const std::uint64_t identity = campaign_identity_hash(config);
+  journal.append(identity, sample_found_record());
   TrialRecord quarantined;
   quarantined.key = "inject|...|SYN";
   quarantined.verdict = TrialVerdict::kAborted;
   quarantined.attempts = 2;
   quarantined.aborted_attempts = 2;
   quarantined.failure_reason = "event-budget";
-  journal.append(quarantined);
+  journal.append(identity, quarantined);
 
-  std::size_t skipped = 99;
-  auto snap = load_journal(text, &skipped);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_TRUE(snap->compatible_with(config));
-  ASSERT_EQ(snap->trials.size(), 2u);
+  TrialLog log;
+  log.ingest(text);
+  EXPECT_EQ(log.rejected(), 0u);
+  EXPECT_TRUE(log.holds(identity));
+  ASSERT_EQ(log.count(identity), 2u);
 
-  const TrialRecord& f = snap->trials.at(sample_found_record().key);
-  EXPECT_EQ(f.verdict, TrialVerdict::kCompleted);
-  EXPECT_EQ(f.attempts, 2u);
-  EXPECT_EQ(f.errored_attempts, 1u);
-  EXPECT_TRUE(f.found);
-  EXPECT_TRUE(f.detection.is_attack);
-  EXPECT_DOUBLE_EQ(f.detection.target_ratio, 0.12);
-  EXPECT_TRUE(f.detection.resource_exhaustion);
-  EXPECT_EQ(f.detection.reasons.size(), 2u);
-  EXPECT_EQ(f.cls, AttackClass::kTrueAttack);
-  EXPECT_EQ(f.signature, "drop/RST effect=resource_exhaustion");
-  EXPECT_EQ(f.client_obs, sample_found_record().client_obs);
-  EXPECT_EQ(f.server_obs, sample_found_record().server_obs);
+  const TrialRecord* f = log.find(identity, sample_found_record().key);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->verdict, TrialVerdict::kCompleted);
+  EXPECT_EQ(f->attempts, 2u);
+  EXPECT_EQ(f->errored_attempts, 1u);
+  EXPECT_TRUE(f->found);
+  EXPECT_TRUE(f->detection.is_attack);
+  EXPECT_DOUBLE_EQ(f->detection.target_ratio, 0.12);
+  EXPECT_TRUE(f->detection.resource_exhaustion);
+  EXPECT_EQ(f->detection.reasons.size(), 2u);
+  EXPECT_EQ(f->cls, AttackClass::kTrueAttack);
+  EXPECT_EQ(f->signature, "drop/RST effect=resource_exhaustion");
+  EXPECT_EQ(f->client_obs, sample_found_record().client_obs);
+  EXPECT_EQ(f->server_obs, sample_found_record().server_obs);
 
-  const TrialRecord& q = snap->trials.at("inject|...|SYN");
-  EXPECT_EQ(q.verdict, TrialVerdict::kAborted);
-  EXPECT_EQ(q.aborted_attempts, 2u);
-  EXPECT_EQ(q.failure_reason, "event-budget");
-  EXPECT_FALSE(q.found);
+  const TrialRecord* q = log.find(identity, "inject|...|SYN");
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->verdict, TrialVerdict::kAborted);
+  EXPECT_EQ(q->aborted_attempts, 2u);
+  EXPECT_EQ(q->failure_reason, "event-budget");
+  EXPECT_FALSE(q->found);
 
   // A differently-seeded campaign is a different identity.
   CampaignConfig other = config;
   other.scenario.seed += 1;
-  EXPECT_FALSE(snap->compatible_with(other));
+  EXPECT_FALSE(log.holds(campaign_identity_hash(other)));
+  EXPECT_EQ(log.find(campaign_identity_hash(other), sample_found_record().key), nullptr);
+}
+
+TEST(Journal, JournalLineIsByteIdenticalToLogStoreLine) {
+  // One format: what the journal sink receives and what a file-backed log
+  // appends on store() are the same bytes for the same (identity, record).
+  std::string journal_text;
+  TrialJournal journal([&](std::string_view line) { journal_text.append(line); });
+  journal.append(0x5eed, sample_found_record());
+
+  const std::string path = ::testing::TempDir() + "journal_line_identity.jsonl";
+  std::remove(path.c_str());
+  TrialLog log(path);
+  log.store(0x5eed, sample_found_record());
+  std::ifstream in(path, std::ios::binary);
+  const std::string stored((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+
+  EXPECT_EQ(journal_text, stored);
+  EXPECT_EQ(journal_text, encode_trial_line(0x5eed, sample_found_record()));
+  // Still a plain record document: the record reader sees through the two
+  // log keys.
+  auto doc = obs::parse_json(journal_text);
+  ASSERT_TRUE(doc.has_value());
+  auto rec = trial_record_from_json(*doc);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->signature, sample_found_record().signature);
 }
 
 TEST(Journal, ToleratesTruncatedTailFromKilledRun) {
   std::string text;
   TrialJournal journal([&](std::string_view line) { text.append(line); });
-  CampaignConfig config = small_campaign();
-  journal.write_header(config);
-  journal.append(sample_found_record());
+  const std::uint64_t identity = campaign_identity_hash(small_campaign());
+  journal.append(identity, sample_found_record());
   TrialRecord second = sample_found_record();
   second.key = "another|key";
-  journal.append(second);
+  journal.append(identity, second);
 
   // Kill the writer mid-line: the last record loses its tail.
-  std::string truncated = text.substr(0, text.size() - 25);
-  std::size_t skipped = 0;
-  auto snap = load_journal(truncated, &skipped);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->trials.size(), 1u);
-  EXPECT_EQ(skipped, 1u);
-  EXPECT_TRUE(snap->trials.contains(sample_found_record().key));
+  TrialLog log;
+  log.ingest(text.substr(0, text.size() - 25));
+  EXPECT_EQ(log.count(identity), 1u);
+  EXPECT_EQ(log.rejected(), 1u);
+  EXPECT_NE(log.find(identity, sample_found_record().key), nullptr);
 
-  // Garbage-only input has no header: refuse rather than resume from noise.
-  EXPECT_FALSE(load_journal("not json\n{\"key\":\"x\"}\n").has_value());
+  // A complete line whose newline never reached the disk is a torn tail too.
+  TrialLog unterminated;
+  unterminated.ingest(text.substr(0, text.size() - 1));
+  EXPECT_EQ(unterminated.count(identity), 1u);
+  EXPECT_EQ(unterminated.rejected(), 1u);
+
+  // Garbage and bare records without identity/check are noise, not a log.
+  TrialLog noise;
+  noise.ingest("not json\n{\"key\":\"x\",\"verdict\":\"completed\"}\n");
+  EXPECT_TRUE(noise.empty());
+  EXPECT_EQ(noise.rejected(), 2u);
 }
 
 TEST(Journal, SerializeFailureCountsErrorsButCampaignSurvives) {
@@ -384,13 +423,13 @@ TEST(Journal, IncompatibleResumeSnapshotIsIgnored) {
   TrialJournal journal([&](std::string_view line) { text.append(line); });
   CampaignConfig recorded = small_campaign();
   recorded.scenario.seed = 777;  // journal from a different campaign
-  journal.write_header(recorded);
-  journal.append(sample_found_record());
-  auto snap = load_journal(text);
-  ASSERT_TRUE(snap.has_value());
+  journal.append(campaign_identity_hash(recorded), sample_found_record());
+  TrialLog log;
+  log.ingest(text);
+  ASSERT_FALSE(log.empty());
 
   CampaignConfig config = small_campaign();
-  config.resume = &*snap;
+  config.resume = &log;
   CampaignResult result = run_campaign(config);
   EXPECT_EQ(result.resume_skipped, 0u);
   EXPECT_EQ(result.metrics.counter("campaign.resume_incompatible"), 1u);
@@ -405,23 +444,24 @@ std::string report_without_metrics(CampaignResult r) {
 }
 
 /// Records a full journal under `recorded`, resumes small_campaign() from it
-/// and checks the journal is refused: the journal header carries
+/// and checks the journal is refused: every line carries
 /// campaign_identity_hash, so any config field that can change a verdict
-/// makes it incompatible, and the resumed campaign equals a fresh one.
+/// leaves the log without a line of the resuming identity, and the resumed
+/// campaign equals a fresh one.
 void expect_resume_refused(const CampaignConfig& recorded) {
   std::string text;
   TrialJournal journal([&](std::string_view line) { text.append(line); });
   CampaignConfig recording = recorded;
   recording.journal = &journal;
   run_campaign(recording);
-  std::optional<JournalSnapshot> snap = load_journal(text);
-  ASSERT_TRUE(snap.has_value());
-  ASSERT_FALSE(snap->trials.empty());
+  TrialLog log;
+  log.ingest(text);
+  ASSERT_GT(log.count(campaign_identity_hash(recorded)), 0u);
 
   const CampaignConfig config = small_campaign();
-  EXPECT_FALSE(snap->compatible_with(config));
+  EXPECT_FALSE(log.holds(campaign_identity_hash(config)));
   CampaignConfig resumed = config;
-  resumed.resume = &*snap;
+  resumed.resume = &log;
   CampaignResult result = run_campaign(resumed);
   EXPECT_EQ(result.metrics.counter("campaign.resume_incompatible"), 1u);
   EXPECT_EQ(result.resume_skipped, 0u);
@@ -477,12 +517,13 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
     run_campaign(interrupted);
   }
   journal_text.resize(journal_text.size() - 10);
-  auto snapshot = load_journal(journal_text);
-  ASSERT_TRUE(snapshot.has_value());
-  EXPECT_EQ(snapshot->trials.size(), 7u);
+  const std::uint64_t identity = campaign_identity_hash(greybox_campaign());
+  TrialLog snapshot;
+  snapshot.ingest(journal_text);
+  EXPECT_EQ(snapshot.count(identity), 7u);
   // The loader surfaced the last *complete* pool checkpoint, and it parses.
-  ASSERT_FALSE(snapshot->search_pool_json.empty());
-  auto pool = search::pool_state_from_text(snapshot->search_pool_json);
+  ASSERT_FALSE(snapshot.search_pool(identity).empty());
+  auto pool = search::pool_state_from_text(snapshot.search_pool(identity));
   ASSERT_TRUE(pool.has_value());
   EXPECT_GT(pool->trials_seen, 0u);
 
@@ -491,11 +532,8 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
       [&](std::string_view line) { resumed_journal_text.append(line); });
   CampaignConfig full = greybox_campaign();
   CampaignResult uninterrupted = run_campaign(full);
-  full.resume = &*snapshot;
+  full.resume = &snapshot;
   full.journal = &resumed_journal;
-  // A resumed run appends to the existing journal rather than re-writing the
-  // header; this test uses a fresh sink, so supply the header itself.
-  resumed_journal.write_header(full);
   CampaignResult resumed = run_campaign(full);
 
   // Resume correctness comes from deterministic replay — every journaled
@@ -519,9 +557,9 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
 
   // The resumed run's final pool checkpoint equals the engine state the
   // uninterrupted twin would have reached (replay rebuilt the pool exactly).
-  auto resumed_snap = load_journal(resumed_journal_text);
-  ASSERT_TRUE(resumed_snap.has_value());
-  auto resumed_pool = search::pool_state_from_text(resumed_snap->search_pool_json);
+  TrialLog resumed_snap;
+  resumed_snap.ingest(resumed_journal_text);
+  auto resumed_pool = search::pool_state_from_text(resumed_snap.search_pool(identity));
   ASSERT_TRUE(resumed_pool.has_value());
 
   std::string twin_journal_text;
@@ -529,9 +567,9 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
   CampaignConfig twin = greybox_campaign();
   twin.journal = &twin_journal;
   run_campaign(twin);
-  auto twin_snap = load_journal(twin_journal_text);
-  ASSERT_TRUE(twin_snap.has_value());
-  auto twin_pool = search::pool_state_from_text(twin_snap->search_pool_json);
+  TrialLog twin_snap;
+  twin_snap.ingest(twin_journal_text);
+  auto twin_pool = search::pool_state_from_text(twin_snap.search_pool(identity));
   ASSERT_TRUE(twin_pool.has_value());
   EXPECT_TRUE(*resumed_pool == *twin_pool);
 }
@@ -543,23 +581,51 @@ TEST(Journal, TornPoolCheckpointDoesNotPoisonResume) {
   TrialJournal journal([&](std::string_view line) { text.append(line); });
   CampaignConfig config = small_campaign();
   config.search_mode = search::SearchMode::kGreybox;
-  journal.write_header(config);
-  journal.append(sample_found_record());
+  const std::uint64_t identity = campaign_identity_hash(config);
+  journal.append(identity, sample_found_record());
   // A poisoned checkpoint a crashing writer could leave: right schema so the
   // loader surfaces it, garbage shape so validation must reject it.
-  journal.append_raw(R"({"schema":"snake-search-pool/v1","seed":"not a number"})");
-  auto snap = load_journal(text);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->trials.size(), 1u);
-  EXPECT_FALSE(snap->search_pool_json.empty());
-  EXPECT_FALSE(search::pool_state_from_text(snap->search_pool_json).has_value());
+  journal.append_raw(identity, R"({"schema":"snake-search-pool/v1","seed":"not a number"})");
+  TrialLog snap;
+  snap.ingest(text);
+  EXPECT_EQ(snap.count(identity), 1u);
+  EXPECT_FALSE(snap.search_pool(identity).empty());
+  EXPECT_FALSE(search::pool_state_from_text(snap.search_pool(identity)).has_value());
 
-  config.resume = &*snap;
+  config.resume = &snap;
   CampaignResult result = run_campaign(config);
   EXPECT_EQ(result.metrics.counter("campaign.search_pool_invalid"), 1u);
   EXPECT_EQ(result.metrics.counter("campaign.search_pool_resumed"), 0u);
   // The campaign still ran to completion; a bad checkpoint never blocks it.
   EXPECT_EQ(result.strategies_tried, 12u);
+}
+
+TEST(Journal, TamperedVerdictLineIsRerunLive) {
+  std::string text;
+  TrialJournal journal([&](std::string_view line) { text.append(line); });
+  CampaignConfig recording = small_campaign();
+  recording.journal = &journal;
+  const CampaignResult fresh = run_campaign(recording);
+  const std::uint64_t identity = campaign_identity_hash(recording);
+
+  // Flip one line's verdict and leave its check stale: the loader must
+  // reject that line, and the resumed campaign must run the trial live.
+  const std::string completed = "\"verdict\":\"completed\"";
+  const std::size_t pos = text.find(completed);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, completed.size(), "\"verdict\":\"quarantined\"");
+  TrialLog log;
+  log.ingest(text);
+  EXPECT_EQ(log.rejected(), 1u);
+  EXPECT_EQ(log.count(identity), fresh.strategies_tried - 1);
+
+  CampaignConfig config = small_campaign();
+  config.resume = &log;
+  CampaignResult resumed = run_campaign(config);
+  EXPECT_EQ(resumed.resume_skipped, fresh.strategies_tried - 1);
+  EXPECT_TRUE(resumed.quarantined.empty());
+  resumed.resume_skipped = 0;  // the one field a resume legitimately changes
+  EXPECT_EQ(report_without_metrics(resumed), report_without_metrics(fresh));
 }
 
 // ----------------------------------------------------- canonical identity

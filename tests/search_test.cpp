@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "dist/coordinator.h"
-#include "dist/result_cache.h"
 #include "dist/worker.h"
 #include "obs/json.h"
 #include "search/search.h"
@@ -420,7 +419,7 @@ TEST(GreyboxCampaign, WarmCacheReproducesColdRun) {
   core::CampaignConfig config = greybox_campaign();
   const std::uint64_t identity = core::campaign_identity_hash(config);
 
-  dist::ResultCache cold_cache(cache_path);
+  core::TrialLog cold_cache(cache_path);
   ASSERT_TRUE(cold_cache.load());
   auto cold_view = cold_cache.view(identity);
   config.cache = &cold_view;
@@ -428,7 +427,7 @@ TEST(GreyboxCampaign, WarmCacheReproducesColdRun) {
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_stores, cold.strategies_tried);
 
-  dist::ResultCache warm_cache(cache_path);
+  core::TrialLog warm_cache(cache_path);
   ASSERT_TRUE(warm_cache.load());
   auto warm_view = warm_cache.view(identity);
   config.cache = &warm_view;
@@ -439,6 +438,49 @@ TEST(GreyboxCampaign, WarmCacheReproducesColdRun) {
   EXPECT_EQ(result_fingerprint(cold), result_fingerprint(warm));
   EXPECT_EQ(warm.cache_hits, warm.strategies_tried);
   EXPECT_EQ(warm.cache_stores, 0u);
+}
+
+TEST(TrialLogFormat, JournalServesAsCacheAndCacheAsResumeLog) {
+  // One line format: the journal of a campaign is a valid result cache, and
+  // a result-cache file is a valid resume log. Both replay the uninterrupted
+  // campaign exactly, in either search mode.
+  for (search::SearchMode mode : {search::SearchMode::kGrid, search::SearchMode::kGreybox}) {
+    SCOPED_TRACE(search::to_string(mode));
+    TempDir dir;
+    const std::string cache_path = (dir.path / "cache.jsonl").string();
+    core::CampaignConfig config = greybox_campaign();
+    config.search_mode = mode;
+    const std::uint64_t identity = core::campaign_identity_hash(config);
+
+    std::string journal_text;
+    core::TrialJournal journal([&](std::string_view line) { journal_text.append(line); });
+    core::TrialLog cold(cache_path);
+    auto cold_view = cold.view(identity);
+    core::CampaignConfig recording = config;
+    recording.journal = &journal;
+    recording.cache = &cold_view;
+    const core::CampaignResult uninterrupted = core::run_campaign(recording);
+
+    core::TrialLog journal_log;
+    journal_log.ingest(journal_text);
+    EXPECT_EQ(journal_log.rejected(), 0u);
+    auto journal_view = journal_log.view(identity);
+    core::CampaignConfig cached = config;
+    cached.cache = &journal_view;
+    const core::CampaignResult from_journal = core::run_campaign(cached);
+    EXPECT_EQ(from_journal.cache_hits, from_journal.strategies_tried);
+    EXPECT_EQ(from_journal.cache_stores, 0u);
+    EXPECT_EQ(result_fingerprint(from_journal), result_fingerprint(uninterrupted));
+
+    core::TrialLog cache_log(cache_path);
+    ASSERT_TRUE(cache_log.load());
+    EXPECT_EQ(cache_log.rejected(), 0u);
+    core::CampaignConfig resumed = config;
+    resumed.resume = &cache_log;
+    const core::CampaignResult from_cache = core::run_campaign(resumed);
+    EXPECT_EQ(from_cache.resume_skipped, from_cache.strategies_tried);
+    EXPECT_EQ(result_fingerprint(from_cache), result_fingerprint(uninterrupted));
+  }
 }
 
 TEST(GreyboxCampaign, SearchModeStaysOutOfCampaignIdentity) {

@@ -165,14 +165,15 @@ TEST_P(ResilienceSweep, ResumedCampaignEqualsUninterruptedRun) {
     interrupted.journal = &journal;
     run_campaign(interrupted);
   }
-  auto snapshot = load_journal(journal_text);
-  ASSERT_TRUE(snapshot.has_value()) << "seed " << GetParam();
-  EXPECT_EQ(snapshot->trials.size(), 6u);
+  TrialLog snapshot;
+  snapshot.ingest(journal_text);
+  EXPECT_EQ(snapshot.rejected(), 0u) << "seed " << GetParam();
+  EXPECT_EQ(snapshot.size(), 6u) << "seed " << GetParam();
 
   CampaignConfig full = campaign(GetParam());
   full.scenario.faults = &faults;
   CampaignResult uninterrupted = run_campaign(full);
-  full.resume = &*snapshot;
+  full.resume = &snapshot;
   CampaignResult resumed = run_campaign(full);
 
   // resume_skipped is the one field allowed to differ: it records that the
