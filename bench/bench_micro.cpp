@@ -57,10 +57,11 @@ static void BM_CodecFieldAccess(benchmark::State& state) {
   tcp::Segment s;
   s.flags = packet::kTcpAck;
   Bytes wire = tcp::serialize(s);
+  const packet::CompiledField& seq = *codec.format().compiled("seq");
   std::uint64_t v = 0;
   for (auto _ : state) {
-    codec.set(wire, "seq", ++v);
-    benchmark::DoNotOptimize(codec.get(wire, "seq"));
+    codec.set_fast(wire, seq, ++v);
+    benchmark::DoNotOptimize(codec.get_fast(wire, seq));
   }
 }
 BENCHMARK(BM_CodecFieldAccess);
@@ -70,7 +71,7 @@ static void BM_CodecClassify(benchmark::State& state) {
   tcp::Segment s;
   s.flags = packet::kTcpPsh | packet::kTcpAck;
   Bytes wire = tcp::serialize(s);
-  for (auto _ : state) benchmark::DoNotOptimize(codec.classify(wire));
+  for (auto _ : state) benchmark::DoNotOptimize(codec.classify_index(wire));
 }
 BENCHMARK(BM_CodecClassify);
 

@@ -72,8 +72,8 @@ type BYEOK kind mask 0xff value 4;
   // Build & round-trip a packet through the generated codec.
   Bytes wire = codec.build("PONG", {{"token", 777}, {"window", 42}});
   std::printf("\nforged PONG: %s (classified %s, token=%llu)\n", to_hex(wire).c_str(),
-              codec.classify(wire).c_str(),
-              (unsigned long long)codec.get(wire, "token"));
+              codec.type_name(codec.classify_index(wire)).c_str(),
+              (unsigned long long)codec.get_fast(wire, *codec.format().compiled("token")));
 
   // Show the strategies SNAKE would generate for what it observed.
   strategy::GeneratorConfig gcfg;

@@ -24,7 +24,8 @@ class Recorder : public sim::PacketFilter {
   sim::FilterVerdict on_packet(sim::Packet& p, sim::FilterDirection dir,
                                sim::Injector&) override {
     if (p.protocol != sim::kProtoTcp) return sim::FilterVerdict::kForward;
-    std::string type = packet::tcp_codec().classify(p.bytes);
+    const packet::HeaderFormat& format = packet::tcp_format();
+    const std::string& type = format.type_name(format.classify_index(p.bytes));
     bool egress = dir == sim::FilterDirection::kEgress;
     client_trace.push_back({egress ? TriggerKind::kSend : TriggerKind::kReceive, type});
     server_trace.push_back({egress ? TriggerKind::kReceive : TriggerKind::kSend, type});

@@ -552,17 +552,7 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   im.sup = Supervisor(im.options.workers, sup_opts);
 
   WorkerCampaign& wc = im.wc_template;
-  wc.scenario = config.scenario;
-  wc.scenario.metrics = nullptr;
-  wc.scenario.faults = nullptr;
-  wc.scenario.inspector = nullptr;
-  wc.detect_threshold = config.detect_threshold;
-  wc.trial_attempts = im.max_attempts;
-  wc.retry_seed_offset = config.retry_seed_offset;
-  wc.retest_seed_offset = config.retest_seed_offset;
-  wc.collect_metrics = config.collect_metrics;
-  wc.search_mode = search::to_string(config.search_mode);
-  wc.identity_hash = core::campaign_identity_hash(config);
+  wc.campaign = config;  // only the identity fields and collect_metrics travel
   wc.heartbeat_interval_ms = im.options.heartbeat_interval_ms;
   wc.heartbeat_timeout_ms = im.options.heartbeat_timeout_ms;
   wc.selfcheck = im.options.selfcheck;

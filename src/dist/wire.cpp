@@ -9,8 +9,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <type_traits>
 
-#include "tcp/profile.h"
 #include "util/strings.h"
 
 namespace snake::dist {
@@ -223,108 +224,64 @@ std::optional<MsgType> type_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-void write_scenario(obs::JsonWriter& w, const core::ScenarioConfig& s) {
-  w.begin_object();
-  w.key("protocol").value(core::to_string(s.protocol));
-  w.key("tcp_profile").value(s.tcp_profile.name);
-  // Trace workloads ship the raw trace text so workers rebuild the identical
-  // replay plan; bulk workloads omit the keys, keeping the historic encoding
-  // byte-stable (absent keys parse as kBulk).
-  if (s.workload == core::Workload::kTrace) {
-    w.key("workload").value("trace");
-    w.key("trace_text").value(s.trace_text);
-    w.key("trace_max_flows").value(static_cast<std::uint64_t>(s.trace_max_flows));
-    w.key("trace_time_scale").value(s.trace_time_scale);
+/// encode_campaign's sink over core::visit_identity_fields: one member per
+/// field, enums by name, durations as integer nanoseconds.
+struct ConfigWriter {
+  obs::JsonWriter& w;
+  template <class T>
+  void hash_only(const T&) {}
+  void operator()(const char* key, Duration v) { w.key(key).value(v.ns()); }
+  template <class T>
+  void operator()(const char* key, const T& v) {
+    if constexpr (std::is_enum_v<T>)
+      w.key(key).value(to_string(v));
+    else
+      w.key(key).value(v);
   }
-  w.key("test_duration_ns").value(s.test_duration.ns());
-  w.key("download_bytes").value(s.download_bytes);
-  w.key("client1_exit_fraction").value(s.client1_exit_fraction);
-  w.key("dccp_offer_rate_pps").value(s.dccp_offer_rate_pps);
-  w.key("dccp_payload_bytes").value(static_cast<std::uint64_t>(s.dccp_payload_bytes));
-  w.key("dccp_data_fraction").value(s.dccp_data_fraction);
-  w.key("dccp_tx_queue_packets").value(static_cast<std::uint64_t>(s.dccp_tx_queue_packets));
-  w.key("dccp_ccid").value(s.dccp_ccid);
-  w.key("seed").value(s.seed);
-  w.key("event_budget").value(s.event_budget);
-  w.key("wall_limit_seconds").value(s.wall_limit_seconds);
-  w.key("topology").begin_object();
-  w.key("access_rate_bps").value(s.topology.access_rate_bps);
-  w.key("access_delay_ns").value(s.topology.access_delay.ns());
-  w.key("access_queue_packets").value(static_cast<std::uint64_t>(s.topology.access_queue_packets));
-  w.key("bottleneck_rate_bps").value(s.topology.bottleneck_rate_bps);
-  w.key("bottleneck_delay_ns").value(s.topology.bottleneck_delay.ns());
-  w.key("bottleneck_queue_packets")
-      .value(static_cast<std::uint64_t>(s.topology.bottleneck_queue_packets));
-  w.key("bottleneck_drop_policy")
-      .value(static_cast<std::uint64_t>(s.topology.bottleneck_drop_policy));
-  w.end_object();
-  w.end_object();
-}
+};
 
-std::optional<core::ScenarioConfig> parse_scenario(const obs::JsonValue& v) {
-  if (!v.is_object()) return std::nullopt;
-  core::ScenarioConfig s;
-  const std::string proto = str_field(v, "protocol");
-  if (proto == "tcp") {
-    s.protocol = core::Protocol::kTcp;
-  } else if (proto == "dccp") {
-    s.protocol = core::Protocol::kDccp;
-  } else {
-    return std::nullopt;
+/// parse_message's sink over core::visit_identity_fields. The lenient field
+/// readers keep a field's default when its member is missing, mistyped or an
+/// unknown name; that is safe because the decoded config must hash back to
+/// the frame's identity_hash, so a field that did not survive the trip gets
+/// the frame rejected.
+struct ConfigReader {
+  const obs::JsonValue& obj;
+  template <class T>
+  void hash_only(const T&) {}
+  void operator()(const char* key, std::string& v) { v = str_field(obj, key); }
+  void operator()(const char* key, bool& v) { v = bool_field(obj, key, v); }
+  void operator()(const char* key, double& v) { v = num_field(obj, key, v); }
+  void operator()(const char* key, Duration& v) {
+    v = Duration::nanos(i64_field(obj, key, v.ns()));
   }
-  const std::string profile_name = str_field(v, "tcp_profile");
-  bool profile_found = false;
-  for (const tcp::TcpProfile& p : tcp::all_tcp_profiles()) {
-    if (p.name == profile_name) {
-      s.tcp_profile = p;
-      profile_found = true;
-      break;
-    }
+  void operator()(const char* key, core::Protocol& v) {
+    pick(key, v, {core::Protocol::kTcp, core::Protocol::kDccp});
   }
-  // An unknown profile name cannot be reconstructed; running the default
-  // would silently test the wrong implementation. The ready-message baseline
-  // cross-check would catch it, but reject early and loudly instead.
-  if (!profile_found && s.protocol == core::Protocol::kTcp) return std::nullopt;
-  const std::string workload = str_field(v, "workload");
-  if (workload == "trace") {
-    s.workload = core::Workload::kTrace;
-    s.trace_text = str_field(v, "trace_text");
-    s.trace_max_flows =
-        static_cast<std::size_t>(u64_field(v, "trace_max_flows", s.trace_max_flows));
-    s.trace_time_scale = num_field(v, "trace_time_scale", s.trace_time_scale);
-  } else if (!workload.empty() && workload != "bulk") {
-    // An unknown workload cannot be reconstructed; reject like an unknown
-    // profile rather than silently running the wrong traffic.
-    return std::nullopt;
+  void operator()(const char* key, core::Workload& v) {
+    pick(key, v, {core::Workload::kBulk, core::Workload::kTrace});
   }
-  s.test_duration = Duration::nanos(i64_field(v, "test_duration_ns", 0));
-  s.download_bytes = u64_field(v, "download_bytes", s.download_bytes);
-  s.client1_exit_fraction = num_field(v, "client1_exit_fraction", s.client1_exit_fraction);
-  s.dccp_offer_rate_pps = num_field(v, "dccp_offer_rate_pps", s.dccp_offer_rate_pps);
-  s.dccp_payload_bytes =
-      static_cast<std::size_t>(u64_field(v, "dccp_payload_bytes", s.dccp_payload_bytes));
-  s.dccp_data_fraction = num_field(v, "dccp_data_fraction", s.dccp_data_fraction);
-  s.dccp_tx_queue_packets =
-      static_cast<std::size_t>(u64_field(v, "dccp_tx_queue_packets", s.dccp_tx_queue_packets));
-  s.dccp_ccid = static_cast<int>(i64_field(v, "dccp_ccid", s.dccp_ccid));
-  s.seed = u64_field(v, "seed", 1);
-  s.event_budget = u64_field(v, "event_budget", 0);
-  s.wall_limit_seconds = num_field(v, "wall_limit_seconds", 0.0);
-  const obs::JsonValue* topo = v.find("topology");
-  if (topo == nullptr || !topo->is_object()) return std::nullopt;
-  s.topology.access_rate_bps = num_field(*topo, "access_rate_bps", s.topology.access_rate_bps);
-  s.topology.access_delay = Duration::nanos(i64_field(*topo, "access_delay_ns", 0));
-  s.topology.access_queue_packets = static_cast<std::size_t>(
-      u64_field(*topo, "access_queue_packets", s.topology.access_queue_packets));
-  s.topology.bottleneck_rate_bps =
-      num_field(*topo, "bottleneck_rate_bps", s.topology.bottleneck_rate_bps);
-  s.topology.bottleneck_delay = Duration::nanos(i64_field(*topo, "bottleneck_delay_ns", 0));
-  s.topology.bottleneck_queue_packets = static_cast<std::size_t>(
-      u64_field(*topo, "bottleneck_queue_packets", s.topology.bottleneck_queue_packets));
-  s.topology.bottleneck_drop_policy =
-      static_cast<sim::DropPolicy>(u64_field(*topo, "bottleneck_drop_policy", 0));
-  return s;
-}
+  void operator()(const char* key, tcp::InvalidFlagPolicy& v) {
+    using P = tcp::InvalidFlagPolicy;
+    pick(key, v, {P::kIgnore, P::kBestEffort, P::kRstFirst});
+  }
+  void operator()(const char* key, sim::DropPolicy& v) {
+    pick(key, v, {sim::DropPolicy::kTail, sim::DropPolicy::kRandom});
+  }
+  template <class T>  // integers
+  void operator()(const char* key, T& v) {
+    if constexpr (std::is_signed_v<T>)
+      v = static_cast<T>(i64_field(obj, key, v));
+    else
+      v = static_cast<T>(u64_field(obj, key, v));
+  }
+  template <class E>
+  void pick(const char* key, E& v, std::initializer_list<E> values) {
+    const std::string name = str_field(obj, key);
+    for (E e : values)
+      if (name == to_string(e)) v = e;
+  }
+};
 
 std::string finish(obs::JsonWriter& w) { return w.take(); }
 
@@ -348,15 +305,10 @@ std::string encode_hello() {
 std::string encode_campaign(const WorkerCampaign& wc) {
   obs::JsonWriter w;
   begin(w, MsgType::kCampaign);
-  w.key("scenario");
-  write_scenario(w, wc.scenario);
-  w.key("detect_threshold").value(wc.detect_threshold);
-  w.key("trial_attempts").value(wc.trial_attempts);
-  w.key("retry_seed_offset").value(wc.retry_seed_offset);
-  w.key("retest_seed_offset").value(wc.retest_seed_offset);
-  w.key("collect_metrics").value(wc.collect_metrics);
-  w.key("search_mode").value(wc.search_mode);
-  w.key("identity_hash").value(hex16(wc.identity_hash));
+  w.key("identity_hash").value(hex16(core::campaign_identity_hash(wc.campaign)));
+  ConfigWriter fields{w};
+  core::visit_identity_fields(wc.campaign, fields);
+  w.key("collect_metrics").value(wc.campaign.collect_metrics);
   w.key("worker_index").value(wc.worker_index);
   w.key("journal_path").value(wc.journal_path);
   w.key("heartbeat_interval_ms").value(wc.heartbeat_interval_ms);
@@ -488,21 +440,17 @@ std::optional<Message> parse_message(std::string_view payload) {
       break;
     }
     case MsgType::kCampaign: {
-      const obs::JsonValue* scenario = doc->find("scenario");
-      if (scenario == nullptr) return std::nullopt;
-      auto s = parse_scenario(*scenario);
-      if (!s.has_value()) return std::nullopt;
-      m.campaign.scenario = std::move(*s);
-      m.campaign.detect_threshold = num_field(*doc, "detect_threshold", 0.5);
-      m.campaign.trial_attempts =
-          static_cast<std::uint32_t>(u64_field(*doc, "trial_attempts", 2));
-      m.campaign.retry_seed_offset = u64_field(*doc, "retry_seed_offset", 7919);
-      m.campaign.retest_seed_offset = u64_field(*doc, "retest_seed_offset", 1000003);
-      m.campaign.collect_metrics = bool_field(*doc, "collect_metrics", true);
-      m.campaign.search_mode = str_field(*doc, "search_mode");
-      if (!search::search_mode_from_string(m.campaign.search_mode).has_value())
-        m.campaign.search_mode = "grid";
-      m.campaign.identity_hash = parse_hex16(str_field(*doc, "identity_hash")).value_or(0);
+      const std::optional<std::uint64_t> identity =
+          parse_hex16(str_field(*doc, "identity_hash"));
+      if (!identity.has_value()) return std::nullopt;
+      core::CampaignConfig& config = m.campaign.campaign;
+      ConfigReader fields{*doc};
+      core::visit_identity_fields(config, fields);
+      // Integrity gate, like a result frame's checksum: every outcome field
+      // travels by content, so a config that does not hash back to the
+      // coordinator's identity was corrupted or edited in flight.
+      if (core::campaign_identity_hash(config) != *identity) return std::nullopt;
+      config.collect_metrics = bool_field(*doc, "collect_metrics", true);
       m.campaign.worker_index = static_cast<int>(i64_field(*doc, "worker_index", 0));
       m.campaign.journal_path = str_field(*doc, "journal_path");
       m.campaign.heartbeat_interval_ms =

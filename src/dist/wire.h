@@ -42,7 +42,10 @@ namespace snake::dist {
 /// Protocol version carried in hello; a mismatch aborts the handshake (the
 /// coordinator falls back to in-process execution rather than guessing).
 /// v2: result frames carry a mandatory per-result integrity checksum.
-inline constexpr std::uint32_t kWireVersion = 2;
+/// v3: campaign frames carry every outcome field (the TCP profile by
+/// content, not by name) and are rejected unless they hash to their
+/// identity_hash.
+inline constexpr std::uint32_t kWireVersion = 3;
 
 /// Frames larger than this are treated as a protocol violation (a corrupted
 /// length prefix would otherwise ask for gigabytes).
@@ -142,32 +145,15 @@ enum class MsgType {
 const char* to_string(MsgType type);
 
 /// Everything a worker needs to run trials for one campaign, plus the
-/// worker-specific options. The scenario travels field-by-field (TCP profile
-/// by name, durations as integer nanoseconds) so the worker reconstructs a
-/// config whose trials are bit-identical to the coordinator's. Pointers
-/// (metrics, faults, inspector, journal, resume, backend, cache) never
-/// cross the wire: metrics/inspector are worker-local, and a campaign with
-/// a fault plan refuses distribution outright (coordinator.cpp).
+/// worker-specific options. Of `campaign`, the outcome fields travel as
+/// core::visit_identity_fields lists them (the TCP profile by content), plus
+/// collect_metrics; the frame carries campaign_identity_hash(campaign), the
+/// decoder re-checks it, and the worker stamps it on its journal lines. The
+/// rest stays at its defaults on the worker: strategy selection happens
+/// coordinator-side, and pointers never cross the wire (a campaign with a
+/// fault plan or inspector refuses distribution, coordinator.cpp).
 struct WorkerCampaign {
-  core::ScenarioConfig scenario;  ///< pointer fields left null
-  double detect_threshold = 0.5;
-  std::uint32_t trial_attempts = 2;
-  std::uint64_t retry_seed_offset = 7919;
-  std::uint64_t retest_seed_offset = 1000003;
-  bool collect_metrics = true;
-  /// The coordinator's CampaignConfig::search_mode ("grid" / "greybox"),
-  /// mirrored so the worker's reconstructed config is faithful. Strategy
-  /// selection happens coordinator-side — workers execute the trials they
-  /// are handed either way — and like the generator config this only
-  /// changes which strategies get tried, so it stays out of the identity
-  /// hash. An unknown value falls back to "grid" at decode.
-  std::string search_mode = "grid";
-
-  /// The coordinator's campaign_identity_hash. Travels as a hex string (a
-  /// JSON number would round it); the worker stamps it on every journal
-  /// line so per-worker journals merge and resume under the campaign's
-  /// identity.
-  std::uint64_t identity_hash = 0;
+  core::CampaignConfig campaign;
   int worker_index = 0;
   std::string journal_path;  ///< per-worker journal file ("" = none)
   int heartbeat_interval_ms = 250;

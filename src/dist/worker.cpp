@@ -69,16 +69,16 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   const WorkerCampaign wc = std::move(campaign_msg->campaign);
 
   obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = wc.collect_metrics ? &registry : nullptr;
+  obs::MetricsRegistry* reg = wc.campaign.collect_metrics ? &registry : nullptr;
 
   std::unique_ptr<core::RunInspector> inspector;
-  if (wc.selfcheck && hooks.make_inspector) inspector = hooks.make_inspector(wc.scenario);
+  if (wc.selfcheck && hooks.make_inspector) inspector = hooks.make_inspector(wc.campaign.scenario);
 
   // The worker's own non-attack baselines, computed exactly as the
   // coordinator computes its pair (controller.cpp): same configs, same
   // seeds, fresh arena. Shipping them back lets the coordinator verify
   // byte-for-byte that this process simulates identically.
-  core::ScenarioConfig run_config = wc.scenario;
+  core::ScenarioConfig run_config = wc.campaign.scenario;
   run_config.metrics = reg;
   run_config.faults = nullptr;
   run_config.inspector = inspector.get();
@@ -87,7 +87,7 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   // compare different cuts.
   run_config.early_exit = core::CampaignConfig::early_exit;
   core::ScenarioConfig retest_config = run_config;
-  retest_config.seed += wc.retest_seed_offset;
+  retest_config.seed += wc.campaign.retest_seed_offset;
 
   core::ScenarioArena arena;
   core::RunMetrics baseline = core::run_scenario(arena, run_config, std::nullopt);
@@ -105,9 +105,10 @@ int run_worker(int fd, const WorkerHooks& hooks) {
 
   // Per-worker journal: private file, so the multi-writer campaign journal
   // is crash-atomic by construction (nobody interleaves; the coordinator
-  // reads every part into one core::TrialLog). Lines carry the
-  // coordinator's identity hash, so they merge and resume under the
-  // campaign's identity.
+  // reads every part into one core::TrialLog). Lines carry the campaign
+  // identity the campaign frame was checked against, so they merge and
+  // resume under the coordinator's identity.
+  const std::uint64_t identity = core::campaign_identity_hash(wc.campaign);
   std::FILE* journal_file = nullptr;
   std::unique_ptr<core::TrialJournal> journal;
   if (!wc.journal_path.empty()) {
@@ -125,10 +126,10 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   ctx.retest_template = &retest_config;
   ctx.baseline = &baseline;
   ctx.retest_baseline = &retest_baseline;
-  ctx.format = &core::format_for_protocol(wc.scenario.protocol);
-  ctx.threshold = wc.detect_threshold;
-  ctx.max_attempts = wc.trial_attempts;
-  ctx.retry_seed_offset = wc.retry_seed_offset;
+  ctx.format = &core::format_for_protocol(wc.campaign.scenario.protocol);
+  ctx.threshold = wc.campaign.detect_threshold;
+  ctx.max_attempts = wc.campaign.trial_attempts;
+  ctx.retry_seed_offset = wc.campaign.retry_seed_offset;
   // Per-worker snapshot store, same as a ThreadBackend executor. Selfcheck
   // campaigns carry an inspector, which the store declines per-trial, so the
   // oracle always sees a from-zero run.
@@ -260,7 +261,7 @@ int run_worker(int fd, const WorkerHooks& hooks) {
     core::TrialRecord record = core::execute_trial(arena, ctx, trial.strat, reg);
     if (journal != nullptr) {
       try {
-        journal->append(wc.identity_hash, record);  // full record; pruning is wire-only
+        journal->append(identity, record);  // full record; pruning is wire-only
       } catch (...) {
       }
     }

@@ -6,17 +6,6 @@
 
 namespace snake::packet {
 
-std::uint64_t Codec::get(const Bytes& raw, const std::string& field) const {
-  const FieldSpec& f = format_->field_or_throw(field);
-  return read_bits(raw, f.bit_offset, f.bit_width);
-}
-
-void Codec::set(Bytes& raw, const std::string& field, std::uint64_t value) const {
-  const FieldSpec& f = format_->field_or_throw(field);
-  write_bits(raw, f.bit_offset, f.bit_width, value & f.max_value());
-  if (f.kind != FieldKind::kChecksum) refresh_checksum(raw);
-}
-
 Bytes Codec::build(const std::string& packet_type,
                    const std::map<std::string, std::uint64_t>& fields) const {
   Bytes raw(format_->header_bytes(), 0);

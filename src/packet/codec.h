@@ -1,7 +1,8 @@
 // Runtime packet codec driven by a HeaderFormat — the reproduction of the
 // paper's "automatically generated C++ code to parse and modify this
 // header". The proxy never understands TCP or DCCP natively; everything it
-// does to a packet goes through this codec by field name.
+// does to a packet goes through this codec, through field accessors it
+// resolves by name once at setup (format().compiled(name)).
 #pragma once
 
 #include <cstdint>
@@ -19,15 +20,6 @@ class Codec {
 
   const HeaderFormat& format() const { return *format_; }
 
-  /// Reads a named field out of raw packet bytes.
-  std::uint64_t get(const Bytes& raw, const std::string& field) const;
-
-  /// Writes a named field (value truncated to field width) and refreshes the
-  /// embedded checksum so the packet stays acceptable to the receiver — the
-  /// paper's proxy does the same, since the goal is semantic manipulation,
-  /// not checksum fuzzing.
-  void set(Bytes& raw, const std::string& field, std::uint64_t value) const;
-
   /// Builds a minimal header-only packet of the named packet type with the
   /// given fields; unspecified fields are zero. Used by the off-path inject
   /// and hitseqwindow attacks to forge packets from scratch. Throws
@@ -37,16 +29,17 @@ class Codec {
   Bytes build(const std::string& packet_type,
               const std::map<std::string, std::uint64_t>& fields) const;
 
-  std::string classify(const Bytes& raw) const { return format_->classify(raw); }
-
-  // ---- Compiled fast path ------------------------------------------------
+  // ---- Field access and classification ----------------------------------
   // Per-packet code resolves CompiledField pointers once at setup
   // (format().compiled(name)) and then reads/writes through fixed offsets;
-  // no string lookup per packet. Semantics match get/set exactly — set_fast
-  // refreshes the embedded checksum unless the written field IS the checksum.
+  // no string lookup per packet. `raw` must hold a full header.
   std::uint64_t get_fast(const Bytes& raw, const CompiledField& f) const {
     return format_->read(raw, f);
   }
+  /// Writes a field (value truncated to field width) and refreshes the
+  /// embedded checksum unless the written field IS the checksum, so the
+  /// packet stays acceptable to the receiver — the paper's proxy does the
+  /// same, since the goal is semantic manipulation, not checksum fuzzing.
   void set_fast(Bytes& raw, const CompiledField& f, std::uint64_t value) const {
     format_->write(raw, f, value);
     if (f.kind != FieldKind::kChecksum) refresh_checksum(raw);

@@ -145,16 +145,6 @@ std::optional<std::size_t> HeaderFormat::checksum_offset() const {
   return std::nullopt;
 }
 
-std::string HeaderFormat::classify(const Bytes& raw) const {
-  if (raw.size() < header_bytes_) return "unknown";
-  for (const auto& t : types_) {
-    const FieldSpec& f = field_or_throw(t.discriminator_field);
-    std::uint64_t value = read_bits(raw, f.bit_offset, f.bit_width);
-    if ((value & t.match_mask) == t.match_value) return t.name;
-  }
-  return "unknown";
-}
-
 const CompiledField* HeaderFormat::compiled(const std::string& name) const {
   int index = field_index(name);
   return index < 0 ? nullptr : &compiled_[static_cast<std::size_t>(index)];

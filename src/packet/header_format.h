@@ -106,12 +106,6 @@ class HeaderFormat {
   /// width are validated at construction, so the byte offset is exact.
   std::optional<std::size_t> checksum_offset() const;
 
-  /// Classifies raw bytes into a packet-type name ("SYN+ACK", "DCCP-Request",
-  /// ...); returns "unknown" for unmatched or truncated packets. Reference
-  /// implementation: resolves the discriminator by name per type. The hot
-  /// path uses classify_index().
-  std::string classify(const Bytes& raw) const;
-
   // ---- Compiled accessors ----------------------------------------------
   /// Compiled accessor for a field, by fields() position or by name
   /// (nullptr when no such field). Name lookup is for setup-time resolution;
@@ -129,8 +123,10 @@ class HeaderFormat {
   std::uint64_t read(const Bytes& raw, const CompiledField& f) const;
   void write(Bytes& raw, const CompiledField& f, std::uint64_t value) const;
 
-  /// Compiled classification: packet_types() index, or -1 for unmatched or
-  /// truncated packets. Discriminator accessors are resolved at construction
+  /// Classifies raw bytes: the packet_types() index of the first type (in
+  /// declaration order) whose discriminator matches, or -1 for unmatched or
+  /// truncated packets; type_name() turns it into "SYN+ACK",
+  /// "DCCP-Request", ... Discriminator accessors are resolved at construction
   /// (no string compares); when every type shares one discriminator field —
   /// true of both shipped formats — it is read once per packet.
   int classify_index(const Bytes& raw) const;

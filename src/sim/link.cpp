@@ -8,6 +8,10 @@
 
 namespace snake::sim {
 
+const char* to_string(DropPolicy policy) {
+  return policy == DropPolicy::kTail ? "tail" : "random";
+}
+
 Link::Link(Scheduler& scheduler, LinkConfig config, std::function<void(Packet)> sink)
     : scheduler_(scheduler),
       config_(std::move(config)),

@@ -28,6 +28,8 @@ enum class DropPolicy {
             ///< suffers in a jitter-free simulator (cf. RFC 2309 section 4)
 };
 
+const char* to_string(DropPolicy policy);
+
 struct LinkConfig {
   double rate_bps = 100e6;                       ///< transmission rate
   Duration delay = Duration::millis(5);          ///< one-way propagation delay

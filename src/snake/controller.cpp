@@ -6,6 +6,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
 
 #include "obs/json.h"
 #include "packet/dccp_format.h"
@@ -14,6 +15,7 @@
 #include "snake/backend.h"
 #include "snake/trial_runner.h"
 #include "statemachine/protocol_specs.h"
+#include "trace/trace.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -255,6 +257,15 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     retest_baseline = run_scenario(main_arena, retest_scenario, std::nullopt);
   }
   result.baseline = baseline;
+  // run_scenario degrades an unparsable trace to a zero-flow target, and a
+  // campaign of such trials would be silently meaningless. That baseline
+  // never establishes the target, so only then is the trace parsed again
+  // (a large trace costs a noticeable share of set-up), for its error.
+  if (config.scenario.workload == Workload::kTrace && !baseline.target_established) {
+    std::string error;
+    if (!trace::parse_trace(config.scenario.trace_text, &error))
+      throw std::invalid_argument("run_campaign: " + error);
+  }
 
   // Work queue, fed up front with every off-path strategy and incrementally
   // with (type, state) strategies committed from trial feedback. Only the

@@ -224,7 +224,9 @@ struct CampaignResult {
   void write_json(obs::JsonWriter& w) const;
 };
 
-/// Runs a full campaign for one implementation.
+/// Runs a full campaign for one implementation. Throws
+/// std::invalid_argument, before the first trial, when a trace workload's
+/// text does not parse (the message is parse_trace's line-numbered error).
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// Renders the Table I header matching CampaignResult::summary_row.

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "obs/json.h"
 #include "search/search.h"
@@ -31,6 +32,29 @@ struct Fnv1a {
   void i64(std::int64_t v) { bytes(&v, sizeof v); }
   void f64(double v) { bytes(&v, sizeof v); }
   void b(bool v) { u64(v ? 1 : 0); }
+};
+
+/// campaign_identity_hash's sink over visit_identity_fields: each field
+/// folds into FNV-1a by its type.
+struct IdentityHasher {
+  Fnv1a h;
+  void hash_only(const char* term) { h.str(term); }
+  void hash_only(bool term) { h.b(term); }
+  void operator()(const char*, const std::string& v) { h.str(v); }
+  void operator()(const char*, bool v) { h.b(v); }
+  void operator()(const char*, double v) { h.f64(v); }
+  void operator()(const char*, Duration v) { h.i64(v.ns()); }
+  void operator()(const char*, Protocol v) { h.str(to_string(v)); }
+  void operator()(const char*, Workload v) {
+    if (v == Workload::kTrace) h.str("workload=trace");
+  }
+  template <class T>  // integers and the remaining enums
+  void operator()(const char*, T v) {
+    if constexpr (std::is_signed_v<T>)
+      h.i64(v);
+    else
+      h.u64(static_cast<std::uint64_t>(v));
+  }
 };
 
 void write_observations(obs::JsonWriter& w, const char* key,
@@ -320,63 +344,10 @@ TrialLog::CompactStats TrialLog::compact() {
 }
 
 std::uint64_t campaign_identity_hash(const CampaignConfig& config) {
-  const ScenarioConfig& s = config.scenario;
-  Fnv1a h;
-  h.str("snake-campaign-identity/v2");
-  h.str(to_string(s.protocol));
-  if (s.protocol == Protocol::kTcp) {
-    // The profile by content: an edited profile that keeps its name is a
-    // different implementation.
-    const tcp::TcpProfile& p = s.tcp_profile;
-    h.str(p.name);
-    h.u64(static_cast<std::uint64_t>(p.invalid_flags));
-    h.b(p.naive_cwnd_per_ack);
-    h.b(p.fast_retransmit);
-    h.b(p.dsack_dupack_suppression);
-    h.b(p.rst_data_after_fin);
-    h.b(p.sack);
-    h.b(p.dsack_blocks);
-    h.b(p.sack_renege);
-    h.i64(p.max_retries);
-    h.i64(p.min_rto.ns());
-    h.u64(p.initial_cwnd_segments);
-    h.u64(p.initial_ssthresh);
-    h.u64(p.max_cwnd);
-  } else {
-    h.str("linux-3.13");
-  }
-  h.u64(s.seed);
-  h.i64(s.test_duration.ns());
-  h.u64(s.download_bytes);
-  h.f64(s.client1_exit_fraction);
-  h.f64(s.dccp_offer_rate_pps);
-  h.u64(s.dccp_payload_bytes);
-  h.f64(s.dccp_data_fraction);
-  h.u64(s.dccp_tx_queue_packets);
-  h.i64(s.dccp_ccid);
-  h.f64(s.topology.access_rate_bps);
-  h.i64(s.topology.access_delay.ns());
-  h.u64(s.topology.access_queue_packets);
-  h.f64(s.topology.bottleneck_rate_bps);
-  h.i64(s.topology.bottleneck_delay.ns());
-  h.u64(s.topology.bottleneck_queue_packets);
-  h.u64(static_cast<std::uint64_t>(s.topology.bottleneck_drop_policy));
-  h.u64(s.event_budget);
-  h.f64(s.wall_limit_seconds);
-  h.b(s.faults != nullptr);
-  // Trace-replay workloads fold the full workload definition in; the bulk
-  // workload appends nothing so historic identities are unchanged.
-  if (s.workload == Workload::kTrace) {
-    h.str("workload=trace");
-    h.str(s.trace_text);
-    h.u64(s.trace_max_flows);
-    h.f64(s.trace_time_scale);
-  }
-  h.f64(config.detect_threshold);
-  h.u64(config.retest_seed_offset);
-  h.u64(config.trial_attempts);
-  h.u64(config.retry_seed_offset);
-  return h.h;
+  IdentityHasher hasher;
+  hasher.h.str("snake-campaign-identity/v2");
+  visit_identity_fields(config, hasher);
+  return hasher.h.h;
 }
 
 }  // namespace snake::core

@@ -241,16 +241,79 @@ void write_json(obs::JsonWriter& w, const TrialRecord& record);
 /// detection payload).
 std::optional<TrialRecord> trial_record_from_json(const obs::JsonValue& v);
 
-/// Content-addressed campaign identity: a 64-bit FNV-1a over every config
-/// field that can change a trial's outcome for a given canonical strategy
-/// key — protocol, every field of the TCP implementation profile (not just
-/// its name), seed, durations, workload and topology shape, detection
-/// threshold, retry/retest plumbing. Strategies
-/// are *not* part of it (the cache keys trials by canonical_key under this
-/// hash); neither is anything that only changes which strategies get tried
-/// (generator config, max_strategies, executors, backend). Campaigns with a
-/// fault plan get a distinct identity: injected faults perturb verdicts, and
-/// memoizing them would poison real campaigns.
+/// The one list of config fields that decide a trial's outcome for a given
+/// canonical strategy key, in identity-hash order. Strategies are not part
+/// of it (the cache keys trials by canonical_key); neither is anything that
+/// only changes which strategies run or where (generator, search mode, caps,
+/// executors, backend). `config` is a CampaignConfig, const or not; the sink
+/// `v` gets v(key, field) per outcome field and v.hash_only(term) for terms
+/// only the identity folds in. Branches read fields already visited, so a
+/// decoder that fills the config as it goes takes the encoder's path. The
+/// identity hash and the dist wire's campaign encoder and decoder are its
+/// three sinks.
+template <class Config, class V>
+void visit_identity_fields(Config& config, V& v) {
+  auto& s = config.scenario;
+  v("protocol", s.protocol);
+  if (s.protocol == Protocol::kTcp) {
+    // The profile by content: an edited profile that keeps its name is a
+    // different implementation.
+    auto& p = s.tcp_profile;
+    v("tcp_profile", p.name);
+    v("invalid_flags", p.invalid_flags);
+    v("naive_cwnd_per_ack", p.naive_cwnd_per_ack);
+    v("fast_retransmit", p.fast_retransmit);
+    v("dsack_dupack_suppression", p.dsack_dupack_suppression);
+    v("rst_data_after_fin", p.rst_data_after_fin);
+    v("sack", p.sack);
+    v("dsack_blocks", p.dsack_blocks);
+    v("sack_renege", p.sack_renege);
+    v("max_retries", p.max_retries);
+    v("min_rto_ns", p.min_rto);
+    v("initial_cwnd_segments", p.initial_cwnd_segments);
+    v("initial_ssthresh", p.initial_ssthresh);
+    v("max_cwnd", p.max_cwnd);
+  } else {
+    v.hash_only("linux-3.13");  // the one DCCP implementation modelled
+  }
+  v("seed", s.seed);
+  v("test_duration_ns", s.test_duration);
+  v("download_bytes", s.download_bytes);
+  v("client1_exit_fraction", s.client1_exit_fraction);
+  v("dccp_offer_rate_pps", s.dccp_offer_rate_pps);
+  v("dccp_payload_bytes", s.dccp_payload_bytes);
+  v("dccp_data_fraction", s.dccp_data_fraction);
+  v("dccp_tx_queue_packets", s.dccp_tx_queue_packets);
+  v("dccp_ccid", s.dccp_ccid);
+  v("access_rate_bps", s.topology.access_rate_bps);
+  v("access_delay_ns", s.topology.access_delay);
+  v("access_queue_packets", s.topology.access_queue_packets);
+  v("bottleneck_rate_bps", s.topology.bottleneck_rate_bps);
+  v("bottleneck_delay_ns", s.topology.bottleneck_delay);
+  v("bottleneck_queue_packets", s.topology.bottleneck_queue_packets);
+  v("bottleneck_drop_policy", s.topology.bottleneck_drop_policy);
+  v("event_budget", s.event_budget);
+  v("wall_limit_seconds", s.wall_limit_seconds);
+  // Injected faults perturb verdicts, so a campaign with a fault plan gets
+  // its own identity. Plans never cross the wire: such campaigns refuse
+  // distribution.
+  v.hash_only(s.faults != nullptr);
+  v("workload", s.workload);
+  if (s.workload == Workload::kTrace) {
+    v("trace_text", s.trace_text);
+    v("trace_max_flows", s.trace_max_flows);
+    v("trace_time_scale", s.trace_time_scale);
+  }
+  v("detect_threshold", config.detect_threshold);
+  v("retest_seed_offset", config.retest_seed_offset);
+  v("trial_attempts", config.trial_attempts);
+  v("retry_seed_offset", config.retry_seed_offset);
+}
+
+/// Content-addressed campaign identity: a 64-bit FNV-1a over
+/// visit_identity_fields. Protocol and workload fold in by name; the bulk
+/// workload folds in nothing, so identities from before trace workloads
+/// existed are unchanged.
 std::uint64_t campaign_identity_hash(const CampaignConfig& config);
 
 }  // namespace snake::core

@@ -57,7 +57,14 @@ struct FlowState {
 
 void check_tcp_sequence_space(const sim::Trace& trace, OracleReport& report) {
   const packet::Codec& codec = packet::tcp_codec();
-  const std::size_t header = codec.format().header_bytes();
+  const packet::HeaderFormat& format = codec.format();
+  const std::size_t header = format.header_bytes();
+  const packet::CompiledField& flags_field = *format.compiled("flags");
+  const packet::CompiledField& src_port = *format.compiled("src_port");
+  const packet::CompiledField& dst_port = *format.compiled("dst_port");
+  const packet::CompiledField& seq_field = *format.compiled("seq");
+  const packet::CompiledField& ack_field = *format.compiled("ack");
+  const packet::CompiledField& data_offset = *format.compiled("data_offset");
   // Flow key: (src addr, dst addr, src port, dst port).
   std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t, std::uint64_t>, FlowState>
       flows;
@@ -66,14 +73,14 @@ void check_tcp_sequence_space(const sim::Trace& trace, OracleReport& report) {
     if (e.packet.protocol != sim::kProtoTcp) continue;
     if (e.packet.bytes.size() < header) continue;
     const Bytes& raw = e.packet.bytes;
-    std::uint64_t flags = codec.get(raw, "flags");
+    std::uint64_t flags = codec.get_fast(raw, flags_field);
     if ((flags & kRst) != 0) continue;  // RST sequence semantics are their own world
-    FlowState& flow = flows[{e.packet.src, e.packet.dst, codec.get(raw, "src_port"),
-                             codec.get(raw, "dst_port")}];
-    auto seq = static_cast<tcp::Seq>(codec.get(raw, "seq"));
+    FlowState& flow = flows[{e.packet.src, e.packet.dst, codec.get_fast(raw, src_port),
+                             codec.get_fast(raw, dst_port)}];
+    auto seq = static_cast<tcp::Seq>(codec.get_fast(raw, seq_field));
     // Cumulative ACKs never regress.
     if ((flags & kAck) != 0) {
-      auto ack = static_cast<tcp::Seq>(codec.get(raw, "ack"));
+      auto ack = static_cast<tcp::Seq>(codec.get_fast(raw, ack_field));
       if (flow.have_ack && tcp::seq_lt(ack, flow.high_ack)) {
         report.add(str_format("seq-space: %s %u->%u ACK regressed %u -> %u at t=%.6f",
                               e.where.c_str(), e.packet.src, e.packet.dst, flow.high_ack, ack,
@@ -87,7 +94,7 @@ void check_tcp_sequence_space(const sim::Trace& trace, OracleReport& report) {
     // an honest sender never sends beyond the end of what it already sent.
     // Payload starts at data_offset*4, not at the fixed header end — SACK
     // option bytes are header, not sequence space.
-    std::size_t header_len = static_cast<std::size_t>(codec.get(raw, "data_offset")) * 4;
+    std::size_t header_len = static_cast<std::size_t>(codec.get_fast(raw, data_offset)) * 4;
     if (header_len < header || header_len > raw.size()) header_len = header;
     std::size_t payload = raw.size() - header_len;
     std::uint32_t advance = static_cast<std::uint32_t>(payload) +
@@ -108,6 +115,7 @@ void check_tcp_sequence_space(const sim::Trace& trace, OracleReport& report) {
 void check_tcp_sack_legality(const sim::Trace& trace, OracleReport& report) {
   const packet::Codec& codec = packet::tcp_codec();
   const std::size_t header = codec.format().header_bytes();
+  const packet::CompiledField& sack_flag = *codec.format().compiled("sack_flag");
   // The stacks advertise un-scaled 16-bit windows, so no legal SACK block
   // can reach further than this past the cumulative ACK.
   constexpr std::uint32_t kMaxWindow = 65535;
@@ -115,7 +123,7 @@ void check_tcp_sack_legality(const sim::Trace& trace, OracleReport& report) {
     if (e.kind != sim::TraceKind::kSend) continue;
     if (e.packet.protocol != sim::kProtoTcp) continue;
     if (e.packet.bytes.size() < header) continue;
-    if (codec.get(e.packet.bytes, "sack_flag") == 0) continue;
+    if (codec.get_fast(e.packet.bytes, sack_flag) == 0) continue;
     std::optional<tcp::Segment> seg = tcp::parse_segment(e.packet.bytes);
     if (!seg.has_value()) {
       report.add(str_format("sack: %s %u->%u flags a SACK segment that fails to parse at t=%.6f",

@@ -95,13 +95,13 @@ TEST(DccpWire, MatchesDslCodec) {
   p.ack = 7654321;
   Bytes wire = serialize(p);
   const packet::Codec& codec = packet::dccp_codec();
-  EXPECT_EQ(codec.get(wire, "src_port"), 777u);
-  EXPECT_EQ(codec.get(wire, "dst_port"), 888u);
-  EXPECT_EQ(codec.get(wire, "seq"), 1234567u);
-  EXPECT_EQ(codec.get(wire, "ack"), 7654321u);
-  EXPECT_EQ(codec.classify(wire), "DCCP-Sync");
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("src_port")), 777u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("dst_port")), 888u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("seq")), 1234567u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("ack")), 7654321u);
+  EXPECT_EQ(codec.type_name(codec.classify_index(wire)), "DCCP-Sync");
   Bytes modified = wire;
-  codec.set(modified, "seq", 999);
+  codec.set_fast(modified, *codec.format().compiled("seq"), 999);
   auto parsed = parse_dccp(modified);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->seq, 999u);
@@ -389,7 +389,7 @@ TEST(DccpIntegration, AckMungPinsSenderAndBlocksClose) {
     if (!parsed.has_value() || parsed->type != packet::kDccpAck)
       return sim::FilterVerdict::kForward;
     const packet::Codec& codec = packet::dccp_codec();
-    codec.set(p.bytes, "ack", 0x123456);  // acks something never sent
+    codec.set_fast(p.bytes, *codec.format().compiled("ack"), 0x123456);  // acks nothing sent
     return sim::FilterVerdict::kForward;
   };
   IngressMutator filter(mung);
@@ -424,7 +424,7 @@ TEST(DccpIntegration, InWindowAckSeqIncrementForcesResyncAndThrottles) {
       // staying inside the sequence-validity window (W=100 -> SWH is
       // GSR+76); +60 satisfies both.
       const packet::Codec& codec = packet::dccp_codec();
-      codec.set(p.bytes, "seq", seq_add(parsed->seq, 60));
+      codec.set_fast(p.bytes, *codec.format().compiled("seq"), seq_add(parsed->seq, 60));
       (void)syncs;
       return sim::FilterVerdict::kForward;
     };

@@ -46,6 +46,7 @@
 #include "strategy/generator.h"
 #include "tcp/profile.h"
 #include "testing/property.h"
+#include "util/strings.h"
 
 namespace snake {
 namespace {
@@ -233,6 +234,26 @@ TEST(Distributed, SackCampaignMatchesSingleProcessExactly) {
 
   EXPECT_EQ(result_fingerprint(single), result_fingerprint(distributed));
   EXPECT_EQ(distributed.metrics.counter("campaign.backend_fallback"), 0u);
+}
+
+TEST(Distributed, EditedProfileMatchesSingleProcess) {
+  // Workers run the coordinator's TCP profile by content: an edited
+  // linux-3.13 under its stock name, and the same profile under a name no
+  // stock profile has, both reproduce the in-process campaign on the fleet.
+  for (const char* name : {"linux-3.13", "custom-3.13"}) {
+    core::CampaignConfig config = small_campaign();
+    config.scenario.tcp_profile.min_rto = Duration::seconds(1.0);
+    config.scenario.tcp_profile.name = name;
+    const core::CampaignResult single = core::run_campaign(config);
+
+    dist::DistOptions options;
+    options.workers = 2;
+    dist::DistributedBackend backend(options);
+    config.backend = &backend;
+    core::CampaignResult distributed = core::run_campaign(config);
+    EXPECT_EQ(result_fingerprint(distributed), result_fingerprint(single)) << name;
+    EXPECT_EQ(distributed.metrics.counter("campaign.backend_fallback"), 0u) << name;
+  }
 }
 
 TEST(Distributed, SurvivesWorkerKilledMidCampaign) {
@@ -448,10 +469,10 @@ class FakeCoordinator {
 
 dist::WorkerCampaign tiny_worker_campaign() {
   dist::WorkerCampaign wc;
-  wc.scenario.protocol = core::Protocol::kTcp;
-  wc.scenario.tcp_profile = tcp::linux_3_13_profile();
-  wc.scenario.test_duration = Duration::seconds(3.0);
-  wc.scenario.seed = 11;
+  wc.campaign.scenario.protocol = core::Protocol::kTcp;
+  wc.campaign.scenario.tcp_profile = tcp::linux_3_13_profile();
+  wc.campaign.scenario.test_duration = Duration::seconds(3.0);
+  wc.campaign.scenario.seed = 11;
   wc.heartbeat_interval_ms = 50;
   return wc;
 }
@@ -468,9 +489,9 @@ TEST(WorkerProtocol, HandshakeBaselinesMatchCoordinatorsOwn) {
   ASSERT_TRUE(ready.has_value());
 
   // Cross-process determinism: the worker's baselines equal ours exactly.
-  core::ScenarioConfig base = wc.scenario;
+  core::ScenarioConfig base = wc.campaign.scenario;
   core::ScenarioConfig retest = base;
-  retest.seed += wc.retest_seed_offset;
+  retest.seed += wc.campaign.retest_seed_offset;
   core::RunMetrics mine = core::run_scenario(base, std::nullopt);
   core::RunMetrics mine_retest = core::run_scenario(retest, std::nullopt);
   obs::JsonWriter w1, w2, w3, w4;
@@ -637,8 +658,8 @@ TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
 
   auto campaign = dist::parse_message(dist::encode_campaign(tiny_worker_campaign()));
   ASSERT_TRUE(campaign.has_value());
-  EXPECT_EQ(campaign->campaign.scenario.seed, 11u);
-  EXPECT_EQ(campaign->campaign.scenario.tcp_profile.name, "linux-3.13");
+  EXPECT_EQ(campaign->campaign.campaign.scenario.seed, 11u);
+  EXPECT_EQ(campaign->campaign.campaign.scenario.tcp_profile.name, "linux-3.13");
 
   auto result = dist::parse_message(dist::encode_result(9, sample_record()));
   ASSERT_TRUE(result.has_value());
@@ -649,6 +670,27 @@ TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
   EXPECT_FALSE(dist::parse_message(R"({"type":"warp"})").has_value());
   EXPECT_FALSE(dist::parse_message("not json").has_value());
   EXPECT_FALSE(dist::parse_message(R"({"type":"result","seq":1})").has_value());
+}
+
+TEST(WireRoundTrip, CampaignFieldEditedUnderStaleIdentityIsRejected) {
+  dist::WorkerCampaign wc = tiny_worker_campaign();
+  wc.campaign.scenario.tcp_profile = tcp::sack_renege_profile();
+  const std::string frame = dist::encode_campaign(wc);
+  ASSERT_TRUE(dist::parse_message(frame).has_value());
+  auto edit = [&](const std::string& from, const std::string& to) {
+    std::string edited = frame;
+    const std::size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) edited.replace(at, from.size(), to);
+    return dist::parse_message(edited);
+  };
+  // Outcome fields are covered by the frame's identity_hash...
+  EXPECT_FALSE(edit("\"seed\":11", "\"seed\":12").has_value());
+  EXPECT_FALSE(edit("\"sack_renege\":true", "\"sack_renege\":false").has_value());
+  EXPECT_FALSE(edit("\"tcp_profile\":\"sack-renege\"", "\"tcp_profile\":\"custom\"").has_value());
+  EXPECT_FALSE(edit("\"protocol\":\"tcp\"", "\"protocol\":\"dccp\"").has_value());
+  // ...worker options are not.
+  EXPECT_TRUE(edit("\"worker_index\":0", "\"worker_index\":3").has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,6 +1143,26 @@ struct NullInspector : core::RunInspector {
   void on_run_complete(sim::Dumbbell&, proxy::AttackProxy&, const core::RunMetrics&) override {}
 };
 
+TEST(CampaignIdentity, GoldenValuesStayPinned) {
+  // Journals and result caches on disk are keyed by these values: a change
+  // to how the identity is computed must not move them.
+  auto identity = [](const core::CampaignConfig& c) {
+    return hex16(core::campaign_identity_hash(c));
+  };
+  core::CampaignConfig dccp = small_campaign();
+  dccp.scenario.protocol = core::Protocol::kDccp;
+  core::CampaignConfig traced = small_campaign();
+  traced.scenario.workload = core::Workload::kTrace;
+  traced.scenario.trace_text =
+      "# snake-trace/v1\n0.0 web open\n0.2 web recv 80000\n2.0 web close\n";
+  traced.scenario.trace_max_flows = 3;
+  traced.scenario.trace_time_scale = 0.5;
+  EXPECT_EQ(identity(small_campaign()), "24ae242e6b8a201d");
+  EXPECT_EQ(identity(sack_campaign()), "7edbe9682c84af92");
+  EXPECT_EQ(identity(dccp), "d00aed8eb4feddff");
+  EXPECT_EQ(identity(traced), "cae00a6dc9ed9224");
+}
+
 TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
   using core::CampaignConfig;
   obs::MetricsRegistry registry;
@@ -1233,6 +1295,20 @@ TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
     const bool moved = core::campaign_identity_hash(changed) != core::campaign_identity_hash(base);
     EXPECT_EQ(moved, row.sensitive) << row.field << (row.sensitive ? " must" : " must not")
                                     << " change the campaign identity";
+    // The campaign frame carries the config by content: the worker decodes
+    // the same identity. A fault plan cannot cross the wire (such campaigns
+    // refuse distribution), so its frame fails the decoder's identity check.
+    dist::WorkerCampaign wc;
+    wc.campaign = changed;
+    const std::optional<dist::Message> decoded = dist::parse_message(dist::encode_campaign(wc));
+    if (changed.scenario.faults != nullptr) {
+      EXPECT_FALSE(decoded.has_value()) << row.field;
+    } else {
+      ASSERT_TRUE(decoded.has_value()) << row.field;
+      EXPECT_EQ(core::campaign_identity_hash(decoded->campaign.campaign),
+                core::campaign_identity_hash(changed))
+          << row.field << " must survive the campaign frame";
+    }
   }
 }
 

@@ -192,22 +192,26 @@ TEST(CorpusRegression, WireCorpusParsesWithoutCrashing) {
 
 TEST(CorpusRegression, WireDecoderAcceptsAndRejectsAsDocumented) {
   std::vector<CorpusFile> files = corpus("wire");
-  // Hardened rejections: unknown type / profile, missing required payloads,
+  // Hardened rejections: unknown type, missing required payloads,
   // out-of-range numbers. Each must fail cleanly with nullopt.
   for (const char* name :
-       {"bad_type.json", "campaign_unknown_profile.json", "campaign_missing_topology.json",
-        "result_missing_record.json", "trials_bad_strategy.json", "feedback_bad_pairs.json",
-        "stolen_huge_seq.json", "steal_negative.json", "frame_garbage.json",
+       {"bad_type.json", "campaign_missing_topology.json", "result_missing_record.json",
+        "trials_bad_strategy.json", "feedback_bad_pairs.json", "stolen_huge_seq.json",
+        "steal_negative.json", "frame_garbage.json",
         // v2: a result whose record was edited after checksumming (a flipped
         // verdict here) must fail checksum re-validation.
-        "result_bad_checksum.json"}) {
+        "result_bad_checksum.json",
+        // v3: a campaign config must hash to its identity_hash — neither a
+        // mistyped profile field (sack_renege as a string) nor an edited one
+        // (min_rto under the stock profile's identity) gets through.
+        "campaign_bad_profile.json", "campaign_identity_mismatch.json"}) {
     const CorpusFile* f = find_file(files, name);
     ASSERT_TRUE(f) << name;
     EXPECT_FALSE(dist::parse_message(f->contents).has_value()) << name;
   }
   for (const char* name : {"hello.json", "campaign.json", "heartbeat.json", "bye_metrics.json",
-                           // v2 additions: chaos-schedule campaign fields and
-                           // a checksummed result frame.
+                           // Chaos-schedule campaign fields (re-encoded at v3)
+                           // and a checksummed result frame (v2).
                            "campaign_chaos.json", "result_checksummed.json"}) {
     const CorpusFile* f = find_file(files, name);
     ASSERT_TRUE(f) << name;
@@ -254,18 +258,36 @@ TEST(CorpusRegression, DslCorpusAllThrowInvalidArgument) {
 
 namespace {
 
+/// The name-keyed reference the compiled codec is checked against: a field
+/// is read through its FieldSpec's bit offset and width (read_bits throws
+/// std::out_of_range when the buffer is shorter than the field span), and
+/// classification resolves each type's discriminator by name, first match
+/// in declaration order.
+std::uint64_t reference_get(const packet::HeaderFormat& format, const Bytes& raw,
+                            const std::string& field) {
+  const packet::FieldSpec& f = format.field_or_throw(field);
+  return read_bits(raw, f.bit_offset, f.bit_width);
+}
+
+std::string reference_classify(const packet::HeaderFormat& format, const Bytes& raw) {
+  if (raw.size() < format.header_bytes()) return "unknown";
+  for (const auto& t : format.packet_types())
+    if ((reference_get(format, raw, t.discriminator_field) & t.match_mask) == t.match_value)
+      return t.name;
+  return "unknown";
+}
+
 /// classify + read every field; the only escapes allowed are the documented
 /// std::out_of_range (buffer shorter than the field span). On full-size
 /// buffers the compiled fixed-offset path must agree with the name-keyed
 /// reference bit-for-bit — mutants included.
 void probe_codec(const packet::HeaderFormat& format, const packet::Codec& codec,
                  const Bytes& raw) {
-  std::string by_name = format.classify(raw);
-  EXPECT_EQ(format.type_name(codec.classify_index(raw)), by_name);
+  EXPECT_EQ(format.type_name(codec.classify_index(raw)), reference_classify(format, raw));
   for (std::size_t i = 0; i < format.fields().size(); ++i) {
     const auto& f = format.fields()[i];
     try {
-      std::uint64_t reference = codec.get(raw, f.name);
+      std::uint64_t reference = reference_get(format, raw, f.name);
       // The compiled path's contract requires a full-size header.
       if (raw.size() >= format.header_bytes()) {
         EXPECT_EQ(codec.get_fast(raw, format.compiled_at(i)), reference) << f.name;
@@ -313,21 +335,22 @@ void fuzz_codec(const packet::HeaderFormat& format, const packet::Codec& codec) 
     // 2. Round-trip identity: every user field reads back masked to width.
     for (const auto& [name, value] : values) {
       const packet::FieldSpec& f = format.field_or_throw(name);
-      if (codec.get(built, name) != (value & f.max_value()))
+      if (reference_get(format, built, name) != (value & f.max_value()))
         return "round-trip mismatch on field " + name;
     }
     // Classification honours the discriminator unless a user field overwrote it.
     if (!overlaps_discriminator(format, type.name, values) &&
-        format.classify(built) != type.name)
-      return "classify(" + format.classify(built) + ") != built type " + type.name;
+        reference_classify(format, built) != type.name)
+      return "classify(" + reference_classify(format, built) + ") != built type " + type.name;
 
-    // 3. set() keeps the identity on an already-valid packet.
+    // 3. set_fast() keeps the identity on an already-valid packet.
     const auto& fields = format.fields();
-    const packet::FieldSpec& f = fields[rng.uniform(0, fields.size() - 1)];
+    const std::size_t i = rng.uniform(0, fields.size() - 1);
+    const packet::FieldSpec& f = fields[i];
     std::uint64_t v = rng.next_u64();
-    codec.set(built, f.name, v);
+    codec.set_fast(built, format.compiled_at(i), v);
     if (f.kind != packet::FieldKind::kChecksum &&
-        codec.get(built, f.name) != (v & f.max_value()))
+        reference_get(format, built, f.name) != (v & f.max_value()))
       return "set/get mismatch on field " + f.name;
 
     // 4. Mutated buffers (length changes included) must never crash.
@@ -602,11 +625,11 @@ TEST(ParserFuzz, FormatDslMutantsNeverCrash) {
       // reference on random full-size headers.
       Bytes raw(format.header_bytes(), 0);
       for (auto& b : raw) b = static_cast<std::uint8_t>(rng.next_u64());
-      if (format.type_name(codec.classify_index(raw)) != format.classify(raw))
+      if (format.type_name(codec.classify_index(raw)) != reference_classify(format, raw))
         return "compiled classification diverges from reference";
       for (std::size_t i = 0; i < format.fields().size(); ++i) {
         const auto& f = format.fields()[i];
-        if (codec.get_fast(raw, format.compiled_at(i)) != codec.get(raw, f.name))
+        if (codec.get_fast(raw, format.compiled_at(i)) != reference_get(format, raw, f.name))
           return "compiled read diverges from reference on field " + f.name;
       }
     } catch (const std::invalid_argument&) {

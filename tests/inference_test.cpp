@@ -106,7 +106,8 @@ class Recorder : public sim::PacketFilter {
   sim::FilterVerdict on_packet(sim::Packet& p, sim::FilterDirection dir,
                                sim::Injector&) override {
     if (p.protocol != sim::kProtoTcp) return sim::FilterVerdict::kForward;
-    std::string type = snake::packet::tcp_codec().classify(p.bytes);
+    const snake::packet::HeaderFormat& format = snake::packet::tcp_format();
+    const std::string& type = format.type_name(format.classify_index(p.bytes));
     client_trace.push_back({dir == sim::FilterDirection::kEgress ? TriggerKind::kSend
                                                                  : TriggerKind::kReceive,
                             type});

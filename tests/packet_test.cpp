@@ -37,9 +37,9 @@ TEST(FormatDsl, ParsesTypesAndComments) {
       "type A kindof mask 0xff value 1;\n"
       "type B kindof mask 0xff value 2;\n");
   ASSERT_EQ(f.packet_types().size(), 2u);
-  EXPECT_EQ(f.classify({1}), "A");
-  EXPECT_EQ(f.classify({2}), "B");
-  EXPECT_EQ(f.classify({3}), "unknown");
+  EXPECT_EQ(f.type_name(f.classify_index({1})), "A");
+  EXPECT_EQ(f.type_name(f.classify_index({2})), "B");
+  EXPECT_EQ(f.type_name(f.classify_index({3})), "unknown");
 }
 
 TEST(FormatDsl, RejectsMalformedInput) {
@@ -66,45 +66,48 @@ TEST(TcpFormat, LayoutMatchesRfc793) {
 
 TEST(TcpFormat, ClassifiesFlagCombinations) {
   const Codec& c = tcp_codec();
+  const CompiledField& flags = *c.format().compiled("flags");
   Bytes raw(kTcpHeaderBytes, 0);
-  c.set(raw, "flags", kTcpSyn);
-  EXPECT_EQ(c.classify(raw), "SYN");
-  c.set(raw, "flags", kTcpSyn | kTcpAck);
-  EXPECT_EQ(c.classify(raw), "SYN+ACK");
-  c.set(raw, "flags", kTcpAck);
-  EXPECT_EQ(c.classify(raw), "ACK");
-  c.set(raw, "flags", kTcpPsh | kTcpAck);
-  EXPECT_EQ(c.classify(raw), "PSH+ACK");
-  c.set(raw, "flags", kTcpFin | kTcpAck);
-  EXPECT_EQ(c.classify(raw), "FIN+ACK");
-  c.set(raw, "flags", kTcpRst);
-  EXPECT_EQ(c.classify(raw), "RST");
-  c.set(raw, "flags", kTcpRst | kTcpAck);
-  EXPECT_EQ(c.classify(raw), "RST+ACK");
+  c.set_fast(raw, flags, kTcpSyn);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "SYN");
+  c.set_fast(raw, flags, kTcpSyn | kTcpAck);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "SYN+ACK");
+  c.set_fast(raw, flags, kTcpAck);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "ACK");
+  c.set_fast(raw, flags, kTcpPsh | kTcpAck);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "PSH+ACK");
+  c.set_fast(raw, flags, kTcpFin | kTcpAck);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "FIN+ACK");
+  c.set_fast(raw, flags, kTcpRst);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "RST");
+  c.set_fast(raw, flags, kTcpRst | kTcpAck);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "RST+ACK");
   // Nonsensical combination: SYN+FIN+ACK+RST — exactly the invalid-flags
   // attack surface; classifies as unknown.
-  c.set(raw, "flags", kTcpSyn | kTcpFin | kTcpAck | kTcpRst);
-  EXPECT_EQ(c.classify(raw), "unknown");
+  c.set_fast(raw, flags, kTcpSyn | kTcpFin | kTcpAck | kTcpRst);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "unknown");
 }
 
 TEST(TcpFormat, SetRefreshesChecksum) {
   const Codec& c = tcp_codec();
+  const CompiledField& seq = *c.format().compiled("seq");
+  const CompiledField& window = *c.format().compiled("window");
   Bytes raw(kTcpHeaderBytes, 0);
-  c.set(raw, "seq", 0x11223344);
+  c.set_fast(raw, seq, 0x11223344);
   EXPECT_TRUE(verify_embedded_checksum(raw, 16));
-  c.set(raw, "window", 4096);
+  c.set_fast(raw, window, 4096);
   EXPECT_TRUE(verify_embedded_checksum(raw, 16));
-  EXPECT_EQ(c.get(raw, "seq"), 0x11223344u);
-  EXPECT_EQ(c.get(raw, "window"), 4096u);
+  EXPECT_EQ(c.get_fast(raw, seq), 0x11223344u);
+  EXPECT_EQ(c.get_fast(raw, window), 4096u);
 }
 
 TEST(TcpFormat, BuildProducesClassifiablePacket) {
   const Codec& c = tcp_codec();
   Bytes raw = c.build("SYN", {{"src_port", 1234}, {"dst_port", 80}, {"seq", 999}});
-  EXPECT_EQ(c.classify(raw), "SYN");
-  EXPECT_EQ(c.get(raw, "src_port"), 1234u);
-  EXPECT_EQ(c.get(raw, "dst_port"), 80u);
-  EXPECT_EQ(c.get(raw, "seq"), 999u);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "SYN");
+  EXPECT_EQ(c.get_fast(raw, *c.format().compiled("src_port")), 1234u);
+  EXPECT_EQ(c.get_fast(raw, *c.format().compiled("dst_port")), 80u);
+  EXPECT_EQ(c.get_fast(raw, *c.format().compiled("seq")), 999u);
   EXPECT_TRUE(verify_embedded_checksum(raw, 16));
   EXPECT_THROW(c.build("NOT-A-TYPE", {}), std::invalid_argument);
 }
@@ -117,38 +120,42 @@ TEST(DccpFormat, LayoutAndTypes) {
   EXPECT_EQ(f.field_or_throw("type").kind, FieldKind::kType);
 
   const Codec& c = dccp_codec();
+  const CompiledField& type = *c.format().compiled("type");
   Bytes raw(kDccpHeaderBytes, 0);
-  c.set(raw, "type", kDccpRequest);
-  EXPECT_EQ(c.classify(raw), "DCCP-Request");
-  c.set(raw, "type", kDccpSync);
-  EXPECT_EQ(c.classify(raw), "DCCP-Sync");
-  c.set(raw, "type", kDccpReset);
-  EXPECT_EQ(c.classify(raw), "DCCP-Reset");
-  c.set(raw, "type", 15);  // undefined type code
-  EXPECT_EQ(c.classify(raw), "unknown");
+  c.set_fast(raw, type, kDccpRequest);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "DCCP-Request");
+  c.set_fast(raw, type, kDccpSync);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "DCCP-Sync");
+  c.set_fast(raw, type, kDccpReset);
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "DCCP-Reset");
+  c.set_fast(raw, type, 15);  // undefined type code
+  EXPECT_EQ(c.type_name(c.classify_index(raw)), "unknown");
 }
 
 TEST(DccpFormat, Seq48BitRoundTrip) {
   const Codec& c = dccp_codec();
   Bytes raw(kDccpHeaderBytes, 0);
+  const CompiledField& seq = *c.format().compiled("seq");
+  const CompiledField& ack = *c.format().compiled("ack");
   std::uint64_t big = 0xFFFFFFFFFFFFULL;  // max 48-bit
-  c.set(raw, "seq", big);
-  EXPECT_EQ(c.get(raw, "seq"), big);
-  c.set(raw, "ack", 0x123456789ABCULL);
-  EXPECT_EQ(c.get(raw, "ack"), 0x123456789ABCULL);
-  EXPECT_EQ(c.get(raw, "seq"), big);  // unchanged by neighbor write
+  c.set_fast(raw, seq, big);
+  EXPECT_EQ(c.get_fast(raw, seq), big);
+  c.set_fast(raw, ack, 0x123456789ABCULL);
+  EXPECT_EQ(c.get_fast(raw, ack), 0x123456789ABCULL);
+  EXPECT_EQ(c.get_fast(raw, seq), big);  // unchanged by neighbor write
 }
 
 TEST(Codec, TruncatesToFieldWidth) {
   const Codec& c = tcp_codec();
   Bytes raw(kTcpHeaderBytes, 0);
-  c.set(raw, "window", 0x1FFFF);  // 17 bits into 16-bit field
-  EXPECT_EQ(c.get(raw, "window"), 0xFFFFu);
+  const CompiledField& window = *c.format().compiled("window");
+  c.set_fast(raw, window, 0x1FFFF);  // 17 bits into 16-bit field
+  EXPECT_EQ(c.get_fast(raw, window), 0xFFFFu);
 }
 
 TEST(Codec, ClassifyTruncatedPacketIsUnknown) {
-  EXPECT_EQ(tcp_codec().classify(Bytes(10, 0)), "unknown");
-  EXPECT_EQ(dccp_codec().classify(Bytes(3, 0)), "unknown");
+  EXPECT_EQ(tcp_codec().classify_index(Bytes(10, 0)), -1);
+  EXPECT_EQ(dccp_codec().classify_index(Bytes(3, 0)), -1);
 }
 
 // Property test: randomized field round-trips through both codecs never
@@ -163,14 +170,16 @@ TEST_P(CodecRoundTrip, TcpRandomFieldWrites) {
   for (const auto& f : c.format().fields()) shadow[f.name] = 0;
   for (int iter = 0; iter < 200; ++iter) {
     const auto& fields = c.format().fields();
-    const FieldSpec& f = fields[rng.uniform(0, fields.size() - 1)];
+    const std::size_t i = rng.uniform(0, fields.size() - 1);
+    const FieldSpec& f = fields[i];
     if (f.kind == FieldKind::kChecksum) continue;
     std::uint64_t value = rng.next_u64() & f.max_value();
-    c.set(raw, f.name, value);
+    c.set_fast(raw, c.format().compiled_at(i), value);
     shadow[f.name] = value;
-    for (const auto& g : fields) {
+    for (std::size_t j = 0; j < fields.size(); ++j) {
+      const FieldSpec& g = fields[j];
       if (g.kind == FieldKind::kChecksum) continue;
-      EXPECT_EQ(c.get(raw, g.name), shadow[g.name]) << "field " << g.name;
+      EXPECT_EQ(c.get_fast(raw, c.format().compiled_at(j)), shadow[g.name]) << "field " << g.name;
     }
     EXPECT_TRUE(verify_embedded_checksum(raw, *c.format().checksum_offset()));
   }
@@ -184,14 +193,16 @@ TEST_P(CodecRoundTrip, DccpRandomFieldWrites) {
   for (const auto& f : c.format().fields()) shadow[f.name] = 0;
   for (int iter = 0; iter < 200; ++iter) {
     const auto& fields = c.format().fields();
-    const FieldSpec& f = fields[rng.uniform(0, fields.size() - 1)];
+    const std::size_t i = rng.uniform(0, fields.size() - 1);
+    const FieldSpec& f = fields[i];
     if (f.kind == FieldKind::kChecksum) continue;
     std::uint64_t value = rng.next_u64() & f.max_value();
-    c.set(raw, f.name, value);
+    c.set_fast(raw, c.format().compiled_at(i), value);
     shadow[f.name] = value;
-    for (const auto& g : fields) {
+    for (std::size_t j = 0; j < fields.size(); ++j) {
+      const FieldSpec& g = fields[j];
       if (g.kind == FieldKind::kChecksum) continue;
-      EXPECT_EQ(c.get(raw, g.name), shadow[g.name]) << "field " << g.name;
+      EXPECT_EQ(c.get_fast(raw, c.format().compiled_at(j)), shadow[g.name]) << "field " << g.name;
     }
   }
 }
@@ -199,9 +210,20 @@ TEST_P(CodecRoundTrip, DccpRandomFieldWrites) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTrip, ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Compiled accessors: the fixed-offset fast path must agree with the
-// name-keyed reference codec bit-for-bit — reads, writes (including the
+// Compiled accessors: the fixed-offset fast path must agree with a
+// name-keyed reference bit-for-bit — reads, writes (including the
 // checksum-refresh policy), and classification — on arbitrary header bytes.
+// The reference goes through each FieldSpec's bit offset and width and
+// resolves every packet type's discriminator by name.
+
+std::string reference_classify(const HeaderFormat& f, const Bytes& raw) {
+  if (raw.size() < f.header_bytes()) return "unknown";
+  for (const PacketTypeSpec& t : f.packet_types()) {
+    const FieldSpec& d = f.field_or_throw(t.discriminator_field);
+    if ((read_bits(raw, d.bit_offset, d.bit_width) & t.match_mask) == t.match_value) return t.name;
+  }
+  return "unknown";
+}
 
 Bytes random_header(snake::Rng& rng, std::size_t n) {
   Bytes raw(n, 0);
@@ -219,10 +241,11 @@ void expect_compiled_matches_reference(const Codec& c, snake::Rng& rng) {
       const CompiledField* cf = f.compiled(spec.name);
       ASSERT_NE(cf, nullptr) << spec.name;
       EXPECT_EQ(cf->index, f.compiled_at(i).index);
-      EXPECT_EQ(c.get_fast(raw, *cf), c.get(raw, spec.name)) << spec.name;
+      EXPECT_EQ(c.get_fast(raw, *cf), read_bits(raw, spec.bit_offset, spec.bit_width))
+          << spec.name;
     }
-    // Classification: index path names the same type as the string path.
-    EXPECT_EQ(f.type_name(c.classify_index(raw)), c.classify(raw));
+    // Classification: index path names the same type as the reference.
+    EXPECT_EQ(f.type_name(c.classify_index(raw)), reference_classify(f, raw));
     // Writes: same value through both paths gives byte-identical headers
     // (set_fast must also refresh the embedded checksum).
     const auto& fields = f.fields();
@@ -230,7 +253,8 @@ void expect_compiled_matches_reference(const Codec& c, snake::Rng& rng) {
     std::uint64_t value = rng.next_u64();
     Bytes via_name = raw;
     Bytes via_compiled = raw;
-    c.set(via_name, target.name, value & target.max_value());
+    write_bits(via_name, target.bit_offset, target.bit_width, value & target.max_value());
+    if (target.kind != FieldKind::kChecksum) c.refresh_checksum(via_name);
     c.set_fast(via_compiled, *f.compiled(target.name), value & target.max_value());
     EXPECT_EQ(via_compiled, via_name) << "field " << target.name;
   }
@@ -277,9 +301,9 @@ TEST(CompiledCodec, ClassifyIndexAgreesOnTruncatedAndUnknownPackets) {
   EXPECT_EQ(c.classify_index(Bytes(10, 0)), -1);
   EXPECT_EQ(c.type_name(-1), "unknown");
   Bytes raw(kTcpHeaderBytes, 0);
-  c.set(raw, "flags", 0x3f);  // no type matches all-flags-set
+  c.set_fast(raw, *c.format().compiled("flags"), 0x3f);  // no type matches all-flags-set
   EXPECT_EQ(c.classify_index(raw), -1);
-  EXPECT_EQ(c.classify(raw), "unknown");
+  EXPECT_EQ(reference_classify(c.format(), raw), "unknown");
 }
 
 TEST(Codec, BuildRejectsDiscriminatorInFieldsMap) {
@@ -289,8 +313,8 @@ TEST(Codec, BuildRejectsDiscriminatorInFieldsMap) {
   EXPECT_THROW(dccp_codec().build("DCCP-Ack", {{"type", 0}}), std::invalid_argument);
   // Non-discriminator fields still pass through.
   Bytes raw = tcp_codec().build("SYN", {{"seq", 123}});
-  EXPECT_EQ(tcp_codec().classify(raw), "SYN");
-  EXPECT_EQ(tcp_codec().get(raw, "seq"), 123u);
+  EXPECT_EQ(tcp_codec().type_name(tcp_codec().classify_index(raw)), "SYN");
+  EXPECT_EQ(tcp_codec().get_fast(raw, *tcp_format().compiled("seq")), 123u);
 }
 
 TEST(FormatDsl, RejectsMisalignedOrNon16BitChecksum) {

@@ -107,7 +107,7 @@ sim::Packet make_tcp_packet(std::uint32_t src, std::uint32_t dst, std::uint64_t 
   p.protocol = sim::kProtoTcp;
   p.bytes = packet::tcp_codec().build(
       "ACK", {{"src_port", 40000}, {"dst_port", 80}, {"seq", seq}, {"ack", ack}});
-  packet::tcp_codec().set(p.bytes, "flags", flags);
+  packet::tcp_codec().set_fast(p.bytes, *packet::tcp_format().compiled("flags"), flags);
   p.bytes.resize(p.bytes.size() + payload);
   return p;
 }

@@ -243,10 +243,11 @@ TEST_F(ProxyHarness, ReflectBouncesWithSwappedPorts) {
   client_sends(make_segment(kTcpSyn, 100));
   EXPECT_EQ(server_rx_.size(), 0u);  // consumed
   ASSERT_EQ(client_rx_.size(), 1u);  // bounced back
-  const packet::Codec& codec = packet::tcp_codec();
-  EXPECT_EQ(codec.get(client_rx_[0].bytes, "src_port"), 80u);
-  EXPECT_EQ(codec.get(client_rx_[0].bytes, "dst_port"), 40000u);
-  EXPECT_EQ(codec.classify(client_rx_[0].bytes), "SYN");
+  const packet::HeaderFormat& f = packet::tcp_format();
+  const Bytes& bounced = client_rx_[0].bytes;
+  EXPECT_EQ(f.read(bounced, *f.compiled("src_port")), 80u);
+  EXPECT_EQ(f.read(bounced, *f.compiled("dst_port")), 40000u);
+  EXPECT_EQ(f.type_name(f.classify_index(bounced)), "SYN");
   EXPECT_EQ(proxy_.stats().reflected, 1u);
 }
 
@@ -311,11 +312,12 @@ TEST_F(ProxyHarness, InjectFiresWhenWatchedEndpointEntersState) {
   client_sends(make_segment(kTcpSyn, 100));  // client -> SYN_SENT: fires
   EXPECT_EQ(proxy_.stats().injected, 1u);
   ASSERT_EQ(client_rx_.size(), 1u);  // delivered up the local stack
-  const packet::Codec& codec = packet::tcp_codec();
-  EXPECT_EQ(codec.classify(client_rx_[0].bytes), "RST");
-  EXPECT_EQ(codec.get(client_rx_[0].bytes, "seq"), 12345u);
-  EXPECT_EQ(codec.get(client_rx_[0].bytes, "src_port"), 80u);   // learned/derived
-  EXPECT_EQ(codec.get(client_rx_[0].bytes, "dst_port"), 40000u);
+  const packet::HeaderFormat& f = packet::tcp_format();
+  const Bytes& injected = client_rx_[0].bytes;
+  EXPECT_EQ(f.type_name(f.classify_index(injected)), "RST");
+  EXPECT_EQ(f.read(injected, *f.compiled("seq")), 12345u);
+  EXPECT_EQ(f.read(injected, *f.compiled("src_port")), 80u);  // learned/derived
+  EXPECT_EQ(f.read(injected, *f.compiled("dst_port")), 40000u);
 
   // One-shot: re-entering the state does not fire again.
   client_sends(make_segment(kTcpSyn, 100));
@@ -362,10 +364,11 @@ TEST_F(ProxyHarness, HitSeqWindowSweepsSequenceSpace) {
   EXPECT_EQ(proxy_.stats().injected, 100u);
   // client_rx_ also holds the SYN+ACK from establish(); injections follow.
   ASSERT_EQ(client_rx_.size(), 101u);
-  const packet::Codec& codec = packet::tcp_codec();
-  EXPECT_EQ(codec.get(client_rx_[1].bytes, "seq"), 1000u);
-  EXPECT_EQ(codec.get(client_rx_[2].bytes, "seq"), 1000u + 65535u);
-  EXPECT_EQ(codec.get(client_rx_[100].bytes, "seq"), (1000u + 99u * 65535u) & 0xFFFFFFFFu);
+  const packet::HeaderFormat& f = packet::tcp_format();
+  const packet::CompiledField& seq = *f.compiled("seq");
+  EXPECT_EQ(f.read(client_rx_[1].bytes, seq), 1000u);
+  EXPECT_EQ(f.read(client_rx_[2].bytes, seq), 1000u + 65535u);
+  EXPECT_EQ(f.read(client_rx_[100].bytes, seq), (1000u + 99u * 65535u) & 0xFFFFFFFFu);
 }
 
 }  // namespace

@@ -74,11 +74,11 @@ TEST(Fuzz, ValidHeaderRandomFieldsNeverCrashEstablishedTcp) {
     Bytes raw(packet::kTcpHeaderBytes, 0);
     for (const auto& field : codec.format().fields()) {
       if (field.kind == packet::FieldKind::kChecksum) continue;
-      codec.set(raw, field.name, rng.next_u64() & field.max_value());
+      codec.set_fast(raw, *codec.format().compiled(field.name), rng.next_u64() & field.max_value());
     }
-    codec.set(raw, "src_port", 80);
-    codec.set(raw, "dst_port", conn.config().local_port);
-    codec.set(raw, "data_offset", 5);
+    codec.set_fast(raw, *codec.format().compiled("src_port"), 80);
+    codec.set_fast(raw, *codec.format().compiled("dst_port"), conn.config().local_port);
+    codec.set_fast(raw, *codec.format().compiled("data_offset"), 5);
     sim::Packet p;
     p.src = 2;
     p.dst = 1;
@@ -103,12 +103,12 @@ TEST(Fuzz, ValidHeaderRandomFieldsNeverCrashOpenDccp) {
     Bytes raw(packet::kDccpHeaderBytes, 0);
     for (const auto& field : codec.format().fields()) {
       if (field.kind == packet::FieldKind::kChecksum) continue;
-      codec.set(raw, field.name, rng.next_u64() & field.max_value());
+      codec.set_fast(raw, *codec.format().compiled(field.name), rng.next_u64() & field.max_value());
     }
-    codec.set(raw, "src_port", 5001);
-    codec.set(raw, "dst_port", conn.config().local_port);
-    codec.set(raw, "data_offset", 6);
-    codec.set(raw, "x", 1);
+    codec.set_fast(raw, *codec.format().compiled("src_port"), 5001);
+    codec.set_fast(raw, *codec.format().compiled("dst_port"), conn.config().local_port);
+    codec.set_fast(raw, *codec.format().compiled("data_offset"), 6);
+    codec.set_fast(raw, *codec.format().compiled("x"), 1);
     sim::Packet p;
     p.src = 2;
     p.dst = 1;

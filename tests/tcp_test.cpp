@@ -71,16 +71,16 @@ TEST(Segment, WireFormatMatchesDslCodec) {
   s.window = 999;
   Bytes wire = serialize(s);
   const packet::Codec& codec = packet::tcp_codec();
-  EXPECT_EQ(codec.get(wire, "src_port"), 1234u);
-  EXPECT_EQ(codec.get(wire, "dst_port"), 80u);
-  EXPECT_EQ(codec.get(wire, "seq"), 777u);
-  EXPECT_EQ(codec.get(wire, "ack"), 888u);
-  EXPECT_EQ(codec.get(wire, "window"), 999u);
-  EXPECT_EQ(codec.classify(wire), "SYN+ACK");
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("src_port")), 1234u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("dst_port")), 80u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("seq")), 777u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("ack")), 888u);
+  EXPECT_EQ(codec.get_fast(wire, *codec.format().compiled("window")), 999u);
+  EXPECT_EQ(codec.type_name(codec.classify_index(wire)), "SYN+ACK");
   // And the codec can rewrite a field such that the endpoint still accepts
   // the checksum.
   Bytes modified = wire;
-  codec.set(modified, "seq", 4242);
+  codec.set_fast(modified, *codec.format().compiled("seq"), 4242);
   auto parsed = parse_segment(modified);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->seq, 4242u);
@@ -639,8 +639,9 @@ TEST(Segment, SackOptionsRoundTrip) {
   Bytes wire = serialize(ack);
   // The mirror bit lets the fixed-offset codec see the blocks without
   // parsing options, and such pure ACKs are their own packet type.
-  EXPECT_EQ(packet::tcp_codec().get(wire, "sack_flag"), 1u);
-  EXPECT_EQ(packet::tcp_format().classify(wire), "SACK");
+  const packet::HeaderFormat& f = packet::tcp_format();
+  EXPECT_EQ(f.read(wire, *f.compiled("sack_flag")), 1u);
+  EXPECT_EQ(f.type_name(f.classify_index(wire)), "SACK");
   auto parsed_ack = parse_segment(wire);
   ASSERT_TRUE(parsed_ack.has_value());
   EXPECT_EQ(parsed_ack->sack_blocks, ack.sack_blocks);
@@ -672,8 +673,8 @@ TEST(Segment, OptionBytesMatchDataOffset) {
     Bytes wire = serialize(s);
     EXPECT_EQ(s.option_bytes() % 4, 0u) << blocks;
     EXPECT_EQ(wire.size(), 20 + s.option_bytes() + s.payload.size()) << blocks;
-    EXPECT_EQ(packet::tcp_codec().get(wire, "data_offset"),
-              (20 + s.option_bytes()) / 4) << blocks;
+    const packet::HeaderFormat& f = packet::tcp_format();
+    EXPECT_EQ(f.read(wire, *f.compiled("data_offset")), (20 + s.option_bytes()) / 4) << blocks;
   }
 }
 
@@ -684,11 +685,12 @@ TEST(Segment, TeardownFlagsOutrankSackClassification) {
   Segment fin;
   fin.flags = kTcpFin | kTcpAck;
   fin.sack_blocks = {{700, 2100}};
-  EXPECT_EQ(packet::tcp_format().classify(serialize(fin)), "FIN+ACK");
+  const packet::HeaderFormat& f = packet::tcp_format();
+  EXPECT_EQ(f.type_name(f.classify_index(serialize(fin))), "FIN+ACK");
   Segment data;
   data.flags = kTcpPsh | kTcpAck;
   data.sack_blocks = {{700, 2100}};
-  EXPECT_EQ(packet::tcp_format().classify(serialize(data)), "SACK");
+  EXPECT_EQ(f.type_name(f.classify_index(serialize(data))), "SACK");
 }
 
 TEST(TcpIntegration, SackNegotiationRequiresBothSides) {
@@ -804,7 +806,7 @@ class RenegeForcing : public sim::PacketFilter {
   sim::FilterVerdict on_packet(sim::Packet& p, sim::FilterDirection dir,
                                sim::Injector&) override {
     if (dir == sim::FilterDirection::kEgress) {
-      packet::tcp_codec().set(p.bytes, "window", 65535);
+      packet::tcp_codec().set_fast(p.bytes, *packet::tcp_format().compiled("window"), 65535);
       return sim::FilterVerdict::kForward;
     }
     auto seg = parse_segment(p.bytes);
@@ -820,8 +822,8 @@ class RenegeForcing : public sim::PacketFilter {
       return sim::FilterVerdict::kConsume;
     }
     if (hole_seq_.has_value() && (index == 23 || index == 24)) {
-      packet::tcp_codec().set(p.bytes, "seq",
-                              *hole_seq_ + 100u * static_cast<std::uint32_t>(index - 22));
+      packet::tcp_codec().set_fast(p.bytes, *packet::tcp_format().compiled("seq"),
+                                   *hole_seq_ + 100u * static_cast<std::uint32_t>(index - 22));
       ++rewritten;
     }
     return sim::FilterVerdict::kForward;

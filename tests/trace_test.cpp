@@ -11,6 +11,7 @@
 //    executor widths.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -308,6 +309,21 @@ CampaignConfig trace_campaign() {
   return config;
 }
 
+TEST(TraceCampaign, MalformedTraceIsConfigError) {
+  // Unlike a direct run_scenario (MalformedTraceDegradesToZeroFlowRun), a
+  // campaign refuses an unparsable trace before its first trial and names
+  // the offending line.
+  CampaignConfig config = trace_campaign();
+  config.scenario.trace_text = "# snake-trace/v1\n0.0 web open\n0.5 web warp 10\n";
+  std::string error;
+  try {
+    (void)core::run_campaign(config);
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("trace line 3"), std::string::npos) << "got: " << error;
+}
+
 TEST(TraceCampaign, IdentityHashCoversTraceContent) {
   CampaignConfig base = trace_campaign();
   const std::uint64_t h = core::campaign_identity_hash(base);
@@ -338,25 +354,25 @@ TEST(TraceCampaign, IdentityHashCoversTraceContent) {
 
 TEST(TraceWire, ScenarioConfigRoundTripsTraceFields) {
   dist::WorkerCampaign wc;
-  wc.scenario = trace_scenario();
-  wc.scenario.trace_time_scale = 0.75;
-  wc.scenario.trace_max_flows = 5;
+  wc.campaign.scenario = trace_scenario();
+  wc.campaign.scenario.trace_time_scale = 0.75;
+  wc.campaign.scenario.trace_max_flows = 5;
   std::optional<dist::Message> msg = dist::parse_message(dist::encode_campaign(wc));
   ASSERT_TRUE(msg.has_value());
   ASSERT_EQ(msg->type, dist::MsgType::kCampaign);
-  const ScenarioConfig& got = msg->campaign.scenario;
+  const ScenarioConfig& got = msg->campaign.campaign.scenario;
   EXPECT_EQ(got.workload, Workload::kTrace);
-  EXPECT_EQ(got.trace_text, wc.scenario.trace_text);
+  EXPECT_EQ(got.trace_text, wc.campaign.scenario.trace_text);
   EXPECT_EQ(got.trace_max_flows, 5u);
   EXPECT_DOUBLE_EQ(got.trace_time_scale, 0.75);
   // Bulk configs stay bulk and ship no trace payload.
   dist::WorkerCampaign bulk;
-  bulk.scenario = trace_scenario();
-  bulk.scenario.workload = Workload::kBulk;
+  bulk.campaign.scenario = trace_scenario();
+  bulk.campaign.scenario.workload = Workload::kBulk;
   std::optional<dist::Message> bulk_msg = dist::parse_message(dist::encode_campaign(bulk));
   ASSERT_TRUE(bulk_msg.has_value());
-  EXPECT_EQ(bulk_msg->campaign.scenario.workload, Workload::kBulk);
-  EXPECT_TRUE(bulk_msg->campaign.scenario.trace_text.empty());
+  EXPECT_EQ(bulk_msg->campaign.campaign.scenario.workload, Workload::kBulk);
+  EXPECT_TRUE(bulk_msg->campaign.campaign.scenario.trace_text.empty());
 }
 
 TEST(TraceCampaign, BitIdenticalAcrossSnapshotsAndExecutorWidths) {
