@@ -19,7 +19,7 @@
 //
 // There is no --search flag here: this bench re-executes a fixed list of
 // known attacks rather than searching a strategy space, so grid-vs-greybox
-// (bench_table1 / bench_campaign) does not apply.
+// (bench_table1 --search) does not apply.
 #include <cstdio>
 #include <functional>
 #include <map>

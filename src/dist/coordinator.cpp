@@ -734,6 +734,7 @@ void DistributedBackend::finish(obs::MetricsRegistry* into) {
     // campaign report's metrics block alongside the worker-side numbers.
     into->counter("dist.workers_spawned") += static_cast<std::uint64_t>(im.spawned);
     into->counter("dist.workers_lost") += static_cast<std::uint64_t>(im.lost);
+    into->counter("dist.inline_trials") += im.inline_ran;
     into->counter("dist.workers_respawned") += static_cast<std::uint64_t>(im.sup.total_respawns());
     into->counter("dist.slots_quarantined") +=
         static_cast<std::uint64_t>(im.sup.quarantined_slots());

@@ -21,7 +21,7 @@
 namespace snake::dist {
 
 /// Capabilities only the embedding executable can provide. snake_dist must
-/// not link the testing/bench layers, but `bench_campaign --selfcheck
+/// not link the testing/bench layers, but `bench_table1 --selfcheck
 /// --workers N` still wants its invariant oracles active inside every worker
 /// process — so the executable's main() passes a factory down.
 struct WorkerHooks {

@@ -378,6 +378,7 @@ bool Scheduler::capture(Snapshot& out) const {
   out.next_seq = next_seq_;
   out.executed = executed_;
   out.cancelled = cancelled_;
+  out.buffers = buffers_.stats();
   out.watchdog_event_limit = watchdog_event_limit_;
   out.watchdog_wall_seconds = watchdog_wall_seconds_;
   out.watchdog_wall_armed = watchdog_wall_armed_;
@@ -413,6 +414,7 @@ void Scheduler::restore(const Snapshot& snap) {
   next_seq_ = snap.next_seq;
   executed_ = snap.executed;
   cancelled_ = snap.cancelled;
+  buffers_.set_stats(snap.buffers);
   horizon_ = snap.quiescence_horizon;
   std::uint64_t active = 0;
   for (const HeapEntry& e : snap.heap) {

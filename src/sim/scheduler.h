@@ -227,6 +227,7 @@ class Scheduler {
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
+    BufferPool::Stats buffers;  ///< pool counters; the free list is not state
     std::uint64_t watchdog_event_limit = 0;
     double watchdog_wall_seconds = 0.0;  ///< wall deadline is re-armed fresh
     bool watchdog_wall_armed = false;

@@ -46,6 +46,13 @@ GeneratorConfig dccp_generator_config() {
   return c;
 }
 
+void enlarge_delivery_ladders(GeneratorConfig& config) {
+  config.drop_probabilities = {100.0, 75.0, 50.0, 25.0, 12.5};
+  config.duplicate_counts = {1, 2, 5, 10, 32};
+  config.delay_seconds = {0.05, 0.1, 0.5, 1.0, 3.0};
+  config.batch_seconds = {0.5, 2.0, 4.0};
+}
+
 StrategyGenerator::StrategyGenerator(const packet::HeaderFormat& format,
                                      const statemachine::StateMachine& machine,
                                      GeneratorConfig config)

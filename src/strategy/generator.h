@@ -56,6 +56,9 @@ GeneratorConfig tcp_generator_config();
 GeneratorConfig tcp_sack_generator_config();
 /// Ditto for DCCP.
 GeneratorConfig dccp_generator_config();
+/// Widens the packet-delivery ladders (drop probabilities, duplicate counts,
+/// delays, batch windows) to the richer sweep the greybox search exists for.
+void enlarge_delivery_ladders(GeneratorConfig& config);
 
 class StrategyGenerator {
  public:

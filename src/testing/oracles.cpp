@@ -77,6 +77,9 @@ void check_tcp_sequence_space(const sim::Trace& trace, OracleReport& report) {
     if ((flags & kRst) != 0) continue;  // RST sequence semantics are their own world
     FlowState& flow = flows[{e.packet.src, e.packet.dst, codec.get_fast(raw, src_port),
                              codec.get_fast(raw, dst_port)}];
+    // A SYN opens a new incarnation of the 4-tuple (say, after an attack
+    // reset the old one) under a fresh ISN: its sequence space starts over.
+    if ((flags & kSyn) != 0) flow = FlowState{};
     auto seq = static_cast<tcp::Seq>(codec.get_fast(raw, seq_field));
     // Cumulative ACKs never regress.
     if ((flags & kAck) != 0) {

@@ -21,7 +21,7 @@
 //    its profile's floors and clamps (unit-level, driven by op sequences).
 //
 // ScenarioOracles bundles the per-run checks behind the core::RunInspector
-// hook so a property test — or `bench_campaign --selfcheck` — can attach one
+// hook so a property test — or `bench_table1 --selfcheck` — can attach one
 // object and collect violations across thousands of trials.
 #pragma once
 

@@ -185,12 +185,20 @@ class SmallFunction {
 /// pin memory for the rest of a campaign.
 class BufferPool {
  public:
+  /// The acquire/reuse/release counters as one value, so a scheduler
+  /// snapshot can carry them and its restore can put them back.
+  struct Stats {
+    std::uint64_t acquired = 0;
+    std::uint64_t reused = 0;
+    std::uint64_t released = 0;
+  };
+
   explicit BufferPool(std::size_t max_free = kDefaultMaxFree) : max_free_(max_free) {}
 
   Bytes acquire() {
-    ++acquired_;
+    ++stats_.acquired;
     if (!free_.empty()) {
-      ++reused_;
+      ++stats_.reused;
       Bytes buf = std::move(free_.back());
       free_.pop_back();
       return buf;
@@ -200,40 +208,36 @@ class BufferPool {
 
   void release(Bytes&& buf) {
     if (buf.capacity() == 0) return;  // moved-from / never-written: nothing real to return
-    ++released_;
+    ++stats_.released;
     if (free_.size() >= max_free_) return;  // over cap: freed, not pooled
     buf.clear();
     free_.push_back(std::move(buf));
   }
 
   /// Total acquire() calls and how many were served from the free list.
-  std::uint64_t acquired() const { return acquired_; }
-  std::uint64_t reused() const { return reused_; }
+  std::uint64_t acquired() const { return stats_.acquired; }
+  std::uint64_t reused() const { return stats_.reused; }
   /// Real (capacity-carrying) buffers handed back at a death point — the
   /// pool-balance signal: in a run where every packet dies at a release site,
   /// released() catches up to acquired() minus the packets still in flight.
-  std::uint64_t released() const { return released_; }
+  std::uint64_t released() const { return stats_.released; }
   std::size_t free_count() const { return free_.size(); }
 
   /// Drops every pooled buffer (used when a scenario arena is torn down).
   void clear() { free_.clear(); }
 
-  /// Zeroes the acquire/reuse counters without touching pooled buffers, so
-  /// per-trial metrics stay per-trial when the pool outlives a scenario.
-  void reset_stats() {
-    acquired_ = 0;
-    reused_ = 0;
-    released_ = 0;
-  }
+  Stats stats() const { return stats_; }
+  /// Sets the counters without touching pooled buffers, so per-trial
+  /// metrics stay per-trial when the pool outlives a scenario.
+  void set_stats(const Stats& stats) { stats_ = stats; }
+  void reset_stats() { stats_ = Stats{}; }
 
   static constexpr std::size_t kDefaultMaxFree = 512;
 
  private:
   std::vector<Bytes> free_;
   std::size_t max_free_;
-  std::uint64_t acquired_ = 0;
-  std::uint64_t reused_ = 0;
-  std::uint64_t released_ = 0;
+  Stats stats_;
 };
 
 }  // namespace snake

@@ -7,16 +7,25 @@
 //  - regression: the progress callback fires from the coordinating thread in
 //    commit order — sequential, monotonic, and free to block without
 //    stalling the executor pool;
-//  - the configurable detection threshold is honoured end to end.
+//  - the configurable detection threshold is honoured end to end;
+//  - the layer-count gate: every registry counter of a set of pinned
+//    campaigns equals the value checked in at bench/BENCH_layers.json, so a
+//    change that adds (or drops) work on any layer fails on a named counter.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iostream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "obs/json.h"
 #include "snake/controller.h"
 #include "snake/faultpoint.h"
+#include "strategy/generator.h"
 #include "tcp/profile.h"
 
 namespace snake::core {
@@ -234,6 +243,147 @@ TEST(Observability, CampaignHonoursDetectThreshold) {
     EXPECT_NE(o.signature.find('='), std::string::npos);
   }
   EXPECT_DOUBLE_EQ(result.metrics.gauge("campaign.detect_threshold"), 0.3);
+}
+
+// ------------------------------------------------- exact layer counts
+
+TEST(Observability, BufferCountersIndependentOfExecutorCount) {
+  // A snapshot-forked trial must count the buffers its run touched, not
+  // everything its session world counted before: the scheduler snapshot
+  // carries the pool counters like it carries the event counters.
+  CampaignConfig config = small_campaign_config();
+  config.executors = 1;
+  CampaignResult one = run_campaign(config);
+  config.executors = 4;
+  CampaignResult four = run_campaign(config);
+  ASSERT_GT(one.metrics.counter("snapshot.forked_runs"), 0u);
+  EXPECT_EQ(one.metrics.counter("sim.buffers_acquired"),
+            four.metrics.counter("sim.buffers_acquired"));
+  EXPECT_EQ(one.metrics.counter("sim.buffers_released"),
+            four.metrics.counter("sim.buffers_released"));
+}
+
+/// Counters that depend on which executor thread serves a trial: whether a
+/// buffer came off a warm free list, and how many snapshot sessions were
+/// built for the concurrent trials of one seed.
+const std::set<std::string> kThreadDependentCounters = {"sim.buffers_reused",
+                                                        "snapshot.sessions_built"};
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// The campaigns bench/BENCH_layers.json pins: every Table I implementation
+/// on a small grid, one greybox campaign on the enlarged space and one
+/// trace-replay campaign. Fixed seed, two executors.
+std::vector<std::pair<std::string, CampaignConfig>> pinned_campaigns() {
+  auto table1_row = [](Protocol protocol, const tcp::TcpProfile& profile) {
+    CampaignConfig config;
+    config.scenario.protocol = protocol;
+    config.scenario.tcp_profile = profile;
+    config.scenario.test_duration = Duration::seconds(3.0);
+    config.scenario.seed = 5;
+    config.generator = protocol != Protocol::kTcp ? strategy::dccp_generator_config()
+                       : profile.sack             ? strategy::tcp_sack_generator_config()
+                                                  : strategy::tcp_generator_config();
+    config.generator.hitseq_max_packets = 2000;
+    config.executors = 2;
+    config.max_strategies = 10;
+    return config;
+  };
+  std::vector<std::pair<std::string, CampaignConfig>> pinned;
+  for (const tcp::TcpProfile& profile : tcp::all_tcp_profiles())
+    pinned.emplace_back("tcp/" + profile.name, table1_row(Protocol::kTcp, profile));
+  pinned.emplace_back("dccp/linux-3.13",
+                      table1_row(Protocol::kDccp, tcp::linux_3_13_profile()));
+
+  CampaignConfig greybox = table1_row(Protocol::kTcp, tcp::linux_3_13_profile());
+  strategy::enlarge_delivery_ladders(greybox.generator);
+  greybox.search_mode = search::SearchMode::kGreybox;
+  greybox.max_strategies = 16;
+  pinned.emplace_back("greybox/enlarged", greybox);
+
+  CampaignConfig trace = table1_row(Protocol::kTcp, tcp::linux_3_13_profile());
+  trace.scenario.workload = Workload::kTrace;
+  trace.scenario.trace_text =
+      read_text(SNAKE_SOURCE_DIR "/tests/corpus/trace/valid_two_flows.trace");
+  pinned.emplace_back("trace/valid_two_flows", trace);
+  return pinned;
+}
+
+/// Renders the layer-count document: one counter per line, so a diff of
+/// bench/BENCH_layers.json names exactly the counters a change moved.
+std::string layer_document(
+    const std::vector<std::pair<std::string, std::map<std::string, std::uint64_t>>>& counts) {
+  std::ostringstream out;
+  out << "{\n  \"schema\": \"snake-layer-counts/v1\",\n  \"excluded\": [";
+  const char* sep = "";
+  for (const std::string& name : kThreadDependentCounters) {
+    out << sep << '"' << name << '"';
+    sep = ", ";
+  }
+  out << "],\n  \"campaigns\": {";
+  sep = "\n";
+  for (const auto& [campaign, counters] : counts) {
+    out << sep << "    \"" << campaign << "\": {";
+    const char* inner = "\n";
+    for (const auto& [counter, value] : counters) {
+      out << inner << "      \"" << counter << "\": " << value;
+      inner = ",\n";
+    }
+    out << "\n    }";
+    sep = ",\n";
+  }
+  out << "\n  }\n}\n";
+  return out.str();
+}
+
+TEST(LayerCounts, MatchCheckedIn) {
+  // Work counts are exact and machine-independent: any change to how many
+  // events, packets, transitions or trials a layer performs shows here as a
+  // named counter. When a change is meant to move a count, replace
+  // bench/BENCH_layers.json with the document this test prints.
+  const std::string path = SNAKE_SOURCE_DIR "/bench/BENCH_layers.json";
+  const std::optional<obs::JsonValue> checked_in = obs::parse_json(read_text(path));
+  const obs::JsonValue* expected_campaigns =
+      checked_in.has_value() ? checked_in->find("campaigns") : nullptr;
+  EXPECT_NE(expected_campaigns, nullptr) << path << " is missing or not a layer-count document";
+
+  std::vector<std::pair<std::string, std::map<std::string, std::uint64_t>>> fresh;
+  bool mismatch = expected_campaigns == nullptr;
+  for (const auto& [name, config] : pinned_campaigns()) {
+    const CampaignResult result = run_campaign(config);
+    std::map<std::string, std::uint64_t> actual;
+    for (const auto& [counter, value] : result.metrics.counters())
+      if (!kThreadDependentCounters.contains(counter)) actual[counter] = value;
+
+    std::map<std::string, std::uint64_t> want;
+    const obs::JsonValue* expected =
+        expected_campaigns != nullptr ? expected_campaigns->find(name) : nullptr;
+    if (expected != nullptr)
+      for (const auto& [counter, value] : expected->object_v)
+        want[counter] = obs::u64_of(value).value_or(0);
+    std::set<std::string> names;
+    for (const auto& [counter, value] : want) names.insert(counter);
+    for (const auto& [counter, value] : actual) names.insert(counter);
+    auto shown = [](const std::map<std::string, std::uint64_t>& m, const std::string& key) {
+      auto it = m.find(key);
+      return it == m.end() ? std::string("absent") : std::to_string(it->second);
+    };
+    for (const std::string& counter : names) {
+      if (shown(want, counter) == shown(actual, counter)) continue;
+      mismatch = true;
+      ADD_FAILURE() << name << ": " << counter << ": expected " << shown(want, counter)
+                    << ", actual " << shown(actual, counter);
+    }
+    fresh.emplace_back(name, std::move(actual));
+  }
+  if (mismatch)
+    std::cout << "---- fresh " << path << " ----\n"
+              << layer_document(fresh) << "---- end ----\n";
 }
 
 }  // namespace

@@ -182,6 +182,25 @@ TEST(Oracles, RetransmissionsAndContiguousSendsAreLegal) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+TEST(Oracles, NewIncarnationAfterResetIsLegal) {
+  sim::Trace trace;
+  TimePoint t = TimePoint::origin();
+  // A server mid-download is reset, then answers a new SYN on the same
+  // 4-tuple with a SYN+ACK under a fresh ISN: a new sequence space.
+  trace.record(t, sim::TraceKind::kSend, "server1", make_tcp_packet(3, 1, 1000, 0, 0x10, 100));
+  trace.record(t, sim::TraceKind::kSend, "server1", make_tcp_packet(3, 1, 900000000, 7, 0x12, 0));
+  trace.record(t, sim::TraceKind::kSend, "server1", make_tcp_packet(3, 1, 900000001, 7, 0x10, 100));
+  OracleReport report;
+  check_tcp_sequence_space(trace, report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+
+  // The new incarnation's own sequence space is still checked.
+  trace.record(t, sim::TraceKind::kSend, "server1", make_tcp_packet(3, 1, 900005000, 7, 0x10, 100));
+  check_tcp_sequence_space(trace, report);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.summary().find("past contiguous end"), std::string::npos);
+}
+
 TEST(Oracles, TrackerLegalityRejectsUnknownState) {
   core::RunMetrics metrics;
   metrics.client_observations.push_back({"NOT_A_STATE", "ACK", statemachine::TriggerKind::kSend});
