@@ -230,19 +230,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_table1: --tcp-profile: names a TCP row, but --protocol is dccp\n");
     return 2;
   }
-  std::string trace_text;
+  // Parsed once here; every TCP row's config shares this parse.
+  trace::TraceText trace_text;
   if (trace_path != nullptr) {
     std::optional<std::string> text = read_file(trace_path);
-    std::string trace_error;
     if (!text.has_value()) {
       std::fprintf(stderr, "--workload trace: cannot read %s\n", trace_path);
       return 1;
     }
-    if (!trace::parse_trace(*text, &trace_error).has_value()) {
-      std::fprintf(stderr, "--workload trace: %s: %s\n", trace_path, trace_error.c_str());
+    trace_text = std::move(*text);
+    if (!trace_text.error().empty()) {
+      std::fprintf(stderr, "--workload trace: %s: %s\n", trace_path,
+                   trace_text.error().c_str());
       return 1;
     }
-    trace_text = std::move(*text);
   }
   if (resume && journal_prefix == nullptr) {
     std::fprintf(stderr, "--resume requires --journal PREFIX\n");
@@ -469,7 +470,7 @@ int main(int argc, char** argv) {
     if (trace_path != nullptr) {
       json->key("trace_file").value(trace_path);
       json->key("trace_flows").value(static_cast<std::uint64_t>(trace_flows));
-      json->key("trace_hash").value(trace::trace_text_hash(trace_text));
+      json->key("trace_hash").value(trace::trace_text_hash(trace_text.text()));
     }
     json->end_object();
     json->key("campaigns").begin_array();

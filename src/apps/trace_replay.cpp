@@ -170,16 +170,16 @@ std::uint64_t TraceReplayClient::bytes_received() const {
   return total;
 }
 
-bool TraceReplayClient::established() const {
-  for (const auto& flow : flows_)
-    if (flow->established) return true;
-  return false;
+std::uint64_t TraceReplayClient::flows_established() const {
+  std::uint64_t n = 0;
+  for (const auto& flow : flows_) n += flow->established ? 1 : 0;
+  return n;
 }
 
-bool TraceReplayClient::reset() const {
-  for (const auto& flow : flows_)
-    if (flow->reset) return true;
-  return false;
+std::uint64_t TraceReplayClient::flows_reset() const {
+  std::uint64_t n = 0;
+  for (const auto& flow : flows_) n += flow->reset ? 1 : 0;
+  return n;
 }
 
 TraceReplayClient::Snapshot TraceReplayClient::capture() const {

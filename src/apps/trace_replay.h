@@ -75,9 +75,12 @@ class TraceReplayClient {
   /// Total server->client payload bytes delivered across all flows.
   std::uint64_t bytes_received() const;
   /// True once any flow completed its handshake / was reset.
-  bool established() const;
-  bool reset() const;
+  bool established() const { return flows_established() > 0; }
+  bool reset() const { return flows_reset() > 0; }
   std::uint64_t flows_opened() const { return flows_opened_; }
+  /// How many flows completed their handshake / were reset.
+  std::uint64_t flows_established() const;
+  std::uint64_t flows_reset() const;
 
   struct PerFlow;
 

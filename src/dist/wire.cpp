@@ -231,6 +231,7 @@ struct ConfigWriter {
   template <class T>
   void hash_only(const T&) {}
   void operator()(const char* key, Duration v) { w.key(key).value(v.ns()); }
+  void operator()(const char* key, const trace::TraceText& v) { w.key(key).value(v.text()); }
   template <class T>
   void operator()(const char* key, const T& v) {
     if constexpr (std::is_enum_v<T>)
@@ -250,6 +251,9 @@ struct ConfigReader {
   template <class T>
   void hash_only(const T&) {}
   void operator()(const char* key, std::string& v) { v = str_field(obj, key); }
+  /// Parses the trace here, once per handshake; every world the worker
+  /// builds shares that parse.
+  void operator()(const char* key, trace::TraceText& v) { v = str_field(obj, key); }
   void operator()(const char* key, bool& v) { v = bool_field(obj, key, v); }
   void operator()(const char* key, double& v) { v = num_field(obj, key, v); }
   void operator()(const char* key, Duration& v) {

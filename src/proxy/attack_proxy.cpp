@@ -175,7 +175,7 @@ sim::FilterVerdict AttackProxy::apply(Armed& armed, sim::Packet& packet,
 
     case AttackAction::kDelay: {
       ++stats_.delayed;
-      sim::Packet held = packet;
+      sim::Packet held = std::move(packet);
       held.id = 0;
       node_.scheduler().schedule_in(
           Duration::seconds(s.delay_seconds),
@@ -187,7 +187,7 @@ sim::FilterVerdict AttackProxy::apply(Armed& armed, sim::Packet& packet,
 
     case AttackAction::kBatch: {
       ++stats_.batched;
-      sim::Packet held = packet;
+      sim::Packet held = std::move(packet);
       held.id = 0;
       batch_.push_back(Held{std::move(held), direction});
       if (!batch_timer_.pending()) {

@@ -180,6 +180,11 @@ void CampaignResult::write_json(obs::JsonWriter& w) const {
 }
 
 CampaignResult run_campaign(const CampaignConfig& config) {
+  // run_scenario degrades an unparsable trace to a zero-flow target, and a
+  // campaign of such trials would be silently meaningless. The trace was
+  // parsed when the config got its text, so its error is already at hand.
+  if (config.scenario.workload == Workload::kTrace && !config.scenario.trace_text.error().empty())
+    throw std::invalid_argument("run_campaign: " + config.scenario.trace_text.error());
   const packet::HeaderFormat& format = format_for_protocol(config.scenario.protocol);
   const statemachine::StateMachine& machine = machine_for_protocol(config.scenario.protocol);
   strategy::StrategyGenerator generator(format, machine, config.generator);
@@ -257,15 +262,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     retest_baseline = run_scenario(main_arena, retest_scenario, std::nullopt);
   }
   result.baseline = baseline;
-  // run_scenario degrades an unparsable trace to a zero-flow target, and a
-  // campaign of such trials would be silently meaningless. That baseline
-  // never establishes the target, so only then is the trace parsed again
-  // (a large trace costs a noticeable share of set-up), for its error.
-  if (config.scenario.workload == Workload::kTrace && !baseline.target_established) {
-    std::string error;
-    if (!trace::parse_trace(config.scenario.trace_text, &error))
-      throw std::invalid_argument("run_campaign: " + error);
-  }
 
   // Work queue, fed up front with every off-path strategy and incrementally
   // with (type, state) strategies committed from trial feedback. Only the

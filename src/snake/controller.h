@@ -225,7 +225,7 @@ struct CampaignResult {
 };
 
 /// Runs a full campaign for one implementation. Throws
-/// std::invalid_argument, before the first trial, when a trace workload's
+/// std::invalid_argument, before the baselines, when a trace workload's
 /// text does not parse (the message is parse_trace's line-numbered error).
 CampaignResult run_campaign(const CampaignConfig& config);
 

@@ -41,6 +41,7 @@ struct IdentityHasher {
   void hash_only(const char* term) { h.str(term); }
   void hash_only(bool term) { h.b(term); }
   void operator()(const char*, const std::string& v) { h.str(v); }
+  void operator()(const char*, const trace::TraceText& v) { h.str(v.text()); }
   void operator()(const char*, bool v) { h.b(v); }
   void operator()(const char*, double v) { h.f64(v); }
   void operator()(const char*, Duration v) { h.i64(v.ns()); }

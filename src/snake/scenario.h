@@ -20,6 +20,7 @@
 #include "strategy/strategy.h"
 #include "proxy/attack_proxy.h"
 #include "tcp/profile.h"
+#include "trace/trace.h"
 #include "util/time.h"
 
 namespace snake::obs {
@@ -63,11 +64,13 @@ struct ScenarioConfig {
   double client1_exit_fraction = 0.6;         ///< of test_duration
 
   // Trace-replay workload (TCP only; used when workload == kTrace). The
-  // trace travels as text — including over the dist wire — so every worker
-  // rebuilds the identical ReplayPlan; its content is folded into the
-  // campaign identity hash.
+  // trace is parsed once, when the text is assigned, and every copy of the
+  // config shares that parse; a world build only selects and scales its
+  // ReplayPlan from it (the seed picks the flows, so each seed has its own
+  // plan). The text is what the campaign identity hash folds in and what
+  // the dist wire ships, so every worker rebuilds the identical plan.
   Workload workload = Workload::kBulk;
-  std::string trace_text;           ///< snake-trace/v1 file contents
+  trace::TraceText trace_text;      ///< snake-trace/v1 file contents
   std::size_t trace_max_flows = 8;  ///< deterministic down-sample cap (0 = all)
   double trace_time_scale = 1.0;    ///< timestamp multiplier
 

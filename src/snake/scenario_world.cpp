@@ -133,17 +133,18 @@ void TcpWorld::init(ScenarioArena& arena, const ScenarioConfig& config,
   trace_client.reset();
   trace_plan.reset();
   if (trace_workload) {
-    // Rebuild the plan from the trace text — a pure function, so every
-    // worker (and every snapshot-forked replay) drives the same schedule. A
-    // malformed trace degrades to an empty plan: deterministic zero-flow
-    // runs rather than a mid-campaign throw (benches validate at load).
+    // Select this seed's plan from the config's shared parse — a pure
+    // function, so every worker (and every snapshot-forked replay) drives
+    // the same schedule. A malformed trace degrades to an empty plan:
+    // deterministic zero-flow runs rather than a mid-build throw (campaigns
+    // reject it before their baselines).
     trace::ReplayOptions opts;
     opts.max_flows = config.trace_max_flows;
     opts.seed = config.seed;
     opts.time_scale = config.trace_time_scale;
-    std::optional<trace::ParsedTrace> parsed = trace::parse_trace(config.trace_text);
     auto plan = std::make_shared<trace::ReplayPlan>();
-    if (parsed.has_value()) *plan = trace::build_replay_plan(*parsed, opts);
+    if (const trace::ParsedTrace* parsed = config.trace_text.parsed())
+      *plan = trace::build_replay_plan(*parsed, opts);
     trace_plan = std::move(plan);
     trace_server.emplace(*rig.server1, kHttpPort, trace_plan);
   } else {
@@ -170,6 +171,15 @@ RunMetrics TcpWorld::finish(const ScenarioConfig& config, bool attacked) {
     m.target_bytes = trace_client->bytes_received();
     m.target_established = trace_client->established();
     m.target_reset = trace_client->reset();
+    if (config.metrics != nullptr) {
+      // Per run, so a partial replay (flows never opened, or cut off by an
+      // attack) shows against the flows the plan scheduled.
+      obs::MetricsRegistry& reg = *config.metrics;
+      reg.counter("trace.flows_planned") += trace_plan->flows.size();
+      reg.counter("trace.flows_opened") += trace_client->flows_opened();
+      reg.counter("trace.flows_established") += trace_client->flows_established();
+      reg.counter("trace.flows_reset") += trace_client->flows_reset();
+    }
   } else {
     m.target_bytes = wget1->bytes_received();
     m.target_established = wget1->established();

@@ -26,30 +26,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace snake::trace {
-
-enum class TraceOp { kOpen, kSend, kRecv, kClose };
-
-struct TraceRecord {
-  double at_s = 0.0;       ///< seconds from trace start
-  std::string flow;        ///< flow identifier token
-  TraceOp op = TraceOp::kOpen;
-  std::uint64_t bytes = 0; ///< payload size for kSend / kRecv, else 0
-};
-
-struct ParsedTrace {
-  std::vector<TraceRecord> records;  ///< in file order
-  std::size_t flow_count = 0;
-};
-
-/// Parses snake-trace/v1 text. Returns nullopt on any malformed line,
-/// missing magic, or per-flow ordering violation; `error` (optional) gets a
-/// one-line human-readable reason with the offending line number.
-std::optional<ParsedTrace> parse_trace(const std::string& text, std::string* error = nullptr);
 
 /// One data burst within a flow. Exactly one of the byte counts is nonzero:
 /// a trace `send` becomes client bytes, a `recv` server bytes.
@@ -68,6 +50,18 @@ struct FlowSchedule {
   std::uint64_t total_client_bytes = 0;
   std::uint64_t total_server_bytes = 0;
 };
+
+/// A trace that passed validation: one schedule per flow, in id order, at
+/// the trace's own timestamps (unscaled). Parsing folds records into these
+/// as it validates them, so building a plan never walks the records again.
+struct ParsedTrace {
+  std::vector<FlowSchedule> flows;
+};
+
+/// Parses snake-trace/v1 text. Returns nullopt on any malformed line,
+/// missing magic, or per-flow ordering violation; `error` (optional) gets a
+/// one-line human-readable reason with the offending line number.
+std::optional<ParsedTrace> parse_trace(const std::string& text, std::string* error = nullptr);
 
 struct ReplayOptions {
   /// Keep at most this many flows (0 = all). Down-sampling is a keyed hash
@@ -90,14 +84,46 @@ struct ReplayPlan {
   double horizon_s = 0.0;  ///< last scheduled instant across all flows
 };
 
-/// Reconstructs per-flow schedules from a parsed trace. Pure function of its
-/// arguments: given the same trace text and options it returns the same plan
-/// on every host, which is what lets distributed workers rebuild identical
-/// workloads from the wire-shipped trace text.
+/// Selects and scales a plan from a parsed trace: ranks flow ids by the
+/// seed-keyed hash, keeps the top `max_flows`, then scales the survivors'
+/// timestamps and sorts them into open order. Costs a hash per flow plus a
+/// copy of the kept flows, so a world build can afford it for every seed.
+/// Pure function of its arguments: given the same trace text and options it
+/// returns the same plan on every host, which is what lets distributed
+/// workers rebuild identical workloads from the wire-shipped trace text.
 ReplayPlan build_replay_plan(const ParsedTrace& trace, const ReplayOptions& options);
 
 /// Stable 64-bit FNV-1a over the trace text — folded into the campaign
 /// identity hash so journals from different traces never merge.
 std::uint64_t trace_text_hash(const std::string& text);
+
+/// A trace as a campaign carries it: the text, parsed once when the value
+/// is made, shared immutably by every copy. Configs are copied per world
+/// build and per trial; copying a TraceText copies a pointer, so a campaign
+/// parses its trace once however many worlds replay it. Implicitly made
+/// from the text, so a config takes its trace by plain assignment.
+class TraceText {
+ public:
+  TraceText();  ///< the empty text, which does not parse
+  TraceText(std::string text);
+  TraceText(const char* text) : TraceText(std::string(text)) {}
+
+  const std::string& text() const { return state_->text; }
+  bool empty() const { return state_->text.empty(); }
+  /// The parse, or nullptr when the text is malformed.
+  const ParsedTrace* parsed() const {
+    return state_->parsed.has_value() ? &*state_->parsed : nullptr;
+  }
+  /// parse_trace's line-numbered reason; "" when the text parsed.
+  const std::string& error() const { return state_->error; }
+
+ private:
+  struct State {
+    std::string text;
+    std::optional<ParsedTrace> parsed;
+    std::string error;
+  };
+  std::shared_ptr<const State> state_;
+};
 
 }  // namespace snake::trace

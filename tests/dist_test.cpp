@@ -1199,7 +1199,9 @@ TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
       {"wall_limit_seconds", false, true, [](auto& c) { c.scenario.wall_limit_seconds = 60; }},
       {"faults (a plan is attached)", false, true, [&](auto& c) { c.scenario.faults = &faults; }},
       // Trace fields count only under the trace workload.
-      {"trace_text", true, true, [](auto& c) { c.scenario.trace_text += "\n# comment"; }},
+      {"trace_text", true, true, [](auto& c) {
+         c.scenario.trace_text = c.scenario.trace_text.text() + "\n# comment";
+       }},
       {"trace_max_flows", true, true, [](auto& c) { c.scenario.trace_max_flows = 2; }},
       {"trace_time_scale", true, true, [](auto& c) { c.scenario.trace_time_scale = 0.5; }},
       {"workload (trace to bulk)", true, true,

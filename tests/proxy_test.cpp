@@ -5,9 +5,12 @@
 #include "packet/tcp_format.h"
 #include "proxy/attack_proxy.h"
 #include "sim/network.h"
+#include "snake/scenario.h"
 #include "statemachine/protocol_specs.h"
 #include "strategy/strategy.h"
+#include "tcp/profile.h"
 #include "tcp/segment.h"
+#include "testing/oracles.h"
 #include "util/rng.h"
 
 namespace snake::proxy {
@@ -369,6 +372,33 @@ TEST_F(ProxyHarness, HitSeqWindowSweepsSequenceSpace) {
   EXPECT_EQ(f.read(client_rx_[1].bytes, seq), 1000u);
   EXPECT_EQ(f.read(client_rx_[2].bytes, seq), 1000u + 65535u);
   EXPECT_EQ(f.read(client_rx_[100].bytes, seq), (1000u + 99u * 65535u) & 0xFFFFFFFFu);
+}
+
+TEST(ProxyPoolBalance, DelayAndBatchReleaseEachBufferOnce) {
+  // A delayed or batched packet leaves the data path and comes back later
+  // through inject_packet. Its wire buffer must travel with it: released
+  // once, when the held copy is delivered, never also when the original is
+  // consumed. The pool oracle counts releases against acquisitions; over
+  // 10 s a couple of hundred ACKs are held, well past the buffers still in
+  // flight at the end, so a double release cannot hide behind them.
+  for (AttackAction action : {AttackAction::kDelay, AttackAction::kBatch}) {
+    core::ScenarioConfig config;
+    config.tcp_profile = tcp::windows_95_profile();
+    config.test_duration = Duration::seconds(10.0);
+    testing::ScenarioOracles oracles(statemachine::tcp_state_machine(), /*check_tcp=*/true);
+    config.inspector = &oracles;
+    Strategy s;
+    s.action = action;
+    s.packet_type = "ACK";
+    s.target_state = "ESTABLISHED";
+    s.direction = TrafficDirection::kClientToServer;
+    s.delay_seconds = 0.2;
+    const core::RunMetrics m = core::run_scenario(config, s);
+    EXPECT_GT(action == AttackAction::kDelay ? m.proxy.delayed : m.proxy.batched, 100u)
+        << strategy::to_string(action) << " held too few packets to show a double release";
+    EXPECT_TRUE(oracles.report().ok())
+        << strategy::to_string(action) << ": " << oracles.report().summary();
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 //  - snake-trace/v1 parser: canonical accepts, malformed rejects with line
 //    numbers;
 //  - replay-plan reconstruction: pure function of (trace, options),
-//    independent of record interleaving, keyed down-sampling, time scaling;
+//    independent of record interleaving, keyed down-sampling, time scaling,
+//    bit-identical to a reference fold over the file's records;
+//  - TraceText: copies of a config share the one parse;
 //  - scenario integration: a kTrace run delivers exactly the plan's
 //    server->client bytes, bit-identically across fresh and arena runs;
 //  - campaign plumbing: the trace content is folded into the campaign
@@ -11,6 +13,9 @@
 //    executor widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "snake/scenario.h"
 #include "tcp/profile.h"
 #include "trace/trace.h"
+#include "util/rng.h"
 
 namespace snake {
 namespace {
@@ -51,11 +57,18 @@ TEST(TraceParser, AcceptsCanonicalTrace) {
   std::string error;
   auto parsed = trace::parse_trace(kCanonicalTrace, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->records.size(), 7u);
-  EXPECT_EQ(parsed->flow_count, 2u);
-  EXPECT_EQ(parsed->records[0].op, trace::TraceOp::kOpen);
-  EXPECT_EQ(parsed->records[2].flow, "f1");
-  EXPECT_EQ(parsed->records[2].bytes, 40000u);
+  // The seven records fold into two flows, in id order, at their own times.
+  ASSERT_EQ(parsed->flows.size(), 2u);
+  const trace::FlowSchedule& f1 = parsed->flows[0];
+  EXPECT_EQ(f1.id, "f1");
+  EXPECT_EQ(f1.open_at_s, 0.0);
+  ASSERT_EQ(f1.transfers.size(), 2u);
+  EXPECT_EQ(f1.transfers[0].at_s, 0.5);
+  EXPECT_EQ(f1.transfers[0].server_bytes, 40000u);
+  EXPECT_EQ(f1.transfers[1].client_bytes, 1000u);
+  EXPECT_EQ(f1.close_at_s, 2.0);
+  EXPECT_EQ(parsed->flows[1].id, "f2");
+  EXPECT_FALSE(parsed->flows[1].close_at_s.has_value());
 }
 
 TEST(TraceParser, AcceptsCrlfAndLooseWhitespace) {
@@ -219,6 +232,211 @@ TEST(ReplayPlan, TraceTextHashIsStableAndContentSensitive) {
   EXPECT_NE(trace::trace_text_hash(text), trace::trace_text_hash(text + "\n# tail"));
 }
 
+/// One trace line, as the reference fold consumes them: in file order.
+struct RefRecord {
+  double at_s = 0.0;
+  std::string flow;
+  enum Op { kOpen, kSend, kRecv, kClose } op = kOpen;
+  std::uint64_t bytes = 0;
+};
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// The reference plan builder: folds every record of the file into a
+/// schedule per flow at the scaled time, ranks and cuts, then sorts into
+/// open order. build_replay_plan must reproduce it bit for bit.
+trace::ReplayPlan reference_plan(const std::vector<RefRecord>& records,
+                                 const trace::ReplayOptions& options) {
+  using trace::FlowSchedule;
+  using trace::FlowTransfer;
+  const double scale = options.time_scale > 0.0 ? options.time_scale : 1.0;
+  std::map<std::string, FlowSchedule> by_id;
+  for (const RefRecord& rec : records) {
+    FlowSchedule& f = by_id[rec.flow];
+    switch (rec.op) {
+      case RefRecord::kOpen:
+        f.id = rec.flow;
+        f.open_at_s = rec.at_s * scale;
+        break;
+      case RefRecord::kClose:
+        f.close_at_s = rec.at_s * scale;
+        break;
+      case RefRecord::kSend: {
+        FlowTransfer t;
+        t.at_s = rec.at_s * scale;
+        t.client_bytes = rec.bytes;
+        f.transfers.push_back(t);
+        f.total_client_bytes += rec.bytes;
+        break;
+      }
+      case RefRecord::kRecv: {
+        FlowTransfer t;
+        t.at_s = rec.at_s * scale;
+        t.server_bytes = rec.bytes;
+        f.transfers.push_back(t);
+        f.total_server_bytes += rec.bytes;
+        break;
+      }
+    }
+  }
+  std::vector<FlowSchedule> flows;
+  for (auto& [id, f] : by_id) flows.push_back(std::move(f));
+  if (options.max_flows > 0 && flows.size() > options.max_flows) {
+    auto rank = [&](const FlowSchedule& f) {
+      std::uint64_t h = fnv1a(1469598103934665603ULL, f.id.data(), f.id.size());
+      std::uint64_t seed = options.seed;
+      return fnv1a(h, &seed, sizeof seed);
+    };
+    std::sort(flows.begin(), flows.end(), [&](const FlowSchedule& a, const FlowSchedule& b) {
+      std::uint64_t ra = rank(a), rb = rank(b);
+      if (ra != rb) return ra < rb;
+      return a.id < b.id;
+    });
+    flows.resize(options.max_flows);
+  }
+  std::sort(flows.begin(), flows.end(), [](const FlowSchedule& a, const FlowSchedule& b) {
+    if (a.open_at_s != b.open_at_s) return a.open_at_s < b.open_at_s;
+    return a.id < b.id;
+  });
+  trace::ReplayPlan plan;
+  for (FlowSchedule& f : flows) {
+    plan.total_client_bytes += f.total_client_bytes;
+    plan.total_server_bytes += f.total_server_bytes;
+    double last = f.open_at_s;
+    if (!f.transfers.empty()) last = std::max(last, f.transfers.back().at_s);
+    if (f.close_at_s.has_value()) last = std::max(last, *f.close_at_s);
+    plan.horizon_s = std::max(plan.horizon_s, last);
+    plan.flows.push_back(std::move(f));
+  }
+  return plan;
+}
+
+/// Exact equality, doubles included; "" when equal, else the first field
+/// that differs.
+std::string plan_difference(const trace::ReplayPlan& a, const trace::ReplayPlan& b) {
+  if (a.flows.size() != b.flows.size()) return "flow count";
+  if (a.total_client_bytes != b.total_client_bytes) return "total client bytes";
+  if (a.total_server_bytes != b.total_server_bytes) return "total server bytes";
+  if (a.horizon_s != b.horizon_s) return "horizon";
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    const trace::FlowSchedule& x = a.flows[i];
+    const trace::FlowSchedule& y = b.flows[i];
+    const std::string at = "flow " + std::to_string(i) + " ";
+    if (x.id != y.id) return at + "id";
+    if (x.open_at_s != y.open_at_s) return at + "open";
+    if (x.close_at_s != y.close_at_s) return at + "close";
+    if (x.total_client_bytes != y.total_client_bytes) return at + "client bytes";
+    if (x.total_server_bytes != y.total_server_bytes) return at + "server bytes";
+    if (x.transfers.size() != y.transfers.size()) return at + "transfer count";
+    for (std::size_t t = 0; t < x.transfers.size(); ++t)
+      if (x.transfers[t].at_s != y.transfers[t].at_s ||
+          x.transfers[t].client_bytes != y.transfers[t].client_bytes ||
+          x.transfers[t].server_bytes != y.transfers[t].server_bytes)
+        return at + "transfer " + std::to_string(t);
+  }
+  return "";
+}
+
+/// A random valid trace as records in file order: flows with ids that sort
+/// differently as strings and numbers, times on a coarse grid (so opens and
+/// scaled instants tie), per-flow order kept, flows interleaved at random.
+std::vector<RefRecord> random_records(Rng& rng) {
+  const std::size_t flows = rng.uniform(0, 12);
+  std::vector<std::vector<RefRecord>> per_flow(flows);
+  for (std::size_t i = 0; i < flows; ++i) {
+    const std::string id = "f" + std::to_string(rng.uniform(0, 1000)) + "_" + std::to_string(i);
+    double at = 0.1 * static_cast<double>(rng.uniform(0, 8));
+    per_flow[i].push_back(RefRecord{at, id, RefRecord::kOpen, 0});
+    for (std::uint64_t n = rng.uniform(0, 4); n > 0; --n) {
+      at += 0.1 * static_cast<double>(rng.uniform(0, 3));
+      const RefRecord::Op op = rng.uniform(0, 1) == 0 ? RefRecord::kSend : RefRecord::kRecv;
+      per_flow[i].push_back(RefRecord{at, id, op, rng.uniform(1, 90000)});
+    }
+    if (rng.uniform(0, 3) != 0)
+      per_flow[i].push_back(RefRecord{at + 0.1 * static_cast<double>(rng.uniform(0, 2)), id,
+                                      RefRecord::kClose, 0});
+  }
+  std::vector<RefRecord> out;
+  std::vector<std::size_t> next(flows, 0);
+  for (std::size_t left = flows; left > 0;) {
+    const std::size_t i = rng.uniform(0, flows - 1);
+    if (next[i] == per_flow[i].size()) continue;
+    out.push_back(per_flow[i][next[i]++]);
+    if (next[i] == per_flow[i].size()) --left;
+  }
+  return out;
+}
+
+std::string render(const std::vector<RefRecord>& records) {
+  static const char* const kOps[] = {"open", "send", "recv", "close"};
+  std::string text = "# snake-trace/v1\n";
+  char line[160];
+  for (const RefRecord& r : records) {
+    std::snprintf(line, sizeof line, "%.17g %s %s", r.at_s, r.flow.c_str(), kOps[r.op]);
+    text += line;
+    if (r.bytes != 0) text += " " + std::to_string(r.bytes);
+    text += "\n";
+  }
+  return text;
+}
+
+TEST(ReplayPlan, MatchesReferenceFold) {
+  Rng rng(20240617);
+  for (int round = 0; round < 60; ++round) {
+    const std::vector<RefRecord> records = random_records(rng);
+    const trace::ParsedTrace parsed = parse_or_die(render(records));
+    const std::size_t flows = parsed.flows.size();
+    for (std::uint64_t seed : {1ULL, 7ULL, 1000004ULL}) {
+      for (std::size_t max_flows : {std::size_t{0}, std::size_t{1}, std::size_t{8}, flows + 1}) {
+        for (double scale : {0.25, 1.0, 3.0}) {
+          trace::ReplayOptions opts;
+          opts.seed = seed;
+          opts.max_flows = max_flows;
+          opts.time_scale = scale;
+          EXPECT_EQ(plan_difference(trace::build_replay_plan(parsed, opts),
+                                    reference_plan(records, opts)),
+                    "")
+              << "round " << round << ", seed " << seed << ", max_flows " << max_flows
+              << ", scale " << scale;
+        }
+      }
+    }
+  }
+}
+
+TEST(TraceText, CopiesShareOneParse) {
+  ScenarioConfig config;
+  config.trace_text = kCanonicalTrace;
+  ASSERT_NE(config.trace_text.parsed(), nullptr);
+  EXPECT_EQ(config.trace_text.error(), "");
+  EXPECT_EQ(config.trace_text.parsed()->flows.size(), 2u);
+  const ScenarioConfig copy = config;
+  ScenarioConfig assigned;
+  assigned = copy;
+  EXPECT_EQ(copy.trace_text.parsed(), config.trace_text.parsed());
+  EXPECT_EQ(assigned.trace_text.parsed(), config.trace_text.parsed());
+  EXPECT_EQ(&assigned.trace_text.text(), &config.trace_text.text());
+
+  // A malformed assignment replaces the parse for this config only and
+  // keeps parse_trace's line-numbered reason.
+  assigned.trace_text = "# snake-trace/v1\n0.0 web open\n0.5 web warp 10\n";
+  EXPECT_EQ(assigned.trace_text.parsed(), nullptr);
+  EXPECT_EQ(assigned.trace_text.error(), "trace line 3: unknown op (want open/send/recv/close)");
+  EXPECT_NE(config.trace_text.parsed(), nullptr);
+
+  // The default is the empty text, which is not a trace.
+  EXPECT_TRUE(ScenarioConfig().trace_text.empty());
+  EXPECT_EQ(ScenarioConfig().trace_text.parsed(), nullptr);
+  EXPECT_NE(ScenarioConfig().trace_text.error().find("trace line 0"), std::string::npos);
+}
+
 // -------------------------------------------------------- scenario replay
 
 /// A short trace whose whole schedule fits inside the scenario's pre-exit
@@ -254,7 +472,7 @@ TEST(TraceScenario, HonestRunDeliversEveryPlannedServerByte) {
   trace::ReplayOptions opts;
   opts.max_flows = config.trace_max_flows;
   trace::ReplayPlan plan =
-      trace::build_replay_plan(parse_or_die(config.trace_text), opts);
+      trace::build_replay_plan(parse_or_die(config.trace_text.text()), opts);
   ASSERT_EQ(plan.flows.size(), 3u);
 
   RunMetrics m = core::run_scenario(config, std::nullopt);
@@ -330,7 +548,8 @@ TEST(TraceCampaign, IdentityHashCoversTraceContent) {
   EXPECT_EQ(core::campaign_identity_hash(base), h);
 
   CampaignConfig other_text = trace_campaign();
-  other_text.scenario.trace_text += "\n# trailing comment";
+  other_text.scenario.trace_text =
+      other_text.scenario.trace_text.text() + "\n# trailing comment";
   EXPECT_NE(core::campaign_identity_hash(other_text), h);
 
   CampaignConfig other_cap = trace_campaign();
@@ -362,7 +581,7 @@ TEST(TraceWire, ScenarioConfigRoundTripsTraceFields) {
   ASSERT_EQ(msg->type, dist::MsgType::kCampaign);
   const ScenarioConfig& got = msg->campaign.campaign.scenario;
   EXPECT_EQ(got.workload, Workload::kTrace);
-  EXPECT_EQ(got.trace_text, wc.campaign.scenario.trace_text);
+  EXPECT_EQ(got.trace_text.text(), wc.campaign.scenario.trace_text.text());
   EXPECT_EQ(got.trace_max_flows, 5u);
   EXPECT_DOUBLE_EQ(got.trace_time_scale, 0.75);
   // Bulk configs stay bulk and ship no trace payload.
