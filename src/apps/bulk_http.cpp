@@ -37,18 +37,11 @@ void fill_response_pattern(Bytes& chunk, std::uint64_t offset) {
 
 }  // namespace
 
-struct BulkHttpServer::PerConnection {
-  std::uint64_t queued = 0;  ///< bytes handed to the socket so far
-  bool closed = false;
-};
-
 BulkHttpServer::BulkHttpServer(tcp::TcpStack& stack, std::uint16_t port,
                                std::uint64_t response_bytes)
     : stack_(stack), response_bytes_(response_bytes) {
   stack_.listen(port, [this](tcp::TcpEndpoint& ep) {
-    ++connections_accepted_;
-    auto state = std::make_shared<PerConnection>();
-    registry_.push_back(state);
+    std::shared_ptr<PerConnection> state = conns_.add();
     tcp::TcpCallbacks cb;
     cb.on_established = [this, &ep, state] { pump(&ep, state); };
     cb.on_remote_close = [&ep] { ep.close(); };
@@ -75,25 +68,6 @@ void BulkHttpServer::pump(tcp::TcpEndpoint* endpoint, std::shared_ptr<PerConnect
   }
   stack_.node().scheduler().schedule_in(kPumpInterval,
                                         [this, endpoint, state] { pump(endpoint, state); });
-}
-
-BulkHttpServer::Snapshot BulkHttpServer::capture() const {
-  Snapshot snap;
-  snap.connections_accepted = connections_accepted_;
-  snap.conns.reserve(registry_.size());
-  for (const auto& state : registry_)
-    snap.conns.push_back(Snapshot::Conn{state, state->queued, state->closed});
-  return snap;
-}
-
-void BulkHttpServer::restore(const Snapshot& snap) {
-  connections_accepted_ = snap.connections_accepted;
-  registry_.clear();
-  for (const auto& conn : snap.conns) {
-    conn.object->queued = conn.queued;
-    conn.object->closed = conn.closed;
-    registry_.push_back(conn.object);
-  }
 }
 
 BulkHttpClient::BulkHttpClient(tcp::TcpStack& stack, sim::Address server, std::uint16_t port,

@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
+#include "apps/shared_states.h"
 #include "tcp/stack.h"
 #include "util/time.h"
 
@@ -26,36 +26,27 @@ class BulkHttpServer {
  public:
   BulkHttpServer(tcp::TcpStack& stack, std::uint16_t port, std::uint64_t response_bytes);
 
-  std::uint64_t connections_accepted() const { return connections_accepted_; }
+  std::uint64_t connections_accepted() const { return conns_.size(); }
 
-  struct PerConnection;
-
-  /// Mutable server state frozen between two scheduler events. Per-connection
-  /// pump state lives in shared objects referenced both here and by cloned
-  /// scheduler closures; restore writes the frozen values back INTO those
-  /// same objects, so every closure cloned from the snapshot observes the
-  /// rewound state.
-  struct Snapshot {
-    std::uint64_t connections_accepted = 0;
-    struct Conn {
-      std::shared_ptr<PerConnection> object;
-      std::uint64_t queued = 0;
-      bool closed = false;
-    };
-    std::vector<Conn> conns;
+  /// Pump state of one accepted connection.
+  struct PerConnection {
+    std::uint64_t queued = 0;  ///< bytes handed to the socket so far
+    bool closed = false;
   };
-  Snapshot capture() const;
-  void restore(const Snapshot& snap);
+
+  /// The server's whole mutable state is its per-connection registry.
+  using Snapshot = SharedStates<PerConnection>::Snapshot;
+  Snapshot capture() const { return conns_.capture(); }
+  void restore(const Snapshot& snap) { conns_.restore(snap); }
 
  private:
   void pump(tcp::TcpEndpoint* endpoint, std::shared_ptr<PerConnection> state);
 
   tcp::TcpStack& stack_;
   std::uint64_t response_bytes_;
-  std::uint64_t connections_accepted_ = 0;
   /// Every PerConnection ever created, in accept order — the snapshot layer's
   /// handle on pump state otherwise reachable only through closures.
-  std::vector<std::shared_ptr<PerConnection>> registry_;
+  SharedStates<PerConnection> conns_;
   /// Reused pump chunk. send() copies it into the socket's buffer, so the
   /// only live state is inside one pump call; reusing the storage keeps the
   /// per-pump cost at one pattern fill instead of alloc + zero-init + fill.
@@ -65,8 +56,16 @@ class BulkHttpServer {
   static constexpr Duration kPumpInterval = Duration::millis(10);
 };
 
+/// Mutable BulkHttpClient state; its snapshot is a copy of this struct (the
+/// endpoint pointer is session-stable).
+struct BulkHttpClientState {
+  std::uint64_t bytes_received_ = 0;
+  bool established_ = false;
+  bool reset_ = false;
+};
+
 /// HTTP-like bulk client (wget). Connects at construction.
-class BulkHttpClient {
+class BulkHttpClient : private BulkHttpClientState {
  public:
   /// If `exit_after` is set, the client application exits abruptly that long
   /// after connecting (see TcpEndpoint::app_exit).
@@ -78,23 +77,11 @@ class BulkHttpClient {
   bool reset() const { return reset_; }
   tcp::TcpEndpoint& endpoint() { return *endpoint_; }
 
-  /// Mutable client state (the endpoint pointer is session-stable).
-  struct Snapshot {
-    std::uint64_t bytes_received = 0;
-    bool established = false;
-    bool reset = false;
-  };
-  Snapshot capture() const { return Snapshot{bytes_received_, established_, reset_}; }
-  void restore(const Snapshot& snap) {
-    bytes_received_ = snap.bytes_received;
-    established_ = snap.established;
-    reset_ = snap.reset;
-  }
+  using State = BulkHttpClientState;
+  State capture() const { return *this; }
+  void restore(const State& state) { State::operator=(state); }
 
  private:
-  std::uint64_t bytes_received_ = 0;
-  bool established_ = false;
-  bool reset_ = false;
   tcp::TcpEndpoint* endpoint_ = nullptr;
 };
 

@@ -11,8 +11,14 @@
 
 namespace snake::apps {
 
+/// Mutable DccpIperfSink state; its snapshot is a copy of this struct.
+struct DccpIperfSinkState {
+  std::uint64_t goodput_bytes_ = 0;
+  std::uint64_t connections_accepted_ = 0;
+};
+
 /// Receives datagrams on `port` and counts goodput.
-class DccpIperfSink {
+class DccpIperfSink : private DccpIperfSinkState {
  public:
   DccpIperfSink(dccp::DccpStack& stack, std::uint16_t port,
                 dccp::DccpEndpointConfig accept_config = {});
@@ -20,24 +26,23 @@ class DccpIperfSink {
   std::uint64_t goodput_bytes() const { return goodput_bytes_; }
   std::uint64_t connections_accepted() const { return connections_accepted_; }
 
-  /// Mutable sink state for the snapshot layer.
-  struct Snapshot {
-    std::uint64_t goodput_bytes = 0;
-    std::uint64_t connections_accepted = 0;
-  };
-  Snapshot capture() const { return Snapshot{goodput_bytes_, connections_accepted_}; }
-  void restore(const Snapshot& snap) {
-    goodput_bytes_ = snap.goodput_bytes;
-    connections_accepted_ = snap.connections_accepted;
-  }
+  using State = DccpIperfSinkState;
+  State capture() const { return *this; }
+  void restore(const State& state) { State::operator=(state); }
+};
 
- private:
-  std::uint64_t goodput_bytes_ = 0;
-  std::uint64_t connections_accepted_ = 0;
+/// Mutable DccpIperfSource state; its snapshot is a copy of this struct.
+/// Options, stop time and the endpoint pointer are fixed at construction;
+/// tick events live in the scheduler.
+struct DccpIperfSourceState {
+  bool established_ = false;
+  bool reset_ = false;
+  bool closed_ = false;
+  std::uint64_t offered_ = 0;
 };
 
 /// Streams constant-rate datagrams for `duration`, then closes.
-class DccpIperfSource {
+class DccpIperfSource : private DccpIperfSourceState {
  public:
   struct Options {
     double offer_rate_pps = 2000;
@@ -55,21 +60,9 @@ class DccpIperfSource {
   std::uint64_t datagrams_offered() const { return offered_; }
   dccp::DccpEndpoint& endpoint() { return *endpoint_; }
 
-  /// Mutable source state (stop_at_ and the endpoint pointer are fixed at
-  /// construction and session-stable; tick events live in the scheduler).
-  struct Snapshot {
-    bool established = false;
-    bool reset = false;
-    bool closed = false;
-    std::uint64_t offered = 0;
-  };
-  Snapshot capture() const { return Snapshot{established_, reset_, closed_, offered_}; }
-  void restore(const Snapshot& snap) {
-    established_ = snap.established;
-    reset_ = snap.reset;
-    closed_ = snap.closed;
-    offered_ = snap.offered;
-  }
+  using State = DccpIperfSourceState;
+  State capture() const { return *this; }
+  void restore(const State& state) { State::operator=(state); }
 
  private:
   void tick();
@@ -78,10 +71,6 @@ class DccpIperfSource {
   Options options_;
   dccp::DccpEndpoint* endpoint_ = nullptr;
   TimePoint stop_at_;
-  bool established_ = false;
-  bool reset_ = false;
-  bool closed_ = false;
-  std::uint64_t offered_ = 0;
 };
 
 }  // namespace snake::apps

@@ -26,21 +26,13 @@ Duration until(const sim::Scheduler& scheduler, TimePoint epoch, double at_s) {
 
 // --------------------------------------------------------- TraceReplayServer
 
-struct TraceReplayServer::PerConnection {
-  /// Schedule paired at accept; nullptr for spurious connections beyond the
-  /// plan. Points into the shared plan, which outlives every snapshot.
-  const trace::FlowSchedule* flow = nullptr;
-};
-
 TraceReplayServer::TraceReplayServer(tcp::TcpStack& stack, std::uint16_t port,
                                      std::shared_ptr<const trace::ReplayPlan> plan)
     : stack_(stack), plan_(std::move(plan)), epoch_(stack.node().scheduler().now()) {
   stack_.listen(port, [this](tcp::TcpEndpoint& ep) {
-    auto state = std::make_shared<PerConnection>();
-    if (connections_accepted_ < plan_->flows.size())
-      state->flow = &plan_->flows[connections_accepted_];
-    ++connections_accepted_;
-    registry_.push_back(state);
+    const std::size_t index = conns_.size();
+    std::shared_ptr<PerConnection> state = conns_.add();
+    if (index < plan_->flows.size()) state->flow = &plan_->flows[index];
     tcp::TcpCallbacks cb;
     cb.on_established = [this, &ep, state] { play_flow(&ep, state); };
     cb.on_remote_close = [&ep] { ep.close(); };
@@ -70,28 +62,7 @@ void TraceReplayServer::play_flow(tcp::TcpEndpoint* endpoint,
   }
 }
 
-TraceReplayServer::Snapshot TraceReplayServer::capture() const {
-  Snapshot snap;
-  snap.connections_accepted = connections_accepted_;
-  snap.conns = registry_;
-  return snap;
-}
-
-void TraceReplayServer::restore(const Snapshot& snap) {
-  connections_accepted_ = snap.connections_accepted;
-  registry_ = snap.conns;
-}
-
 // --------------------------------------------------------- TraceReplayClient
-
-struct TraceReplayClient::PerFlow {
-  bool opened = false;
-  bool established = false;
-  bool reset = false;
-  bool closed = false;  ///< scheduled close fired
-  std::uint64_t bytes_received = 0;
-  tcp::TcpEndpoint* endpoint = nullptr;
-};
 
 TraceReplayClient::TraceReplayClient(tcp::TcpStack& stack, sim::Address server,
                                      std::uint16_t port,
@@ -103,9 +74,8 @@ TraceReplayClient::TraceReplayClient(tcp::TcpStack& stack, sim::Address server,
       plan_(std::move(plan)),
       epoch_(stack.node().scheduler().now()) {
   sim::Scheduler& scheduler = stack_.node().scheduler();
-  flows_.reserve(plan_->flows.size());
   for (std::size_t i = 0; i < plan_->flows.size(); ++i) {
-    flows_.push_back(std::make_shared<PerFlow>());
+    flows_.add();
     scheduler.schedule_in(until(scheduler, epoch_, plan_->flows[i].open_at_s),
                           [this, i] { open_flow(i); });
   }
@@ -153,7 +123,6 @@ void TraceReplayClient::open_flow(std::size_t index) {
   };
   state->endpoint = &stack_.connect(server_, port_, std::move(cb));
   state->opened = true;
-  ++flows_opened_;
 
   if (schedule.close_at_s.has_value()) {
     scheduler.schedule_in(until(scheduler, epoch_, *schedule.close_at_s), [this, state] {
@@ -170,6 +139,12 @@ std::uint64_t TraceReplayClient::bytes_received() const {
   return total;
 }
 
+std::uint64_t TraceReplayClient::flows_opened() const {
+  std::uint64_t n = 0;
+  for (const auto& flow : flows_) n += flow->opened ? 1 : 0;
+  return n;
+}
+
 std::uint64_t TraceReplayClient::flows_established() const {
   std::uint64_t n = 0;
   for (const auto& flow : flows_) n += flow->established ? 1 : 0;
@@ -180,30 +155,6 @@ std::uint64_t TraceReplayClient::flows_reset() const {
   std::uint64_t n = 0;
   for (const auto& flow : flows_) n += flow->reset ? 1 : 0;
   return n;
-}
-
-TraceReplayClient::Snapshot TraceReplayClient::capture() const {
-  Snapshot snap;
-  snap.exited = exited_;
-  snap.flows_opened = flows_opened_;
-  snap.flows.reserve(flows_.size());
-  for (const auto& flow : flows_)
-    snap.flows.push_back(Snapshot::Flow{flow, flow->opened, flow->established, flow->reset,
-                                        flow->closed, flow->bytes_received, flow->endpoint});
-  return snap;
-}
-
-void TraceReplayClient::restore(const Snapshot& snap) {
-  exited_ = snap.exited;
-  flows_opened_ = snap.flows_opened;
-  for (const auto& f : snap.flows) {
-    f.object->opened = f.opened;
-    f.object->established = f.established;
-    f.object->reset = f.reset;
-    f.object->closed = f.closed;
-    f.object->bytes_received = f.bytes_received;
-    f.object->endpoint = f.endpoint;
-  }
 }
 
 }  // namespace snake::apps

@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
+#include "apps/shared_states.h"
 #include "tcp/stack.h"
 #include "trace/trace.h"
 #include "util/time.h"
@@ -35,19 +35,18 @@ class TraceReplayServer {
   TraceReplayServer(tcp::TcpStack& stack, std::uint16_t port,
                     std::shared_ptr<const trace::ReplayPlan> plan);
 
-  std::uint64_t connections_accepted() const { return connections_accepted_; }
+  std::uint64_t connections_accepted() const { return conns_.size(); }
 
-  struct PerConnection;
-
-  /// Same discipline as BulkHttpServer::Snapshot: per-connection state lives
-  /// in shared objects referenced by scheduler closures; restore writes the
-  /// frozen values back INTO those objects.
-  struct Snapshot {
-    std::uint64_t connections_accepted = 0;
-    std::vector<std::shared_ptr<PerConnection>> conns;
+  struct PerConnection {
+    /// Schedule paired at accept; nullptr for spurious connections beyond
+    /// the plan. Points into the shared plan, which outlives every snapshot.
+    const trace::FlowSchedule* flow = nullptr;
   };
-  Snapshot capture() const;
-  void restore(const Snapshot& snap);
+
+  /// The server's whole mutable state is its per-connection registry.
+  using Snapshot = SharedStates<PerConnection>::Snapshot;
+  Snapshot capture() const { return conns_.capture(); }
+  void restore(const Snapshot& snap) { conns_.restore(snap); }
 
  private:
   void play_flow(tcp::TcpEndpoint* endpoint, std::shared_ptr<PerConnection> state);
@@ -55,8 +54,13 @@ class TraceReplayServer {
   tcp::TcpStack& stack_;
   std::shared_ptr<const trace::ReplayPlan> plan_;
   TimePoint epoch_;  ///< trace t=0 in scheduler time (construction instant)
-  std::uint64_t connections_accepted_ = 0;
-  std::vector<std::shared_ptr<PerConnection>> registry_;
+  SharedStates<PerConnection> conns_;  ///< in accept order
+};
+
+/// TraceReplayClient's own mutable state; its per-flow state lives in
+/// shared objects (see SharedStates).
+struct TraceReplayClientState {
+  bool exited_ = false;
 };
 
 /// Client half: opens the plan's flows at their recorded times, plays each
@@ -66,7 +70,7 @@ class TraceReplayServer {
 /// "dies" at that instant: every live connection app_exit()s and no further
 /// flows open — the trace-workload analogue of wget being killed
 /// mid-download, preserving reachability of teardown-phase attacks.
-class TraceReplayClient {
+class TraceReplayClient : private TraceReplayClientState {
  public:
   TraceReplayClient(tcp::TcpStack& stack, sim::Address server, std::uint16_t port,
                     std::shared_ptr<const trace::ReplayPlan> plan,
@@ -77,26 +81,30 @@ class TraceReplayClient {
   /// True once any flow completed its handshake / was reset.
   bool established() const { return flows_established() > 0; }
   bool reset() const { return flows_reset() > 0; }
-  std::uint64_t flows_opened() const { return flows_opened_; }
-  /// How many flows completed their handshake / were reset.
+  /// How many flows opened / completed their handshake / were reset.
+  std::uint64_t flows_opened() const;
   std::uint64_t flows_established() const;
   std::uint64_t flows_reset() const;
 
-  struct PerFlow;
-
-  struct Snapshot {
-    bool exited = false;
-    std::uint64_t flows_opened = 0;
-    struct Flow {
-      std::shared_ptr<PerFlow> object;
-      bool opened = false, established = false, reset = false, closed = false;
-      std::uint64_t bytes_received = 0;
-      tcp::TcpEndpoint* endpoint = nullptr;
-    };
-    std::vector<Flow> flows;
+  struct PerFlow {
+    bool opened = false;
+    bool established = false;
+    bool reset = false;
+    bool closed = false;  ///< scheduled close fired
+    std::uint64_t bytes_received = 0;
+    tcp::TcpEndpoint* endpoint = nullptr;
   };
-  Snapshot capture() const;
-  void restore(const Snapshot& snap);
+
+  using State = TraceReplayClientState;
+  struct Snapshot {
+    State self;
+    SharedStates<PerFlow>::Snapshot flows;
+  };
+  Snapshot capture() const { return Snapshot{*this, flows_.capture()}; }
+  void restore(const Snapshot& snap) {
+    State::operator=(snap.self);
+    flows_.restore(snap.flows);
+  }
 
  private:
   void open_flow(std::size_t index);
@@ -106,10 +114,8 @@ class TraceReplayClient {
   std::uint16_t port_;
   std::shared_ptr<const trace::ReplayPlan> plan_;
   TimePoint epoch_;
-  bool exited_ = false;
-  std::uint64_t flows_opened_ = 0;
   /// One entry per plan flow, created at construction (fixed registry).
-  std::vector<std::shared_ptr<PerFlow>> flows_;
+  SharedStates<PerFlow> flows_;
 };
 
 }  // namespace snake::apps

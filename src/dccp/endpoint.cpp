@@ -41,16 +41,10 @@ const char* to_string(DccpState state) {
 
 DccpEndpoint::DccpEndpoint(sim::Node& node, DccpEndpointConfig config, DccpCallbacks callbacks,
                            snake::Rng rng)
-    : node_(node),
+    : DccpEndpointState(config, rng),
+      node_(node),
       config_(config),
-      callbacks_(std::move(callbacks)),
-      rng_(rng),
-      rto_(config.initial_rto) {
-  if (config_.ccid == 3) {
-    ccid3_tx_.emplace(config_.ccid3_segment_bytes);
-    ccid3_rx_.emplace();
-  }
-}
+      callbacks_(std::move(callbacks)) {}
 
 DccpEndpoint::~DccpEndpoint() {
   rto_timer_.cancel();
@@ -519,75 +513,9 @@ void DccpEndpoint::reset_connection(bool notify, bool send_reset) {
   release();
 }
 
-DccpEndpoint::Snapshot DccpEndpoint::capture_state() const {
-  Snapshot s;
-  s.rng = rng_;
-  s.state = state_;
-  s.released = released_;
-  s.iss = iss_;
-  s.gss = gss_;
-  s.isr = isr_;
-  s.gsr = gsr_;
-  s.have_gsr = have_gsr_;
-  s.tx_queue = tx_queue_;
-  s.close_pending = close_pending_;
-  s.cc = cc_;
-  s.ccid3_tx = ccid3_tx_;
-  s.ccid3_rx = ccid3_rx_;
-  s.pace_timer = pace_timer_;
-  s.feedback_timer = feedback_timer_;
-  s.no_feedback_timer = no_feedback_timer_;
-  s.srtt = srtt_;
-  s.connect_time = connect_time_;
-  s.rttvar = rttvar_;
-  s.rto = rto_;
-  s.rto_timer = rto_timer_;
-  s.time_wait_timer = time_wait_timer_;
-  s.handshake_timer = handshake_timer_;
-  s.handshake_retries = handshake_retries_;
-  s.last_sync_sent = last_sync_sent_;
-  s.stats = stats_;
-  return s;
-}
-
-void DccpEndpoint::restore_state(const Snapshot& snap) {
-  rng_ = snap.rng;
-  state_ = snap.state;
-  released_ = snap.released;
-  iss_ = snap.iss;
-  gss_ = snap.gss;
-  isr_ = snap.isr;
-  gsr_ = snap.gsr;
-  have_gsr_ = snap.have_gsr;
-  tx_queue_ = snap.tx_queue;
-  close_pending_ = snap.close_pending;
-  cc_ = snap.cc;
-  ccid3_tx_ = snap.ccid3_tx;
-  ccid3_rx_ = snap.ccid3_rx;
-  pace_timer_ = snap.pace_timer;
-  feedback_timer_ = snap.feedback_timer;
-  no_feedback_timer_ = snap.no_feedback_timer;
-  srtt_ = snap.srtt;
-  connect_time_ = snap.connect_time;
-  rttvar_ = snap.rttvar;
-  rto_ = snap.rto;
-  rto_timer_ = snap.rto_timer;
-  time_wait_timer_ = snap.time_wait_timer;
-  handshake_timer_ = snap.handshake_timer;
-  handshake_retries_ = snap.handshake_retries;
-  last_sync_sent_ = snap.last_sync_sent;
-  stats_ = snap.stats;
-}
-
 void DccpEndpoint::snapshot_zombify() {
+  State::operator=(State(config_, rng_));
   released_ = true;
-  state_ = DccpState::kClosed;
-  pace_timer_ = sim::Timer();
-  feedback_timer_ = sim::Timer();
-  no_feedback_timer_ = sim::Timer();
-  rto_timer_ = sim::Timer();
-  time_wait_timer_ = sim::Timer();
-  handshake_timer_ = sim::Timer();
 }
 
 }  // namespace snake::dccp

@@ -63,6 +63,22 @@ struct DccpEndpointStats {
   std::uint64_t timeouts = 0;
   std::uint64_t tx_queue_drops = 0;   ///< app sends rejected, queue full
   std::uint64_t invalid_dropped = 0;  ///< sequence/ack-invalid packets dropped
+
+  /// Calls `f(name, member)` for every counter: the one field list the
+  /// per-run registry export ("dccp.endpoint.<name>") walks.
+  template <typename F>
+  static void for_each_field(F&& f) {
+    f("packets_sent", &DccpEndpointStats::packets_sent);
+    f("data_packets_sent", &DccpEndpointStats::data_packets_sent);
+    f("bytes_delivered", &DccpEndpointStats::bytes_delivered);
+    f("syncs_sent", &DccpEndpointStats::syncs_sent);
+    f("syncs_received", &DccpEndpointStats::syncs_received);
+    f("resets_sent", &DccpEndpointStats::resets_sent);
+    f("resets_received", &DccpEndpointStats::resets_received);
+    f("timeouts", &DccpEndpointStats::timeouts);
+    f("tx_queue_drops", &DccpEndpointStats::tx_queue_drops);
+    f("invalid_dropped", &DccpEndpointStats::invalid_dropped);
+  }
 };
 
 struct DccpEndpointConfig {
@@ -81,7 +97,53 @@ struct DccpEndpointConfig {
   Duration sync_rate_limit = Duration::millis(10);
 };
 
-class DccpEndpoint {
+/// Every mutable per-connection member of a DccpEndpoint, inherited
+/// privately so methods use the members by name; a snapshot is a copy of
+/// this struct. Identity members (node, config, callbacks) stay on the
+/// endpoint. Timer handles are copied verbatim — valid against the matching
+/// Scheduler::Snapshot.
+struct DccpEndpointState {
+  DccpEndpointState(const DccpEndpointConfig& config, snake::Rng rng)
+      : rng_(rng), rto_(config.initial_rto) {
+    if (config.ccid == 3) {
+      ccid3_tx_.emplace(config.ccid3_segment_bytes);
+      ccid3_rx_.emplace();
+    }
+  }
+
+  snake::Rng rng_;
+  DccpState state_ = DccpState::kClosed;
+  bool released_ = false;
+
+  Seq48 iss_ = 0;
+  Seq48 gss_ = 0;  ///< greatest sequence sent
+  Seq48 isr_ = 0;
+  Seq48 gsr_ = 0;  ///< greatest valid sequence received
+  bool have_gsr_ = false;
+
+  std::deque<Bytes> tx_queue_;
+  bool close_pending_ = false;
+
+  Ccid2 cc_;
+  std::optional<Ccid3Sender> ccid3_tx_;
+  std::optional<Ccid3Receiver> ccid3_rx_;
+  sim::Timer pace_timer_;
+  sim::Timer feedback_timer_;
+  sim::Timer no_feedback_timer_;
+  std::optional<Duration> srtt_;
+  TimePoint connect_time_;
+  Duration rttvar_ = Duration::zero();
+  Duration rto_;
+  sim::Timer rto_timer_;
+  sim::Timer time_wait_timer_;
+  sim::Timer handshake_timer_;
+  int handshake_retries_ = 0;
+  TimePoint last_sync_sent_ = TimePoint::origin() - Duration::seconds(1.0);
+
+  DccpEndpointStats stats_;
+};
+
+class DccpEndpoint : private DccpEndpointState {
  public:
   DccpEndpoint(sim::Node& node, DccpEndpointConfig config, DccpCallbacks callbacks,
                snake::Rng rng);
@@ -110,34 +172,9 @@ class DccpEndpoint {
   void on_packet(const DccpPacket& packet);
 
   // ---- Snapshot support --------------------------------------------------
-  /// Every mutable per-connection member by value; identity members (node_,
-  /// config_, callbacks_) are session-stable and excluded. Timer handles are
-  /// captured verbatim — valid against the matching Scheduler::Snapshot.
-  /// Keep in lockstep with the member list below.
-  struct Snapshot {
-    snake::Rng rng{0};
-    DccpState state = DccpState::kClosed;
-    bool released = false;
-    Seq48 iss = 0, gss = 0, isr = 0, gsr = 0;
-    bool have_gsr = false;
-    std::deque<Bytes> tx_queue;
-    bool close_pending = false;
-    Ccid2 cc;
-    std::optional<Ccid3Sender> ccid3_tx;
-    std::optional<Ccid3Receiver> ccid3_rx;
-    sim::Timer pace_timer, feedback_timer, no_feedback_timer;
-    std::optional<Duration> srtt;
-    TimePoint connect_time;
-    Duration rttvar = Duration::zero();
-    Duration rto = Duration::zero();
-    sim::Timer rto_timer, time_wait_timer, handshake_timer;
-    int handshake_retries = 0;
-    TimePoint last_sync_sent;
-    DccpEndpointStats stats;
-  };
-
-  Snapshot capture_state() const;
-  void restore_state(const Snapshot& snap);
+  using State = DccpEndpointState;
+  State capture() const { return *this; }
+  void restore(const State& state) { State::operator=(state); }
 
   /// Marks the endpoint dead without cancelling timers or firing callbacks;
   /// see TcpEndpoint::snapshot_zombify for the rationale.
@@ -183,37 +220,6 @@ class DccpEndpoint {
   sim::Node& node_;
   DccpEndpointConfig config_;
   DccpCallbacks callbacks_;
-  snake::Rng rng_;
-
-  DccpState state_ = DccpState::kClosed;
-  bool released_ = false;
-
-  Seq48 iss_ = 0;
-  Seq48 gss_ = 0;  ///< greatest sequence sent
-  Seq48 isr_ = 0;
-  Seq48 gsr_ = 0;  ///< greatest valid sequence received
-  bool have_gsr_ = false;
-
-  std::deque<Bytes> tx_queue_;
-  bool close_pending_ = false;
-
-  Ccid2 cc_;
-  std::optional<Ccid3Sender> ccid3_tx_;
-  std::optional<Ccid3Receiver> ccid3_rx_;
-  sim::Timer pace_timer_;
-  sim::Timer feedback_timer_;
-  sim::Timer no_feedback_timer_;
-  std::optional<Duration> srtt_;
-  TimePoint connect_time_;
-  Duration rttvar_ = Duration::zero();
-  Duration rto_;
-  sim::Timer rto_timer_;
-  sim::Timer time_wait_timer_;
-  sim::Timer handshake_timer_;
-  int handshake_retries_ = 0;
-  TimePoint last_sync_sent_ = TimePoint::origin() - Duration::seconds(1.0);
-
-  DccpEndpointStats stats_;
 };
 
 }  // namespace snake::dccp

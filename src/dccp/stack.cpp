@@ -4,17 +4,14 @@
 
 namespace snake::dccp {
 
-DccpStack::DccpStack(sim::Node& node, snake::Rng rng) : node_(node), rng_(rng) {
+DccpStack::DccpStack(sim::Node& node, snake::Rng rng) : SocketTable(rng), node_(node) {
   node_.register_protocol(sim::kProtoDccp,
                           [this](const sim::Packet& packet) { on_packet(packet); });
 }
 
 void DccpStack::reset(snake::Rng rng) {
-  endpoints_.clear();
-  connections_.clear();
+  reset_table(rng);
   listeners_.clear();
-  next_ephemeral_port_ = 41000;
-  rng_ = rng;
   node_.register_protocol(sim::kProtoDccp,
                           [this](const sim::Packet& packet) { on_packet(packet); });
 }
@@ -23,13 +20,12 @@ DccpEndpoint& DccpStack::connect(sim::Address remote, std::uint16_t remote_port,
                                  DccpCallbacks callbacks, DccpEndpointConfig base) {
   base.remote_addr = remote;
   base.remote_port = remote_port;
-  base.local_port = next_ephemeral_port_++;
-  endpoints_.push_back(
-      std::make_unique<DccpEndpoint>(node_, base, std::move(callbacks), rng_.fork()));
-  DccpEndpoint* ep = endpoints_.back().get();
-  connections_[ConnKey{base.remote_addr, base.remote_port, base.local_port}] = ep;
-  ep->connect();
-  return *ep;
+  base.local_port = allocate_ephemeral_port();
+  DccpEndpoint& ep =
+      add(ConnKey{base.remote_addr, base.remote_port, base.local_port},
+          std::make_unique<DccpEndpoint>(node_, base, std::move(callbacks), fork_rng()));
+  ep.connect();
+  return ep;
 }
 
 void DccpStack::listen(std::uint16_t port, AcceptHandler on_accept, DccpEndpointConfig base) {
@@ -42,10 +38,8 @@ void DccpStack::on_packet(const sim::Packet& packet) {
     SNAKE_TRACE << node_.name() << " dccp rx malformed packet, dropped";
     return;
   }
-  ConnKey key{packet.src, p->src_port, p->dst_port};
-  auto it = connections_.find(key);
-  if (it != connections_.end() && !it->second->released()) {
-    it->second->on_packet(*p);
+  if (DccpEndpoint* ep = find_live(ConnKey{packet.src, p->src_port, p->dst_port})) {
+    ep->on_packet(*p);
     return;
   }
 
@@ -56,12 +50,11 @@ void DccpStack::on_packet(const sim::Packet& packet) {
       config.remote_addr = packet.src;
       config.remote_port = p->src_port;
       config.local_port = p->dst_port;
-      endpoints_.push_back(
-          std::make_unique<DccpEndpoint>(node_, config, DccpCallbacks{}, rng_.fork()));
-      DccpEndpoint* ep = endpoints_.back().get();
-      connections_[ConnKey{config.remote_addr, config.remote_port, config.local_port}] = ep;
-      ep->set_callbacks(listener->second.on_accept(*ep));
-      ep->accept(*p);
+      DccpEndpoint& ep =
+          add(ConnKey{config.remote_addr, config.remote_port, config.local_port},
+              std::make_unique<DccpEndpoint>(node_, config, DccpCallbacks{}, fork_rng()));
+      ep.set_callbacks(listener->second.on_accept(ep));
+      ep.accept(*p);
       return;
     }
   }
@@ -82,61 +75,6 @@ void DccpStack::on_packet(const sim::Packet& packet) {
     serialize_into(reset, reply.bytes);
     node_.send_packet(std::move(reply));
   }
-}
-
-DccpStack::Snapshot DccpStack::capture() const {
-  Snapshot snap;
-  snap.rng = rng_;
-  snap.next_ephemeral_port = next_ephemeral_port_;
-  snap.endpoints.reserve(endpoints_.size());
-  for (const auto& ep : endpoints_) snap.endpoints.push_back(ep->capture_state());
-  snap.connections.reserve(connections_.size());
-  for (const auto& [key, ep] : connections_) {
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      if (endpoints_[i].get() == ep) {
-        snap.connections.emplace_back(key, static_cast<std::uint32_t>(i));
-        break;
-      }
-    }
-  }
-  return snap;
-}
-
-void DccpStack::truncate_endpoints(std::size_t keep) {
-  if (endpoints_.size() > keep) endpoints_.resize(keep);
-}
-
-void DccpStack::restore(const Snapshot& snap) {
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    if (i < snap.endpoints.size()) {
-      endpoints_[i]->restore_state(snap.endpoints[i]);
-    } else {
-      endpoints_[i]->snapshot_zombify();
-    }
-  }
-  connections_.clear();
-  for (const auto& [key, index] : snap.connections) connections_[key] = endpoints_[index].get();
-  rng_ = snap.rng;
-  next_ephemeral_port_ = snap.next_ephemeral_port;
-}
-
-std::size_t DccpStack::open_sockets(bool include_time_wait) const {
-  std::size_t count = 0;
-  for (const auto& ep : endpoints_) {
-    if (ep->released()) continue;
-    if (!include_time_wait && ep->state() == DccpState::kTimeWait) continue;
-    ++count;
-  }
-  return count;
-}
-
-std::map<std::string, int> DccpStack::socket_states() const {
-  std::map<std::string, int> out;
-  for (const auto& ep : endpoints_) {
-    if (ep->released()) continue;
-    ++out[to_string(ep->state())];
-  }
-  return out;
 }
 
 }  // namespace snake::dccp

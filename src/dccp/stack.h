@@ -1,20 +1,19 @@
-// Per-node DCCP stack: demux, passive open, and the netstat-style socket
-// table used by the resource-exhaustion detector (mirrors tcp/stack.h).
+// Per-node DCCP stack: demux and passive open over the socket table it
+// shares with the TCP stack (sim/socket_table.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "dccp/endpoint.h"
 #include "sim/node.h"
+#include "sim/socket_table.h"
 #include "util/rng.h"
 
 namespace snake::dccp {
 
-class DccpStack {
+class DccpStack : public sim::SocketTable<DccpEndpoint, 41000> {
  public:
   DccpStack(sim::Node& node, snake::Rng rng);
 
@@ -28,32 +27,7 @@ class DccpStack {
   using AcceptHandler = std::function<DccpCallbacks(DccpEndpoint&)>;
   void listen(std::uint16_t port, AcceptHandler on_accept, DccpEndpointConfig base = {});
 
-  std::size_t open_sockets(bool include_time_wait = false) const;
-  std::map<std::string, int> socket_states() const;
-  const std::vector<std::unique_ptr<DccpEndpoint>>& endpoints() const { return endpoints_; }
   sim::Node& node() { return node_; }
-
- private:
-  struct ConnKey {
-    sim::Address remote_addr;
-    std::uint16_t remote_port;
-    std::uint16_t local_port;
-    auto operator<=>(const ConnKey&) const = default;
-  };
-
- public:
-  /// Frozen stack state for the snapshot layer (mirrors TcpStack::Snapshot;
-  /// see there for the capture/truncate/restore contract and ordering rules).
-  struct Snapshot {
-    snake::Rng rng{0};
-    std::uint16_t next_ephemeral_port = 41000;
-    std::vector<DccpEndpoint::Snapshot> endpoints;
-    std::vector<std::pair<ConnKey, std::uint32_t>> connections;
-  };
-
-  Snapshot capture() const;
-  void truncate_endpoints(std::size_t keep);
-  void restore(const Snapshot& snap);
 
  private:
   struct Listener {
@@ -64,11 +38,7 @@ class DccpStack {
   void on_packet(const sim::Packet& packet);
 
   sim::Node& node_;
-  snake::Rng rng_;
   std::map<std::uint16_t, Listener> listeners_;
-  std::map<ConnKey, DccpEndpoint*> connections_;
-  std::vector<std::unique_ptr<DccpEndpoint>> endpoints_;
-  std::uint16_t next_ephemeral_port_ = 41000;
 };
 
 }  // namespace snake::dccp

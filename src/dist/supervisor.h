@@ -94,7 +94,7 @@ class Supervisor {
   std::string report() const;
 
   /// Deterministic backoff: min(cap, base << (failures-1)) plus a seed-keyed
-  /// spread in [0, base) so slots never thunder in lockstep. Pure function —
+  /// spread in [0, base) so slots never all retry at once. Pure function —
   /// exposed for tests.
   static std::int64_t backoff_ms(const SupervisorOptions& options, int slot, int failures);
 

@@ -16,14 +16,14 @@ using strategy::TrafficDirection;
 AttackProxy::AttackProxy(sim::Node& attach_node, const packet::Codec& codec,
                          const statemachine::StateMachine& machine, ProxyTargets targets,
                          snake::Rng rng)
-    : node_(attach_node),
+    : AttackProxyState(rng, statemachine::ConnectionTracker(machine, targets.client_addr,
+                                                           targets.server_addr,
+                                                           attach_node.scheduler().now())),
+      node_(attach_node),
       codec_(&codec),
       targets_(targets),
       src_port_field_(codec.format().compiled("src_port")),
-      dst_port_field_(codec.format().compiled("dst_port")),
-      rng_(rng),
-      tracker_(machine, targets.client_addr, targets.server_addr,
-               attach_node.scheduler().now()) {}
+      dst_port_field_(codec.format().compiled("dst_port")) {}
 
 void AttackProxy::set_strategy(Strategy s) {
   std::vector<Strategy> one;
@@ -358,24 +358,8 @@ void AttackProxy::inject_one(const Armed& armed, std::uint64_t sweep_index) {
                                      : sim::FilterDirection::kEgress);
 }
 
-AttackProxy::Snapshot AttackProxy::capture() const {
-  Snapshot snap;
-  snap.tracker = tracker_;
-  snap.rng = rng_;
-  snap.learned_client_port = learned_client_port_;
-  snap.egress_ordinal = egress_ordinal_;
-  snap.ingress_ordinal = ingress_ordinal_;
-  snap.stats = stats_;
-  return snap;
-}
-
-void AttackProxy::restore(const Snapshot& snap) {
-  tracker_ = *snap.tracker;
-  rng_ = snap.rng;
-  learned_client_port_ = snap.learned_client_port;
-  egress_ordinal_ = snap.egress_ordinal;
-  ingress_ordinal_ = snap.ingress_ordinal;
-  stats_ = snap.stats;
+void AttackProxy::restore(const State& state) {
+  State::operator=(state);
   // Leftovers from the previous forked run. Their timer handles refer to the
   // slot table being replaced, so detach rather than cancel (cancel could hit
   // a recycled slot that now names a live restored event).

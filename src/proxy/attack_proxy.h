@@ -66,7 +66,26 @@ struct ProxyStats {
   std::uint64_t injected = 0;
 };
 
-class AttackProxy : public sim::PacketFilter {
+/// The proxy's mutable per-run state, copied whole by the snapshot layer.
+/// The strategy and batch machinery is not part of it: a snapshot is taken
+/// on an unarmed proxy, and restore() detaches whatever the previous forked
+/// run left armed.
+struct AttackProxyState {
+  AttackProxyState(snake::Rng rng, statemachine::ConnectionTracker tracker)
+      : rng_(rng), tracker_(std::move(tracker)) {}
+
+  snake::Rng rng_;
+  statemachine::ConnectionTracker tracker_;
+  /// Target-connection client port, learned from the first observed packet.
+  std::optional<std::uint16_t> learned_client_port_;
+  /// Per-direction ordinals of target-protocol packets, for the
+  /// send-packet-based baseline matching mode.
+  std::uint64_t egress_ordinal_ = 0;
+  std::uint64_t ingress_ordinal_ = 0;
+  ProxyStats stats_;
+};
+
+class AttackProxy : public sim::PacketFilter, private AttackProxyState {
  public:
   AttackProxy(sim::Node& attach_node, const packet::Codec& codec,
               const statemachine::StateMachine& machine, ProxyTargets targets, snake::Rng rng);
@@ -95,21 +114,12 @@ class AttackProxy : public sim::PacketFilter {
   const statemachine::ConnectionTracker& tracker() const { return tracker_; }
   statemachine::ConnectionTracker& tracker() { return tracker_; }
 
-  /// Mutable proxy state frozen between two scheduler events. Captured on an
-  /// *unarmed* proxy (no strategies installed, no batch pending); restore
-  /// rewinds to that point and detaches any strategy/batch machinery left
-  /// over from the previous forked run without cancelling — the timer handles
-  /// it holds refer to the pre-restore slot table.
-  struct Snapshot {
-    std::optional<statemachine::ConnectionTracker> tracker;
-    snake::Rng rng{0};
-    std::optional<std::uint16_t> learned_client_port;
-    std::uint64_t egress_ordinal = 0;
-    std::uint64_t ingress_ordinal = 0;
-    ProxyStats stats;
-  };
-  Snapshot capture() const;
-  void restore(const Snapshot& snap);
+  /// Restore rewinds to a capture and detaches any strategy/batch machinery
+  /// left over from the previous forked run without cancelling — the timer
+  /// handles it holds refer to the pre-restore slot table.
+  using State = AttackProxyState;
+  State capture() const { return *this; }
+  void restore(const State& state);
 
   /// Dumps per-basic-attack action counts ("proxy.*") and state-tracker
   /// counters ("tracker.*") into the registry.
@@ -153,12 +163,7 @@ class AttackProxy : public sim::PacketFilter {
   /// learn/reflect paths; nullptr when the format has no such field.
   const packet::CompiledField* src_port_field_ = nullptr;
   const packet::CompiledField* dst_port_field_ = nullptr;
-  snake::Rng rng_;
-  statemachine::ConnectionTracker tracker_;
   std::vector<std::unique_ptr<Armed>> strategies_;
-
-  /// Target-connection client port, learned from the first observed packet.
-  std::optional<std::uint16_t> learned_client_port_;
 
   struct Held {
     sim::Packet packet;
@@ -166,12 +171,6 @@ class AttackProxy : public sim::PacketFilter {
   };
   std::vector<Held> batch_;
   sim::Timer batch_timer_;
-
-  /// Per-direction ordinals of target-protocol packets, for the
-  /// send-packet-based baseline matching mode.
-  std::uint64_t egress_ordinal_ = 0;
-  std::uint64_t ingress_ordinal_ = 0;
-  ProxyStats stats_;
 };
 
 }  // namespace snake::proxy

@@ -13,10 +13,10 @@ const char* to_string(DropPolicy policy) {
 }
 
 Link::Link(Scheduler& scheduler, LinkConfig config, std::function<void(Packet)> sink)
-    : scheduler_(scheduler),
+    : LinkState(config.drop_rng_seed),
+      scheduler_(scheduler),
       config_(std::move(config)),
-      sink_(std::move(sink)),
-      drop_rng_(config_.drop_rng_seed) {}
+      sink_(std::move(sink)) {}
 
 void Link::send(Packet packet) {
   if (busy_) {
@@ -70,13 +70,7 @@ void Link::transmission_complete() {
 
 void Link::reset() {
   for (Packet& queued : queue_) scheduler_.buffer_pool().release(std::move(queued.bytes));
-  queue_.clear();
-  busy_ = false;
-  packets_sent_ = 0;
-  packets_dropped_ = 0;
-  bytes_sent_ = 0;
-  queue_highwater_ = 0;
-  drop_rng_ = snake::Rng(config_.drop_rng_seed);
+  State::operator=(State(config_.drop_rng_seed));
 }
 
 void Link::export_metrics(obs::MetricsRegistry& registry) const {

@@ -39,11 +39,27 @@ struct LinkConfig {
   std::string name = "link";
 };
 
+/// Mutable per-run link state, copied whole by the snapshot layer and
+/// replaced by a fresh one on reset(). The in-serialization packet is not
+/// part of it: its bytes live inside the scheduler's transmission-complete
+/// closure, which the scheduler snapshot clones.
+struct LinkState {
+  explicit LinkState(std::uint64_t drop_rng_seed) : drop_rng_(drop_rng_seed) {}
+
+  snake::Rng drop_rng_;
+  std::deque<Packet> queue_;
+  bool busy_ = false;
+  std::uint64_t packets_sent_ = 0;
+  std::uint64_t packets_dropped_ = 0;
+  std::uint64_t bytes_sent_ = 0;
+  std::size_t queue_highwater_ = 0;
+};
+
 /// Unidirectional link. `send` enqueues the packet behind whatever is
 /// currently serializing; a packet leaves the queue after its serialization
 /// time and arrives at the sink after the propagation delay. Queue overflow
 /// drops the packet (congestion signal for the transports under test).
-class Link {
+class Link : private LinkState {
  public:
   Link(Scheduler& scheduler, LinkConfig config, std::function<void(Packet)> sink);
 
@@ -61,37 +77,13 @@ class Link {
   /// forwarded/dropped, bytes, queue high-watermark).
   void export_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Rewinds to a just-constructed state for scenario-arena reuse: queue
-  /// emptied (buffers recycled), counters zeroed, drop RNG re-seeded.
+  /// Rewinds to a just-constructed state for scenario-arena reuse: queued
+  /// buffers recycled, then a fresh State.
   void reset();
 
-  /// Mutable per-run state frozen by the snapshot layer. The in-serialization
-  /// packet is not part of this: its bytes live inside the scheduler's
-  /// transmission-complete closure, which the scheduler snapshot clones.
-  struct Snapshot {
-    std::deque<Packet> queue;
-    snake::Rng drop_rng{0};
-    bool busy = false;
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_dropped = 0;
-    std::uint64_t bytes_sent = 0;
-    std::size_t queue_highwater = 0;
-  };
-
-  Snapshot capture() const {
-    return Snapshot{queue_,        drop_rng_,   busy_,          packets_sent_,
-                    packets_dropped_, bytes_sent_, queue_highwater_};
-  }
-
-  void restore(const Snapshot& snap) {
-    queue_ = snap.queue;
-    drop_rng_ = snap.drop_rng;
-    busy_ = snap.busy;
-    packets_sent_ = snap.packets_sent;
-    packets_dropped_ = snap.packets_dropped;
-    bytes_sent_ = snap.bytes_sent;
-    queue_highwater_ = snap.queue_highwater;
-  }
+  using State = LinkState;
+  State capture() const { return *this; }
+  void restore(const State& state) { State::operator=(state); }
 
  private:
   void start_transmission(Packet packet);
@@ -101,13 +93,6 @@ class Link {
   Scheduler& scheduler_;
   LinkConfig config_;
   std::function<void(Packet)> sink_;
-  snake::Rng drop_rng_;
-  std::deque<Packet> queue_;
-  bool busy_ = false;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t packets_dropped_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::size_t queue_highwater_ = 0;
 };
 
 }  // namespace snake::sim

@@ -36,4 +36,20 @@ void Network::reset() {
   trace_.clear();
 }
 
+bool Network::capture(Snapshot& out) const {
+  if (!scheduler_.capture(out.scheduler)) return false;
+  out.links.clear();
+  for (const auto& link : links_) out.links.push_back(link->capture());
+  out.node_packet_ids.clear();
+  for (const auto& node : nodes_) out.node_packet_ids.push_back(node->next_packet_id());
+  return true;
+}
+
+void Network::restore(const Snapshot& snap) {
+  scheduler_.restore(snap.scheduler);
+  for (std::size_t i = 0; i < snap.links.size(); ++i) links_[i]->restore(snap.links[i]);
+  for (std::size_t i = 0; i < snap.node_packet_ids.size(); ++i)
+    nodes_[i]->set_next_packet_id(snap.node_packet_ids[i]);
+}
+
 }  // namespace snake::sim

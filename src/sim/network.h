@@ -35,6 +35,19 @@ class Network {
   /// the scenario-arena reuse hook.
   void reset();
 
+  /// Mutable network state for the snapshot layer: the scheduler, every
+  /// link's State and every node's packet-id counter. Topology, handlers,
+  /// filters and trace wiring are session-stable and not captured.
+  struct Snapshot {
+    Scheduler::Snapshot scheduler;
+    std::vector<Link::State> links;
+    std::vector<std::uint64_t> node_packet_ids;
+  };
+
+  /// False when the scheduler cannot be checkpointed (see Scheduler::capture).
+  bool capture(Snapshot& out) const;
+  void restore(const Snapshot& snap);
+
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 

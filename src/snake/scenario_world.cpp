@@ -1,5 +1,7 @@
 #include "snake/scenario_world.h"
 
+#include <type_traits>
+
 #include "obs/metrics.h"
 #include "packet/dccp_format.h"
 #include "packet/tcp_format.h"
@@ -58,11 +60,17 @@ void finish_watchdog(RunMetrics& m, sim::Scheduler& scheduler, const ScenarioCon
 
 /// Dumps the run's substrate counters into the configured registry (no-op
 /// without one). Runs after the simulation finishes so the hot path carries
-/// zero instrumentation cost.
-void export_run_observability(const ScenarioConfig& config, sim::Dumbbell& net,
+/// zero instrumentation cost. Endpoint work counters are summed over every
+/// socket of the rig's four stacks and added once, as
+/// "<endpoint_prefix><field>"; a zombified endpoint holds fresh stats, so a
+/// forked run counts exactly what its from-zero replay does.
+template <typename Rig>
+void export_run_observability(const ScenarioConfig& config, const Rig& rig,
+                              const std::string& endpoint_prefix,
                               proxy::AttackProxy& attack_proxy, bool attacked) {
   if (config.metrics == nullptr) return;
   obs::MetricsRegistry& reg = *config.metrics;
+  sim::Dumbbell& net = *rig.net;
   ++reg.counter(attacked ? "scenario.attack_runs" : "scenario.baseline_runs");
   net.scheduler().export_metrics(reg);
   if (net.bottleneck_left_to_right() != nullptr)
@@ -70,6 +78,14 @@ void export_run_observability(const ScenarioConfig& config, sim::Dumbbell& net,
   if (net.bottleneck_right_to_left() != nullptr)
     net.bottleneck_right_to_left()->export_metrics(reg);
   attack_proxy.export_metrics(reg);
+
+  using Stats = std::remove_cvref_t<decltype(rig.client1->endpoints().front()->stats())>;
+  Stats total;
+  for (const auto* stack : {rig.client1, rig.client2, rig.server1, rig.server2})
+    for (const auto& ep : stack->endpoints())
+      Stats::for_each_field([&](const char*, auto field) { total.*field += ep->stats().*field; });
+  Stats::for_each_field(
+      [&](const char* name, auto field) { reg.counter(endpoint_prefix + name) += total.*field; });
 }
 
 }  // namespace
@@ -191,34 +207,30 @@ RunMetrics TcpWorld::finish(const ScenarioConfig& config, bool attacked) {
   m.server1_stuck_sockets = rig.server1->open_sockets();
   m.server2_stuck_sockets = rig.server2->open_sockets();
   m.server1_socket_states = rig.server1->socket_states();
-  export_run_observability(config, net, *proxy, attacked);
+  export_run_observability(config, rig, "tcp.endpoint.", *proxy, attacked);
   if (config.inspector != nullptr) config.inspector->on_run_complete(net, *proxy, m);
   return m;
 }
 
-bool TcpWorld::capture(Snapshot& out) const {
-  sim::Dumbbell& net = *rig.net;
-  if (!net.scheduler().capture(out.scheduler)) return false;
-  out.links.clear();
-  for (const auto& link : net.network().links()) out.links.push_back(link->capture());
-  out.node_packet_ids.clear();
-  for (const auto& node : net.network().nodes())
-    out.node_packet_ids.push_back(node->next_packet_id());
-  out.client1 = rig.client1->capture();
-  out.client2 = rig.client2->capture();
-  out.server1 = rig.server1->capture();
-  out.server2 = rig.server2->capture();
-  out.proxy = proxy->capture();
+std::optional<TcpWorld::Snapshot> TcpWorld::capture() const {
+  sim::Network::Snapshot net;
+  if (!rig.net->network().capture(net)) return std::nullopt;
+  Snapshot snap{.net = std::move(net),
+                .client1 = rig.client1->capture(),
+                .client2 = rig.client2->capture(),
+                .server1 = rig.server1->capture(),
+                .server2 = rig.server2->capture(),
+                .proxy = proxy->capture(),
+                .http2 = http2->capture(),
+                .wget2 = wget2->capture()};
   if (trace_server.has_value()) {
-    out.trace_server = trace_server->capture();
-    out.trace_client = trace_client->capture();
+    snap.trace_server = trace_server->capture();
+    snap.trace_client = trace_client->capture();
   } else {
-    out.http1 = http1->capture();
-    out.wget1 = wget1->capture();
+    snap.http1 = http1->capture();
+    snap.wget1 = wget1->capture();
   }
-  out.http2 = http2->capture();
-  out.wget2 = wget2->capture();
-  return true;
+  return snap;
 }
 
 void TcpWorld::freeze() {
@@ -227,19 +239,15 @@ void TcpWorld::freeze() {
 }
 
 void TcpWorld::restore(const Snapshot& snap) {
-  sim::Dumbbell& net = *rig.net;
   // 1. Destroy endpoints created after the session's last capture (by a
   //    previous forked run): their destructors cancel timers, which must
   //    happen against the scheduler state those handles refer to.
   tcp::TcpStack* stacks[4] = {rig.client1, rig.client2, rig.server1, rig.server2};
   for (std::size_t i = 0; i < 4; ++i) stacks[i]->truncate_endpoints(canonical_endpoints_[i]);
-  // 2. Scheduler: slot table, heap, clock, counters.
-  net.scheduler().restore(snap.scheduler);
-  // 3. Everything above the scheduler.
-  for (std::size_t i = 0; i < snap.links.size(); ++i)
-    net.network().links()[i]->restore(snap.links[i]);
-  for (std::size_t i = 0; i < snap.node_packet_ids.size(); ++i)
-    net.network().nodes()[i]->set_next_packet_id(snap.node_packet_ids[i]);
+  // 2. The network: scheduler (slot table, heap, clock, counters), links,
+  //    node packet ids.
+  rig.net->network().restore(snap.net);
+  // 3. Everything above the network.
   rig.client1->restore(snap.client1);
   rig.client2->restore(snap.client2);
   rig.server1->restore(snap.server1);
@@ -305,29 +313,18 @@ RunMetrics DccpWorld::finish(const ScenarioConfig& config, bool attacked) {
   m.server1_stuck_sockets = rig.server1->open_sockets();
   m.server2_stuck_sockets = rig.server2->open_sockets();
   m.server1_socket_states = rig.server1->socket_states();
-  export_run_observability(config, net, *proxy, attacked);
+  export_run_observability(config, rig, "dccp.endpoint.", *proxy, attacked);
   if (config.inspector != nullptr) config.inspector->on_run_complete(net, *proxy, m);
   return m;
 }
 
-bool DccpWorld::capture(Snapshot& out) const {
-  sim::Dumbbell& net = *rig.net;
-  if (!net.scheduler().capture(out.scheduler)) return false;
-  out.links.clear();
-  for (const auto& link : net.network().links()) out.links.push_back(link->capture());
-  out.node_packet_ids.clear();
-  for (const auto& node : net.network().nodes())
-    out.node_packet_ids.push_back(node->next_packet_id());
-  out.client1 = rig.client1->capture();
-  out.client2 = rig.client2->capture();
-  out.server1 = rig.server1->capture();
-  out.server2 = rig.server2->capture();
-  out.proxy = proxy->capture();
-  out.sink1 = sink1->capture();
-  out.sink2 = sink2->capture();
-  out.src1 = src1->capture();
-  out.src2 = src2->capture();
-  return true;
+std::optional<DccpWorld::Snapshot> DccpWorld::capture() const {
+  sim::Network::Snapshot net;
+  if (!rig.net->network().capture(net)) return std::nullopt;
+  return Snapshot{std::move(net),         rig.client1->capture(), rig.client2->capture(),
+                  rig.server1->capture(), rig.server2->capture(), proxy->capture(),
+                  sink1->capture(),       sink2->capture(),       src1->capture(),
+                  src2->capture()};
 }
 
 void DccpWorld::freeze() {
@@ -336,14 +333,9 @@ void DccpWorld::freeze() {
 }
 
 void DccpWorld::restore(const Snapshot& snap) {
-  sim::Dumbbell& net = *rig.net;
   dccp::DccpStack* stacks[4] = {rig.client1, rig.client2, rig.server1, rig.server2};
   for (std::size_t i = 0; i < 4; ++i) stacks[i]->truncate_endpoints(canonical_endpoints_[i]);
-  net.scheduler().restore(snap.scheduler);
-  for (std::size_t i = 0; i < snap.links.size(); ++i)
-    net.network().links()[i]->restore(snap.links[i]);
-  for (std::size_t i = 0; i < snap.node_packet_ids.size(); ++i)
-    net.network().nodes()[i]->set_next_packet_id(snap.node_packet_ids[i]);
+  rig.net->network().restore(snap.net);
   rig.client1->restore(snap.client1);
   rig.client2->restore(snap.client2);
   rig.server1->restore(snap.server1);

@@ -71,21 +71,22 @@ struct TcpWorld {
   /// Composite checkpoint of every piece of mutable world state. Move-only
   /// (the scheduler snapshot owns cloned callbacks).
   struct Snapshot {
-    sim::Scheduler::Snapshot scheduler;
-    std::vector<sim::Link::Snapshot> links;
-    std::vector<std::uint64_t> node_packet_ids;
+    sim::Network::Snapshot net;
     tcp::TcpStack::Snapshot client1, client2, server1, server2;
-    proxy::AttackProxy::Snapshot proxy;
-    apps::BulkHttpServer::Snapshot http1, http2;
-    apps::BulkHttpClient::Snapshot wget1, wget2;
-    apps::TraceReplayServer::Snapshot trace_server;
-    apps::TraceReplayClient::Snapshot trace_client;
+    proxy::AttackProxy::State proxy;
+    apps::BulkHttpServer::Snapshot http2;
+    apps::BulkHttpClient::State wget2;
+    // The target pair engaged by config.workload; the other stays empty.
+    apps::BulkHttpServer::Snapshot http1{};
+    apps::BulkHttpClient::State wget1{};
+    apps::TraceReplayServer::Snapshot trace_server{};
+    apps::TraceReplayClient::Snapshot trace_client{};
   };
 
-  /// Captures the world between two scheduler events. False when the
+  /// Captures the world between two scheduler events. nullopt when the
   /// scheduler state cannot be checkpointed (watchdog tripped, non-clonable
   /// armed callback).
-  bool capture(Snapshot& out) const;
+  std::optional<Snapshot> capture() const;
 
   /// Freezes the canonical endpoint counts. Call once, immediately after the
   /// last capture of the session: endpoints that exist at that point may be
@@ -95,7 +96,8 @@ struct TcpWorld {
 
   /// Rewinds the graph to `snap`. Ordering inside: truncate forked-run
   /// endpoints (their destructors cancel timers against the dying run's
-  /// scheduler state) -> scheduler restore -> links/nodes/stacks/proxy/apps.
+  /// scheduler state) -> network (scheduler, links, nodes) -> stacks, proxy,
+  /// apps.
   /// Leaves the proxy unarmed; install strategies afterwards.
   void restore(const Snapshot& snap);
 
@@ -117,15 +119,13 @@ struct DccpWorld {
   RunMetrics finish(const ScenarioConfig& config, bool attacked);
 
   struct Snapshot {
-    sim::Scheduler::Snapshot scheduler;
-    std::vector<sim::Link::Snapshot> links;
-    std::vector<std::uint64_t> node_packet_ids;
+    sim::Network::Snapshot net;
     dccp::DccpStack::Snapshot client1, client2, server1, server2;
-    proxy::AttackProxy::Snapshot proxy;
-    apps::DccpIperfSink::Snapshot sink1, sink2;
-    apps::DccpIperfSource::Snapshot src1, src2;
+    proxy::AttackProxy::State proxy;
+    apps::DccpIperfSink::State sink1, sink2;
+    apps::DccpIperfSource::State src1, src2;
   };
-  bool capture(Snapshot& out) const;
+  std::optional<Snapshot> capture() const;
   void freeze();
   void restore(const Snapshot& snap);
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <set>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "statemachine/protocol_specs.h"
 
@@ -92,9 +91,9 @@ bool capture_cuts(World& world, ScenarioArena& arena, const ScenarioConfig& conf
       pops += sched.run_events(cut - pops);
       if (pops != cut) return false;  // queue drained early or watchdog tripped
     }
-    typename World::Snapshot snap;
-    if (!world.capture(snap)) return false;
-    snaps.emplace(cut, std::move(snap));
+    std::optional<typename World::Snapshot> snap = world.capture();
+    if (!snap.has_value()) return false;
+    snaps.emplace(cut, std::move(*snap));
   }
   world.freeze();
   return true;
@@ -112,7 +111,7 @@ RunMetrics serve_world(World& world, const SnapMap& snaps, std::uint64_t cut,
   }
   world.proxy->set_strategies(attacks);
   // Same driver as run_scenario: a forked trial must take the identical
-  // early-exit cut a from-zero trial would (the selfcheck byte-compares them).
+  // early-exit cut a from-zero trial would.
   detail::drive_to_end(world.rig.net->scheduler(), config, world.end);
   return world.finish(config, !attacks.empty());
 }
@@ -230,11 +229,6 @@ void SnapshotStore::set_max_sessions_per_seed(std::size_t cap) {
   max_sessions_per_seed_ = cap == 0 ? 1 : cap;
 }
 
-std::uint64_t SnapshotStore::selfcheck_violations() const {
-  std::lock_guard<std::mutex> lock(const_cast<SnapshotStore*>(this)->selfcheck_mutex_);
-  return violations_;
-}
-
 SnapshotSession* SnapshotStore::acquire(std::uint64_t seed, const ScenarioConfig& config) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -325,27 +319,6 @@ std::optional<RunMetrics> SnapshotStore::run_trial(
     return std::nullopt;
   }
   if (reg != nullptr) ++reg->counter("snapshot.forked_runs");
-
-  if (selfcheck_) {
-    // Differential oracle: replay the identical trial from zero in a private
-    // arena and demand byte-identical RunMetrics JSON. The replay must not
-    // double-count observability, so it runs without a registry. One arena
-    // serves the whole store, so selfcheck serializes across executors —
-    // it is a testing aid, not a production path.
-    std::lock_guard<std::mutex> lock(selfcheck_mutex_);
-    if (!verify_arena_.has_value()) verify_arena_.emplace();
-    ScenarioConfig replay = config;
-    replay.metrics = nullptr;
-    RunMetrics plain = run_scenario(*verify_arena_, replay, attacks);
-    obs::JsonWriter w1, w2;
-    write_json(w1, *forked);
-    write_json(w2, plain);
-    if (w1.take() != w2.take()) {
-      ++violations_;
-      if (reg != nullptr) ++reg->counter("snapshot.selfcheck_violations");
-      return plain;
-    }
-  }
   return forked;
 }
 

@@ -81,9 +81,8 @@ class SnapshotSession {
   bool bad_ = false;
 };
 
-/// Campaign-level front end: keys session pools by config seed, applies the
-/// eligibility gates, and (in selfcheck mode) differentially verifies every
-/// forked run against a plain replay.
+/// Campaign-level front end: keys session pools by config seed and applies
+/// the eligibility gates.
 ///
 /// Thread-safe and designed to be *shared by every executor of a campaign*
 /// (one store per ThreadBackend / worker process instead of one per
@@ -107,13 +106,6 @@ class SnapshotStore {
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  /// When on, every forked run is re-executed from zero in a private verify
-  /// arena and the two RunMetrics JSON encodings are compared byte for byte.
-  /// A mismatch counts a violation and the plain result wins. (Testing and
-  /// benchmarking aid; doubles — and serializes — every served trial.)
-  void set_selfcheck(bool on) { selfcheck_ = on; }
-  std::uint64_t selfcheck_violations() const;
-
   /// Cap on resident sessions per seed (default 2). More sessions = more
   /// concurrent forked trials but a full frozen world of RSS each; past the
   /// cap, contended trials fall back to from-zero runs. Not thread-safe;
@@ -123,9 +115,9 @@ class SnapshotStore {
   /// Runs one trial via snapshot forking when eligible. nullopt = not
   /// eligible / session bad / pool contended; the caller runs the trial from
   /// zero itself. Counters (snapshot.forked_runs, snapshot.fallback_runs,
-  /// snapshot.sessions_built, snapshot.pool_exhausted,
-  /// snapshot.selfcheck_violations) and the snapshot.session_build_seconds
-  /// stage timer land in `config.metrics` when set.
+  /// snapshot.sessions_built, snapshot.pool_exhausted) and the
+  /// snapshot.session_build_seconds stage timer land in `config.metrics`
+  /// when set.
   std::optional<RunMetrics> run_trial(const ScenarioConfig& config,
                                       const std::vector<strategy::Strategy>& attacks);
 
@@ -142,11 +134,6 @@ class SnapshotStore {
   mutable std::mutex mutex_;  ///< guards pools_ and each pool's bookkeeping
   std::map<std::uint64_t, std::unique_ptr<SeedPool>> pools_;
   std::size_t max_sessions_per_seed_ = 2;
-
-  std::mutex selfcheck_mutex_;  ///< serializes verify-arena replays
-  std::optional<ScenarioArena> verify_arena_;  ///< selfcheck replays only
-  bool selfcheck_ = false;
-  std::uint64_t violations_ = 0;  ///< guarded by selfcheck_mutex_
 };
 
 }  // namespace snake::core

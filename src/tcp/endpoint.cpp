@@ -59,16 +59,12 @@ const char* to_string(TcpState state) {
 TcpEndpoint::TcpEndpoint(sim::Node& node, const TcpProfile& profile, TcpEndpointConfig config,
                          TcpCallbacks callbacks, snake::Rng rng,
                          std::function<void()> on_released)
-    : node_(node),
+    : TcpEndpointState(profile, config, rng),
+      node_(node),
       profile_(&profile),
       config_(config),
       callbacks_(std::move(callbacks)),
-      rng_(rng),
-      on_released_(std::move(on_released)),
-      cc_(config.mss, profile),
-      rto_(config.initial_rto) {
-  rto_ = std::max(rto_, profile_->min_rto);
-}
+      on_released_(std::move(on_released)) {}
 
 TcpEndpoint::~TcpEndpoint() {
   retransmit_timer_.cancel();
@@ -904,97 +900,9 @@ void TcpEndpoint::reset_connection(bool notify) {
   release();
 }
 
-TcpEndpoint::Snapshot TcpEndpoint::capture_state() const {
-  Snapshot s;
-  s.rng = rng_;
-  s.state = state_;
-  s.released = released_;
-  s.iss = iss_;
-  s.snd_una = snd_una_;
-  s.snd_nxt = snd_nxt_;
-  s.snd_max = snd_max_;
-  s.snd_wnd = snd_wnd_;
-  s.send_buf = send_buf_;
-  s.queued_total = queued_total_;
-  s.acked_total = acked_total_;
-  s.push_points = push_points_;
-  s.fin_pending = fin_pending_;
-  s.fin_sent = fin_sent_;
-  s.fin_seq = fin_seq_;
-  s.app_exited = app_exited_;
-  s.irs = irs_;
-  s.rcv_nxt = rcv_nxt_;
-  s.out_of_order = out_of_order_;
-  s.out_of_order_bytes = out_of_order_bytes_;
-  s.remote_fin_seen = remote_fin_seen_;
-  s.sack_enabled = sack_enabled_;
-  s.sacked = sacked_;
-  s.sack_retx_next = sack_retx_next_;
-  s.last_ooo_start = last_ooo_start_;
-  s.cc = cc_;
-  s.recover = recover_;
-  s.last_retx_end = last_retx_end_;
-  s.srtt = srtt_;
-  s.rttvar = rttvar_;
-  s.rto = rto_;
-  s.timed_seq = timed_seq_;
-  s.timed_at = timed_at_;
-  s.retransmit_timer = retransmit_timer_;
-  s.time_wait_timer = time_wait_timer_;
-  s.rtx_deadline = rtx_deadline_;
-  s.rtx_fire_at = rtx_fire_at_;
-  s.retries = retries_;
-  s.stats = stats_;
-  return s;
-}
-
-void TcpEndpoint::restore_state(const Snapshot& snap) {
-  rng_ = snap.rng;
-  state_ = snap.state;
-  released_ = snap.released;
-  iss_ = snap.iss;
-  snd_una_ = snap.snd_una;
-  snd_nxt_ = snap.snd_nxt;
-  snd_max_ = snap.snd_max;
-  snd_wnd_ = snap.snd_wnd;
-  send_buf_ = snap.send_buf;
-  queued_total_ = snap.queued_total;
-  acked_total_ = snap.acked_total;
-  push_points_ = snap.push_points;
-  fin_pending_ = snap.fin_pending;
-  fin_sent_ = snap.fin_sent;
-  fin_seq_ = snap.fin_seq;
-  app_exited_ = snap.app_exited;
-  irs_ = snap.irs;
-  rcv_nxt_ = snap.rcv_nxt;
-  out_of_order_ = snap.out_of_order;
-  out_of_order_bytes_ = snap.out_of_order_bytes;
-  remote_fin_seen_ = snap.remote_fin_seen;
-  sack_enabled_ = snap.sack_enabled;
-  sacked_ = snap.sacked;
-  sack_retx_next_ = snap.sack_retx_next;
-  last_ooo_start_ = snap.last_ooo_start;
-  cc_ = *snap.cc;
-  recover_ = snap.recover;
-  last_retx_end_ = snap.last_retx_end;
-  srtt_ = snap.srtt;
-  rttvar_ = snap.rttvar;
-  rto_ = snap.rto;
-  timed_seq_ = snap.timed_seq;
-  timed_at_ = snap.timed_at;
-  retransmit_timer_ = snap.retransmit_timer;
-  time_wait_timer_ = snap.time_wait_timer;
-  rtx_deadline_ = snap.rtx_deadline;
-  rtx_fire_at_ = snap.rtx_fire_at;
-  retries_ = snap.retries;
-  stats_ = snap.stats;
-}
-
 void TcpEndpoint::snapshot_zombify() {
+  State::operator=(State(*profile_, config_, rng_));
   released_ = true;
-  state_ = TcpState::kClosed;
-  retransmit_timer_ = sim::Timer();
-  time_wait_timer_ = sim::Timer();
 }
 
 }  // namespace snake::tcp

@@ -7,6 +7,7 @@
 // "netstat" view the resource-exhaustion detector queries.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -71,6 +72,31 @@ struct TcpEndpointStats {
   std::uint64_t sack_blocks_received = 0;   ///< SACK blocks seen by the sender side
   std::uint64_t sack_retransmits = 0;       ///< hole retransmits driven by the scoreboard
   std::uint64_t sack_reneges = 0;           ///< SACKed ranges later discarded (renege profile)
+
+  /// Calls `f(name, member)` for every counter: the one field list the
+  /// per-run registry export ("tcp.endpoint.<name>") walks.
+  template <typename F>
+  static void for_each_field(F&& f) {
+    f("bytes_sent_wire", &TcpEndpointStats::bytes_sent_wire);
+    f("bytes_delivered", &TcpEndpointStats::bytes_delivered);
+    f("segments_sent", &TcpEndpointStats::segments_sent);
+    f("retransmissions", &TcpEndpointStats::retransmissions);
+    f("fast_retransmits", &TcpEndpointStats::fast_retransmits);
+    f("timeouts", &TcpEndpointStats::timeouts);
+    f("dup_acks_received", &TcpEndpointStats::dup_acks_received);
+    f("dsack_acks_received", &TcpEndpointStats::dsack_acks_received);
+    f("dsack_acks_sent", &TcpEndpointStats::dsack_acks_sent);
+    f("rsts_sent", &TcpEndpointStats::rsts_sent);
+    f("rsts_received", &TcpEndpointStats::rsts_received);
+    f("invalid_flag_segments", &TcpEndpointStats::invalid_flag_segments);
+    f("invalid_flag_responses", &TcpEndpointStats::invalid_flag_responses);
+    f("ooo_buffered", &TcpEndpointStats::ooo_buffered);
+    f("ooo_discarded", &TcpEndpointStats::ooo_discarded);
+    f("sack_blocks_sent", &TcpEndpointStats::sack_blocks_sent);
+    f("sack_blocks_received", &TcpEndpointStats::sack_blocks_received);
+    f("sack_retransmits", &TcpEndpointStats::sack_retransmits);
+    f("sack_reneges", &TcpEndpointStats::sack_reneges);
+  }
 };
 
 struct TcpEndpointConfig {
@@ -83,7 +109,84 @@ struct TcpEndpointConfig {
   Duration initial_rto = Duration::seconds(1.0);
 };
 
-class TcpEndpoint {
+/// Every mutable per-connection member of a TcpEndpoint. The endpoint
+/// inherits it privately, so its methods use these members by name; a
+/// snapshot is a copy of this struct. Identity members (node, profile,
+/// config, callbacks) stay on TcpEndpoint: a restore writes into the same
+/// endpoint object whose callbacks were wired at creation. Timer handles are
+/// copied verbatim; they stay valid because the scheduler snapshot preserves
+/// slot indices and generations.
+struct TcpEndpointState {
+  TcpEndpointState(const TcpProfile& profile, const TcpEndpointConfig& config, snake::Rng rng)
+      : rng_(rng),
+        cc_(config.mss, profile),
+        rto_(std::max(config.initial_rto, profile.min_rto)) {}
+
+  snake::Rng rng_;
+  TcpState state_ = TcpState::kClosed;
+  bool released_ = false;
+
+  // Send sequence space.
+  Seq iss_ = 0;
+  Seq snd_una_ = 0;
+  Seq snd_nxt_ = 0;
+  Seq snd_max_ = 0;  ///< highest sequence ever sent (survives RTO rewind)
+  std::uint32_t snd_wnd_ = 0;
+  std::deque<std::uint8_t> send_buf_;  ///< bytes [snd_una_, snd_una_+size)
+  // Stream-offset bookkeeping for PSH: real stacks set PSH on the final
+  // segment of each application write, so bulk data carries PSH "only
+  // occasionally". Offsets are cumulative byte counts since connect.
+  std::uint64_t queued_total_ = 0;
+  std::uint64_t acked_total_ = 0;
+  std::deque<std::uint64_t> push_points_;
+  bool fin_pending_ = false;
+  bool fin_sent_ = false;
+  Seq fin_seq_ = 0;
+  bool app_exited_ = false;
+
+  // Receive sequence space.
+  Seq irs_ = 0;
+  Seq rcv_nxt_ = 0;
+  std::map<Seq, Bytes, SeqCircularLess> out_of_order_;  ///< wrap-safe ordering
+  std::size_t out_of_order_bytes_ = 0;
+  bool remote_fin_seen_ = false;
+
+  // SACK (RFC 2018/2883). Negotiated on the handshake; the sender scoreboard
+  // holds disjoint SACKed ranges strictly above snd_una_, coalesced and
+  // pruned as the cumulative ACK advances, cleared on RTO (reneging safety).
+  bool sack_enabled_ = false;
+  std::map<Seq, Seq, SeqCircularLess> sacked_;  ///< start -> end, wrap-safe order
+  Seq sack_retx_next_ = 0;  ///< next hole candidate in the current recovery
+  std::optional<Seq> last_ooo_start_;  ///< most recent out-of-order arrival
+
+  // Congestion control & recovery.
+  CongestionControl cc_;
+  Seq recover_ = 0;
+  Seq last_retx_end_ = 0;  ///< end of the most recent loss-recovery retransmit
+
+  // RTT estimation (RFC 6298).
+  std::optional<Duration> srtt_;
+  Duration rttvar_ = Duration::zero();
+  Duration rto_;
+  std::optional<Seq> timed_seq_;
+  TimePoint timed_at_;
+
+  // Timers.
+  sim::Timer retransmit_timer_;
+  /// Lazy RTO restart: every ACK restarts the retransmit clock, but a
+  /// cancel + reschedule per ACK is the largest single source of scheduler
+  /// traffic in a bulk transfer. The physical event stays at `rtx_fire_at_`
+  /// and `rtx_deadline_` records where the clock logically is; a fire before
+  /// the deadline re-sleeps instead of timing out.
+  TimePoint rtx_deadline_;
+  TimePoint rtx_fire_at_;
+  sim::Timer time_wait_timer_;
+  int retries_ = 0;
+
+  TcpEndpointStats stats_;
+};
+
+class TcpEndpoint : private TcpEndpointState {
  public:
   /// `on_released` lets the owning stack learn when the socket leaves the
   /// "netstat" table.
@@ -126,56 +229,18 @@ class TcpEndpoint {
   void on_segment(const Segment& segment);
 
   // ---- Snapshot support ------------------------------------------------
-  /// Every mutable per-connection member, frozen by value. Identity members
-  /// (node_, profile_, config_, callbacks_, on_released_) are session-stable
-  /// and excluded — a restore writes into the same endpoint object whose
-  /// callbacks were wired at creation. Timer handles are captured verbatim;
-  /// they stay valid because the scheduler snapshot preserves slot indices
-  /// and generations. Keep this struct and capture/restore in lockstep with
-  /// the member list below.
-  struct Snapshot {
-    snake::Rng rng{0};
-    TcpState state = TcpState::kClosed;
-    bool released = false;
-    Seq iss = 0, snd_una = 0, snd_nxt = 0, snd_max = 0;
-    std::uint32_t snd_wnd = 0;
-    std::deque<std::uint8_t> send_buf;
-    std::uint64_t queued_total = 0, acked_total = 0;
-    std::deque<std::uint64_t> push_points;
-    bool fin_pending = false, fin_sent = false;
-    Seq fin_seq = 0;
-    bool app_exited = false;
-    Seq irs = 0, rcv_nxt = 0;
-    std::map<Seq, Bytes, SeqCircularLess> out_of_order;
-    std::size_t out_of_order_bytes = 0;
-    bool remote_fin_seen = false;
-    bool sack_enabled = false;
-    std::map<Seq, Seq, SeqCircularLess> sacked;
-    Seq sack_retx_next = 0;
-    std::optional<Seq> last_ooo_start;
-    std::optional<CongestionControl> cc;  ///< optional only for default-constructibility
-    Seq recover = 0, last_retx_end = 0;
-    std::optional<Duration> srtt;
-    Duration rttvar = Duration::zero();
-    Duration rto = Duration::zero();
-    std::optional<Seq> timed_seq;
-    TimePoint timed_at;
-    sim::Timer retransmit_timer, time_wait_timer;
-    TimePoint rtx_deadline, rtx_fire_at;
-    int retries = 0;
-    TcpEndpointStats stats;
-  };
-
-  Snapshot capture_state() const;
-  void restore_state(const Snapshot& snap);
+  using State = TcpEndpointState;
+  State capture() const { return *this; }
+  void restore(const State& state) { State::operator=(state); }
 
   /// Marks the endpoint dead without cancelling timers or firing callbacks.
   /// Used when restoring an earlier snapshot on a graph that has since grown:
   /// this endpoint was created after the capture point, so in the restored
   /// world it must not exist — but later snapshots still reference its
-  /// address, so the object itself must stay allocated. Its stale timer
-  /// handles are detached (not cancelled: their slot/generation pairs may
-  /// now name live events owned by others).
+  /// address, so the object itself must stay allocated. It takes a fresh
+  /// State marked released: its stale timer handles are detached (not
+  /// cancelled: their slot/generation pairs may now name live events owned
+  /// by others) and its stats count nothing.
   void snapshot_zombify();
 
   // ---- Introspection ---------------------------------------------------
@@ -246,70 +311,7 @@ class TcpEndpoint {
   const TcpProfile* profile_;
   TcpEndpointConfig config_;
   TcpCallbacks callbacks_;
-  snake::Rng rng_;
   std::function<void()> on_released_;
-
-  TcpState state_ = TcpState::kClosed;
-  bool released_ = false;
-
-  // Send sequence space.
-  Seq iss_ = 0;
-  Seq snd_una_ = 0;
-  Seq snd_nxt_ = 0;
-  Seq snd_max_ = 0;  ///< highest sequence ever sent (survives RTO rewind)
-  std::uint32_t snd_wnd_ = 0;
-  std::deque<std::uint8_t> send_buf_;  ///< bytes [snd_una_, snd_una_+size)
-  // Stream-offset bookkeeping for PSH: real stacks set PSH on the final
-  // segment of each application write, so bulk data carries PSH "only
-  // occasionally". Offsets are cumulative byte counts since connect.
-  std::uint64_t queued_total_ = 0;
-  std::uint64_t acked_total_ = 0;
-  std::deque<std::uint64_t> push_points_;
-  bool fin_pending_ = false;
-  bool fin_sent_ = false;
-  Seq fin_seq_ = 0;
-  bool app_exited_ = false;
-
-  // Receive sequence space.
-  Seq irs_ = 0;
-  Seq rcv_nxt_ = 0;
-  std::map<Seq, Bytes, SeqCircularLess> out_of_order_;  ///< wrap-safe ordering
-  std::size_t out_of_order_bytes_ = 0;
-  bool remote_fin_seen_ = false;
-
-  // SACK (RFC 2018/2883). Negotiated on the handshake; the sender scoreboard
-  // holds disjoint SACKed ranges strictly above snd_una_, coalesced and
-  // pruned as the cumulative ACK advances, cleared on RTO (reneging safety).
-  bool sack_enabled_ = false;
-  std::map<Seq, Seq, SeqCircularLess> sacked_;  ///< start -> end, wrap-safe order
-  Seq sack_retx_next_ = 0;  ///< next hole candidate in the current recovery
-  std::optional<Seq> last_ooo_start_;  ///< most recent out-of-order arrival
-
-  // Congestion control & recovery.
-  CongestionControl cc_;
-  Seq recover_ = 0;
-  Seq last_retx_end_ = 0;  ///< end of the most recent loss-recovery retransmit
-
-  // RTT estimation (RFC 6298).
-  std::optional<Duration> srtt_;
-  Duration rttvar_ = Duration::zero();
-  Duration rto_;
-  std::optional<Seq> timed_seq_;
-  TimePoint timed_at_;
-
-  // Timers.
-  sim::Timer retransmit_timer_;
-  /// Lazy RTO restart: every ACK restarts the retransmit clock, but a
-  /// cancel + reschedule per ACK is the largest single source of scheduler
-  /// traffic in a bulk transfer. The physical event stays at `rtx_fire_at_`
-  /// and `rtx_deadline_` records where the clock logically is; a fire before
-  /// the deadline re-sleeps instead of timing out.
-  TimePoint rtx_deadline_;
-  TimePoint rtx_fire_at_;
-  sim::Timer time_wait_timer_;
-  int retries_ = 0;
-
-  TcpEndpointStats stats_;
 };
 
 }  // namespace snake::tcp

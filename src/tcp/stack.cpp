@@ -6,20 +6,15 @@
 namespace snake::tcp {
 
 TcpStack::TcpStack(sim::Node& node, const TcpProfile& profile, snake::Rng rng)
-    : node_(node), profile_(&profile), rng_(rng) {
+    : SocketTable(rng), node_(node), profile_(&profile) {
   node_.register_protocol(sim::kProtoTcp,
                           [this](const sim::Packet& packet) { on_packet(packet); });
 }
 
 void TcpStack::reset(const TcpProfile& profile, snake::Rng rng) {
-  // Endpoint destructors may cancel timers; after Scheduler::reset those
-  // handles are stale, which generation counters make a safe no-op.
-  endpoints_.clear();
-  connections_.clear();
+  reset_table(rng);
   listeners_.clear();
-  next_ephemeral_port_ = 40000;
   profile_ = &profile;
-  rng_ = rng;
   node_.register_protocol(sim::kProtoTcp,
                           [this](const sim::Packet& packet) { on_packet(packet); });
 }
@@ -33,7 +28,7 @@ TcpEndpoint& TcpStack::connect(sim::Address remote, std::uint16_t remote_port,
                                TcpCallbacks callbacks, TcpEndpointConfig config) {
   config.remote_addr = remote;
   config.remote_port = remote_port;
-  config.local_port = next_ephemeral_port_++;
+  config.local_port = allocate_ephemeral_port();
   TcpEndpoint& ep = create_endpoint(config, std::move(callbacks));
   ep.connect();
   return ep;
@@ -44,12 +39,9 @@ void TcpStack::listen(std::uint16_t port, AcceptHandler on_accept) {
 }
 
 TcpEndpoint& TcpStack::create_endpoint(TcpEndpointConfig config, TcpCallbacks callbacks) {
-  endpoints_.push_back(std::make_unique<TcpEndpoint>(node_, *profile_, config,
-                                                     std::move(callbacks), rng_.fork(),
-                                                     /*on_released=*/nullptr));
-  TcpEndpoint* ep = endpoints_.back().get();
-  connections_[ConnKey{config.remote_addr, config.remote_port, config.local_port}] = ep;
-  return *ep;
+  return add(ConnKey{config.remote_addr, config.remote_port, config.local_port},
+             std::make_unique<TcpEndpoint>(node_, *profile_, config, std::move(callbacks),
+                                           fork_rng(), /*on_released=*/nullptr));
 }
 
 void TcpStack::on_packet(const sim::Packet& packet) {
@@ -58,10 +50,8 @@ void TcpStack::on_packet(const sim::Packet& packet) {
     SNAKE_TRACE << node_.name() << " tcp rx malformed segment, dropped";
     return;
   }
-  ConnKey key{packet.src, seg->src_port, seg->dst_port};
-  auto it = connections_.find(key);
-  if (it != connections_.end() && !it->second->released()) {
-    it->second->on_segment(*seg);
+  if (TcpEndpoint* ep = find_live(ConnKey{packet.src, seg->src_port, seg->dst_port})) {
+    ep->on_segment(*seg);
     return;
   }
 
@@ -102,61 +92,6 @@ void TcpStack::on_packet(const sim::Packet& packet) {
     serialize_into(rst, reply.bytes);
     node_.send_packet(std::move(reply));
   }
-}
-
-TcpStack::Snapshot TcpStack::capture() const {
-  Snapshot snap;
-  snap.rng = rng_;
-  snap.next_ephemeral_port = next_ephemeral_port_;
-  snap.endpoints.reserve(endpoints_.size());
-  for (const auto& ep : endpoints_) snap.endpoints.push_back(ep->capture_state());
-  snap.connections.reserve(connections_.size());
-  for (const auto& [key, ep] : connections_) {
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      if (endpoints_[i].get() == ep) {
-        snap.connections.emplace_back(key, static_cast<std::uint32_t>(i));
-        break;
-      }
-    }
-  }
-  return snap;
-}
-
-void TcpStack::truncate_endpoints(std::size_t keep) {
-  if (endpoints_.size() > keep) endpoints_.resize(keep);
-}
-
-void TcpStack::restore(const Snapshot& snap) {
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    if (i < snap.endpoints.size()) {
-      endpoints_[i]->restore_state(snap.endpoints[i]);
-    } else {
-      endpoints_[i]->snapshot_zombify();
-    }
-  }
-  connections_.clear();
-  for (const auto& [key, index] : snap.connections) connections_[key] = endpoints_[index].get();
-  rng_ = snap.rng;
-  next_ephemeral_port_ = snap.next_ephemeral_port;
-}
-
-std::size_t TcpStack::open_sockets(bool include_time_wait) const {
-  std::size_t count = 0;
-  for (const auto& ep : endpoints_) {
-    if (ep->released()) continue;
-    if (!include_time_wait && ep->state() == TcpState::kTimeWait) continue;
-    ++count;
-  }
-  return count;
-}
-
-std::map<std::string, int> TcpStack::socket_states() const {
-  std::map<std::string, int> out;
-  for (const auto& ep : endpoints_) {
-    if (ep->released()) continue;
-    ++out[to_string(ep->state())];
-  }
-  return out;
 }
 
 }  // namespace snake::tcp

@@ -1,25 +1,22 @@
-// Per-node TCP "network stack": owns the endpoints, demuxes incoming
-// segments by 4-tuple, accepts connections on listening ports, and exposes
-// the netstat-style socket table SNAKE's resource-exhaustion detector
-// queries ("the executor ... queries the OS to determine the number of
-// connections maintained by the server, for example by using the netstat
-// command").
+// Per-node TCP "network stack": demuxes incoming segments by 4-tuple,
+// accepts connections on listening ports, and answers closed ports with RST.
+// Endpoint ownership, the netstat view and snapshots come from the socket
+// table it shares with the DCCP stack (sim/socket_table.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "sim/node.h"
+#include "sim/socket_table.h"
 #include "tcp/endpoint.h"
 #include "tcp/profile.h"
 #include "util/rng.h"
 
 namespace snake::tcp {
 
-class TcpStack {
+class TcpStack : public sim::SocketTable<TcpEndpoint, 40000> {
  public:
   TcpStack(sim::Node& node, const TcpProfile& profile, snake::Rng rng);
 
@@ -44,63 +41,16 @@ class TcpStack {
   using AcceptHandler = std::function<TcpCallbacks(TcpEndpoint&)>;
   void listen(std::uint16_t port, AcceptHandler on_accept);
 
-  /// netstat: sockets currently held by the stack (excluding listeners).
-  /// `include_time_wait` controls whether TIME_WAIT sockets count — the
-  /// detector ignores them since they are part of normal teardown.
-  std::size_t open_sockets(bool include_time_wait = false) const;
-
-  /// Socket counts per state name, for reports.
-  std::map<std::string, int> socket_states() const;
-
-  const std::vector<std::unique_ptr<TcpEndpoint>>& endpoints() const { return endpoints_; }
   const TcpProfile& profile() const { return *profile_; }
   sim::Node& node() { return node_; }
 
  private:
-  struct ConnKey {
-    sim::Address remote_addr;
-    std::uint16_t remote_port;
-    std::uint16_t local_port;
-    auto operator<=>(const ConnKey&) const = default;
-  };
-
- public:
-  /// Frozen stack state for the snapshot layer: RNG, port counter, the value
-  /// state of the first N endpoints, and the demux table as (key, endpoint
-  /// index) pairs. Listeners are wired once per session and not captured.
-  struct Snapshot {
-    snake::Rng rng{0};
-    std::uint16_t next_ephemeral_port = 40000;
-    std::vector<TcpEndpoint::Snapshot> endpoints;
-    std::vector<std::pair<ConnKey, std::uint32_t>> connections;
-  };
-
-  Snapshot capture() const;
-
-  /// Destroys endpoints beyond `keep` (objects created after every snapshot
-  /// of interest, during a previous forked run). Must be called BEFORE
-  /// Scheduler::restore so their destructors cancel timers against the
-  /// scheduler state those handles actually refer to.
-  void truncate_endpoints(std::size_t keep);
-
-  /// Restores a capture() onto the session graph. Endpoints beyond the
-  /// snapshot's count are zombified in place (see
-  /// TcpEndpoint::snapshot_zombify) — later snapshots may still reference
-  /// them, so they cannot be destroyed. Call AFTER Scheduler::restore.
-  void restore(const Snapshot& snap);
-
- private:
-
   void on_packet(const sim::Packet& packet);
   TcpEndpoint& create_endpoint(TcpEndpointConfig config, TcpCallbacks callbacks);
 
   sim::Node& node_;
   const TcpProfile* profile_;
-  snake::Rng rng_;
   std::map<std::uint16_t, AcceptHandler> listeners_;
-  std::map<ConnKey, TcpEndpoint*> connections_;
-  std::vector<std::unique_ptr<TcpEndpoint>> endpoints_;
-  std::uint16_t next_ephemeral_port_ = 40000;
 };
 
 }  // namespace snake::tcp

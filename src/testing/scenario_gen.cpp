@@ -41,7 +41,7 @@ strategy::Strategy random_attack(snake::Rng& rng, const packet::HeaderFormat& fo
                                 : strategy::TrafficDirection::kServerToClient;
   s.target_state = pick(rng, machine.states());
   if (rng.chance(0.3)) {
-    s.packet_type = "*";
+    s.packet_type.assign(1, '*');
   } else {
     std::vector<std::string> types;
     for (const auto& t : format.packet_types()) types.push_back(t.name);
@@ -160,7 +160,8 @@ std::vector<strategy::Strategy> simplify_attack(const strategy::Strategy& attack
     mutate(v);
     variants.push_back(std::move(v));
   };
-  if (attack.packet_type != "*") with([](strategy::Strategy& v) { v.packet_type = "*"; });
+  if (attack.packet_type != "*")
+    with([](strategy::Strategy& v) { v.packet_type.assign(1, '*'); });
   switch (attack.action) {
     case AttackAction::kDuplicate:
       if (attack.duplicate_count > 1)

@@ -181,7 +181,7 @@ TEST(Fitness, MonotoneInMarginAndCoverage) {
     fb.margin = static_cast<double>(rng() % 1000) / 100.0;
     const std::size_t pairs = rng() % 12;
     for (std::size_t i = 0; i < pairs; ++i)
-      fb.fresh_pairs.emplace_back("S" + std::to_string(i), "T");
+      fb.fresh_pairs.emplace_back(std::string(1, 'S') + std::to_string(i), "T");
     const double base = search::fitness_score(fb, config);
 
     search::TrialFeedback more_margin = fb;

@@ -385,7 +385,9 @@ TEST(Trace, DelayedInjectionStampedAtDeliveryTime) {
   // the property-suite clock oracle relies on exactly this contract.
   ASSERT_EQ(net.trace().count(TraceKind::kInject), 1u);
   for (const TraceEntry& e : net.trace().entries())
-    if (e.kind == TraceKind::kInject) EXPECT_EQ(e.at.ns(), Duration::millis(7).ns());
+    if (e.kind == TraceKind::kInject) {
+      EXPECT_EQ(e.at.ns(), Duration::millis(7).ns());
+    }
 }
 
 // Filter that rewrites the first payload byte in place before forwarding.
@@ -415,7 +417,9 @@ TEST(Node, FilterMutationIsVisibleAtReceiver) {
   // The kSend record was taken before the filter ran: it keeps the honest
   // pre-mutation bytes (what the endpoint actually emitted).
   for (const TraceEntry& e : net.trace().entries())
-    if (e.kind == TraceKind::kSend) EXPECT_EQ(e.packet.bytes.at(0), 0xAA);
+    if (e.kind == TraceKind::kSend) {
+      EXPECT_EQ(e.packet.bytes.at(0), 0xAA);
+    }
 }
 
 TEST(Dumbbell, EndToEndAcrossBottleneck) {

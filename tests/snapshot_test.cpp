@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "snake/arena.h"
 #include "snake/controller.h"
 #include "snake/snapshot.h"
@@ -231,17 +233,80 @@ TEST(SnapshotFork, ServedTrialsInterleaveWithFallbackTrialsSafely) {
 }
 
 TEST(SnapshotFork, StoreSelfcheckReportsZeroViolations) {
+  // Every trial the store serves equals its from-zero replay, byte for byte.
   SnapshotStore store;
-  store.set_selfcheck(true);
   ScenarioConfig config = tcp_config(29);
+  ScenarioArena replay_arena;
   std::size_t served = 0;
   for (const Strategy& s : tcp_strategies()) {
     std::vector<Strategy> attacks{s};
     auto forked = store.run_trial(config, attacks);
-    served += forked.has_value() ? 1 : 0;
+    if (!forked.has_value()) continue;
+    ++served;
+    RunMetrics plain = core::run_scenario(replay_arena, config, attacks);
+    EXPECT_EQ(metrics_json(*forked), metrics_json(plain)) << "strategy " << s.id;
   }
   EXPECT_GE(served, 5u);  // all but the pre-run-target strategy fork
-  EXPECT_EQ(store.selfcheck_violations(), 0u);
+}
+
+/// Registry counters of one trial, minus the ones that legitimately differ
+/// between a forked trial and its from-zero replay: the snapshot layer's own
+/// bookkeeping and buffer-pool reuse (the session's pool is warm).
+std::map<std::string, std::uint64_t> trial_counters(const obs::MetricsRegistry& reg) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, value] : reg.counters())
+    if (name.rfind("snapshot.", 0) != 0 && name != "sim.buffers_reused") out[name] = value;
+  return out;
+}
+
+void expect_fork_counters_equal_replay(const ScenarioConfig& base,
+                                       const std::vector<Strategy>& strategies) {
+  SnapshotStore store;
+  ScenarioArena replay_arena;
+  std::size_t served = 0;
+  for (const Strategy& s : strategies) {
+    std::vector<Strategy> attacks{s};
+    obs::MetricsRegistry forked_reg, plain_reg;
+    ScenarioConfig config = base;
+    config.metrics = &forked_reg;
+    if (!store.run_trial(config, attacks).has_value()) continue;
+    ++served;
+    config.metrics = &plain_reg;
+    core::run_scenario(replay_arena, config, attacks);
+    const auto forked = trial_counters(forked_reg);
+    EXPECT_EQ(forked, trial_counters(plain_reg)) << "strategy " << s.id;
+    EXPECT_GT(forked.count(base.protocol == Protocol::kTcp ? "tcp.endpoint.segments_sent"
+                                                           : "dccp.endpoint.packets_sent"),
+              0u);
+  }
+  EXPECT_EQ(served, strategies.size());
+}
+
+TEST(SnapshotFork, ForkedTrialCountersMatchReplay) {
+  std::vector<Strategy> tcp = tcp_strategies();
+  tcp.erase(tcp.begin());  // pre-run target: declined, never forked
+  ScenarioConfig sack = tcp_config(37);
+  sack.tcp_profile = tcp::sack_rfc2018_profile();
+  {
+    SCOPED_TRACE("sack-rfc2018");
+    expect_fork_counters_equal_replay(sack, tcp);
+  }
+  {
+    // Flows opening mid-run create endpoints after the early checkpoints,
+    // so forks from those checkpoints zombify them.
+    SCOPED_TRACE("sack-rfc2018 trace");
+    sack.workload = core::Workload::kTrace;
+    sack.trace_text =
+        "# snake-trace/v1\n"
+        "0.0 web1 open\n0.2 web1 recv 80000\n0.6 web1 send 1500\n2.0 web1 close\n"
+        "0.3 web2 open\n0.8 web2 recv 50000\n2.5 web2 close\n"
+        "1.2 api open\n1.4 api send 700\n1.6 api recv 25000\n";
+    expect_fork_counters_equal_replay(sack, tcp);
+  }
+  {
+    SCOPED_TRACE("ccid3");
+    expect_fork_counters_equal_replay(dccp_config(41, 3), dccp_strategies());
+  }
 }
 
 TEST(SnapshotFork, IneligibleRequestsDecline) {
