@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   bool resume = false;
   int workers = 0;
   int heartbeat_timeout_ms = 0;  // 0 = DistOptions default
-  int respawn_limit = -1;        // <0 = DistOptions default
+  int respawn_limit = -1;        // <0 = SupervisorOptions default
   std::uint64_t verify_sample = 0;
   std::uint64_t chaos_seed = 0;
   std::uint32_t chaos_period = 7;
@@ -382,22 +382,22 @@ int main(int argc, char** argv) {
       opt.workers = workers;
       opt.selfcheck = selfcheck;
       if (heartbeat_timeout_ms > 0) opt.heartbeat_timeout_ms = heartbeat_timeout_ms;
-      if (respawn_limit >= 0) opt.respawn_limit = respawn_limit;
+      if (respawn_limit >= 0) opt.supervision.respawn_limit = respawn_limit;
       opt.verify_sample = verify_sample;
       if (cache_view.has_value()) opt.verify_cache = &*cache_view;
       if (chaos) {
         opt.wire_fault_seed = chaos_seed;
         opt.wire_fault_mask = core::kAllWireFaults;
         opt.wire_fault_period = chaos_period;
-        opt.supervisor_seed = chaos_seed;
+        opt.supervision.seed = chaos_seed;
         // Injected mid-write deaths are *supposed* to kill workers
         // repeatedly; the crash-loop detector would read that as a broken
         // host and quarantine every slot. Under chaos only the respawn
         // budget bounds the fleet, same as the chaos-soak suite.
-        opt.crash_loop_failures = 1 << 20;
-        if (respawn_limit < 0) opt.respawn_limit = 64;
-        opt.respawn_backoff_ms = 5;
-        opt.respawn_backoff_cap_ms = 50;
+        opt.supervision.crash_loop_failures = 1 << 20;
+        if (respawn_limit < 0) opt.supervision.respawn_limit = 64;
+        opt.supervision.backoff_base_ms = 5;
+        opt.supervision.backoff_cap_ms = 50;
       }
       backend.emplace(std::move(opt));
       config.backend = &*backend;

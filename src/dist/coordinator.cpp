@@ -27,11 +27,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string render_metrics(const core::RunMetrics& m) {
-  obs::JsonWriter w;
-  core::write_json(w, m);
-  return w.take();
-}
+/// Trials kept in flight per worker; also the shard size work-stealing aims
+/// to level out.
+constexpr std::size_t kPerWorkerDepth = 4;
+
+/// What a worker's death means for its slot: a failure starts the
+/// supervisor's backoff toward a respawn; byzantine divergence quarantines
+/// the slot for good (no respawn budget, no backoff).
+enum class SlotVerdict { kFailure, kQuarantine };
+
+/// How a worker's ready handshake ended: baselines matched, no ready frame
+/// arrived, or the baselines differ from the coordinator's.
+enum class Ready { kReady, kSilent, kDiverged };
 
 std::string render_record(const core::TrialRecord& r) {
   obs::JsonWriter w;
@@ -58,7 +65,7 @@ struct DistributedBackend::Impl {
     Clock::time_point last_heard;
     bool steal_pending = false;
     bool reaped = false;
-    bool death_handled = false;  // declare_dead/quarantine ran for this life
+    bool death_handled = false;  // retire ran for this life
     std::string journal_path;
     int slot = 0;
     int incarnation = 0;  // 0 = initial spawn; respawns count up
@@ -83,15 +90,9 @@ struct DistributedBackend::Impl {
   std::string expected_baseline;
   std::string expected_retest;
 
-  // Campaign context for inline fallback execution (fleet lost entirely).
-  core::ScenarioConfig run_template;
-  core::ScenarioConfig retest_template;
-  core::RunMetrics baseline;
-  core::RunMetrics retest_baseline;
-  const packet::HeaderFormat* format = nullptr;
-  double threshold = 0.5;
-  std::uint32_t max_attempts = 1;
-  std::uint64_t retry_seed_offset = 7919;
+  // Campaign context for the trials this process runs itself: byzantine
+  // re-executions and the inline fallback once the fleet is lost for good.
+  core::TrialContext ctx;
   bool collect_metrics = true;
   std::unique_ptr<core::ScenarioArena> inline_arena;
   obs::MetricsRegistry inline_registry;
@@ -122,7 +123,6 @@ struct DistributedBackend::Impl {
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return false;
     // Parent end must not leak into this (or any later) worker's exec image.
     ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
-    std::string exe = options.worker_exe.empty() ? "/proc/self/exe" : options.worker_exe;
     std::string fd_arg = std::to_string(sv[1]);
     pid_t pid = ::fork();
     if (pid < 0) {
@@ -131,8 +131,8 @@ struct DistributedBackend::Impl {
       return false;
     }
     if (pid == 0) {
-      const char* argv[] = {exe.c_str(), "--snake-worker-child", fd_arg.c_str(), nullptr};
-      ::execv(exe.c_str(), const_cast<char**>(argv));
+      const char* argv[] = {"/proc/self/exe", "--snake-worker-child", fd_arg.c_str(), nullptr};
+      ::execv("/proc/self/exe", const_cast<char**>(argv));
       ::_exit(127);
     }
     ::close(sv[1]);
@@ -165,24 +165,18 @@ struct DistributedBackend::Impl {
     }
   }
 
-  void declare_dead(Worker& w, std::string reason) {
+  /// Ends a worker's life: kill it, requeue its shard, and report the
+  /// verdict to the supervisor. The report carries the reason.
+  void retire(Worker& w, SlotVerdict verdict, std::string reason) {
     if (w.death_handled) return;  // pump_worker and its caller may both fire
     w.death_handled = true;
     kill_worker(w);
     ++lost;
     requeue_shard(w);
-    sup.record_failure(w.slot, Clock::now(), std::move(reason));
-  }
-
-  void quarantine_worker(Worker& w, std::string reason) {
-    if (w.death_handled) return;
-    w.death_handled = true;
-    // Byzantine divergence: the slot is done for good — no respawn budget,
-    // no backoff, straight to quarantine. The report carries the reason.
-    kill_worker(w);
-    ++lost;
-    requeue_shard(w);
-    sup.record_quarantine(w.slot, std::move(reason));
+    if (verdict == SlotVerdict::kQuarantine)
+      sup.record_quarantine(w.slot, std::move(reason));
+    else
+      sup.record_failure(w.slot, Clock::now(), std::move(reason));
   }
 
   /// The WorkerCampaign for a (slot, incarnation): per-slot journal path and
@@ -242,19 +236,20 @@ struct DistributedBackend::Impl {
 
   /// Ready half of the handshake: baseline byte-equality is the
   /// cross-process determinism guard — a worker that simulates differently
-  /// must never contribute verdicts, initial spawn or respawn alike.
-  bool await_ready(Worker& w) {
+  /// must never contribute verdicts, initial spawn or respawn alike. A
+  /// worker that fails it is killed; the caller decides what the failure
+  /// costs the fleet.
+  Ready await_ready(Worker& w) {
     auto ready_frame = w.ch->recv_frame(300000);
     std::optional<Message> ready;
     if (ready_frame.has_value()) ready = parse_message(*ready_frame);
     if (!ready.has_value() || ready->type != MsgType::kReady) {
       kill_worker(w);
-      return false;
+      return Ready::kSilent;
     }
-    if (render_metrics(ready->baseline) != expected_baseline ||
-        render_metrics(ready->retest_baseline) != expected_retest) {
+    if (ready->baseline != expected_baseline || ready->retest_baseline != expected_retest) {
       kill_worker(w);
-      return false;
+      return Ready::kDiverged;
     }
     w.last_heard = Clock::now();
     w.last_progress = w.last_heard;
@@ -262,7 +257,7 @@ struct DistributedBackend::Impl {
     // Chaos only after the handshake: the supervisor needs spawns to make
     // progress, and the worker applies its own plan after ready likewise.
     attach_coord_chaos(w);
-    return true;
+    return Ready::kReady;
   }
 
   /// Coordinator-side chaos for one worker connection, worker-only faults
@@ -291,7 +286,7 @@ struct DistributedBackend::Impl {
       if (!sup.respawn_due(w.slot, now)) continue;
       const int slot = w.slot;
       const int incarnation = w.incarnation + 1;
-      if (!spawn_and_greet(w, slot, incarnation) || !await_ready(w)) {
+      if (!spawn_and_greet(w, slot, incarnation) || await_ready(w) != Ready::kReady) {
         sup.record_failure(slot, Clock::now(), "respawn handshake failed");
         continue;
       }
@@ -354,8 +349,8 @@ struct DistributedBackend::Impl {
     core::TrialRecord truth = execute_record(strat);
     if (verdict_surface(truth) == verdict_surface(record)) return record;
     ++divergent;
-    quarantine_worker(w, "divergent result for seq " + std::to_string(seq) + " (key " +
-                             truth.key + ")");
+    retire(w, SlotVerdict::kQuarantine,
+           "divergent result for seq " + std::to_string(seq) + " (key " + truth.key + ")");
     // Commit the re-execution: bit-identical to single-process by
     // construction, so the campaign's determinism guarantee survives.
     return truth;
@@ -423,7 +418,7 @@ struct DistributedBackend::Impl {
         // treat it like a worker death (kill + requeue + supervised respawn)
         // instead of guessing where the next frame starts.
         ++frames_rejected_n;
-        declare_dead(w, "malformed frame");
+        retire(w, SlotVerdict::kFailure, "malformed frame");
         return;
       }
     }
@@ -435,12 +430,12 @@ struct DistributedBackend::Impl {
     while (!unassigned.empty()) {
       Worker* w = least_loaded_alive();
       if (w == nullptr) return;
-      if (static_cast<int>(w->assigned.size()) >= options.per_worker_depth) return;
+      if (w->assigned.size() >= kPerWorkerDepth) return;
       core::TrialTask task = std::move(unassigned.front());
       unassigned.pop_front();
       std::uint64_t seq = task.seq;
       if (!w->ch->send_frame(encode_trials({WireTrial{task.seq, std::move(task.strat)}}))) {
-        declare_dead(*w, "send failed");
+        retire(*w, SlotVerdict::kFailure, "send failed");
         auto it = strategies.find(seq);
         if (it != strategies.end()) unassigned.push_back(core::TrialTask{seq, it->second});
         continue;
@@ -468,7 +463,7 @@ struct DistributedBackend::Impl {
     if (loaded->ch->send_frame(encode_steal(count)))
       loaded->steal_pending = true;
     else
-      declare_dead(*loaded, "send failed");
+      retire(*loaded, SlotVerdict::kFailure, "send failed");
   }
 
   /// One trial executed in this process — the shared body behind the
@@ -477,21 +472,8 @@ struct DistributedBackend::Impl {
   /// worker's.
   core::TrialRecord execute_record(const strategy::Strategy& strat) {
     if (inline_arena == nullptr) inline_arena = std::make_unique<core::ScenarioArena>();
-    obs::MetricsRegistry* reg = collect_metrics ? &inline_registry : nullptr;
-    core::ScenarioConfig run_config = run_template;
-    run_config.metrics = reg;
-    core::ScenarioConfig retest_config = retest_template;
-    retest_config.metrics = reg;
-    core::TrialContext ctx;
-    ctx.run_template = &run_config;
-    ctx.retest_template = &retest_config;
-    ctx.baseline = &baseline;
-    ctx.retest_baseline = &retest_baseline;
-    ctx.format = format;
-    ctx.threshold = threshold;
-    ctx.max_attempts = max_attempts;
-    ctx.retry_seed_offset = retry_seed_offset;
-    return core::execute_trial(*inline_arena, ctx, strat, reg);
+    return core::execute_trial(*inline_arena, ctx, strat,
+                               collect_metrics ? &inline_registry : nullptr);
   }
 
   core::TrialOutcome run_inline(core::TrialTask task) {
@@ -524,32 +506,16 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   if (config.scenario.faults != nullptr || config.scenario.inspector != nullptr) return false;
   if (im.options.workers < 1) return false;
 
-  im.run_template = config.scenario;
-  im.run_template.metrics = nullptr;
-  im.retest_template = im.run_template;
-  im.retest_template.seed += config.retest_seed_offset;
-  im.baseline = baseline;
-  im.retest_baseline = retest_baseline;
-  im.format = &core::format_for_protocol(config.scenario.protocol);
-  im.threshold = config.detect_threshold;
-  im.max_attempts = std::max<std::uint32_t>(1, config.trial_attempts);
-  im.retry_seed_offset = config.retry_seed_offset;
+  im.ctx = core::make_trial_context(config, baseline, retest_baseline);
   im.collect_metrics = config.collect_metrics;
-
-  im.expected_baseline = render_metrics(baseline);
-  im.expected_retest = render_metrics(retest_baseline);
+  im.expected_baseline = render_baseline(baseline);
+  im.expected_retest = render_baseline(retest_baseline);
 
   // Supervisor state: one slot per configured worker; respawn scheduling is
   // keyed by the campaign seed unless the caller picked its own.
-  SupervisorOptions sup_opts;
-  sup_opts.respawn_limit = im.options.respawn_limit;
-  sup_opts.backoff_base_ms = im.options.respawn_backoff_ms;
-  sup_opts.backoff_cap_ms = im.options.respawn_backoff_cap_ms;
-  sup_opts.crash_loop_failures = im.options.crash_loop_failures;
-  sup_opts.crash_loop_window_ms = im.options.crash_loop_window_ms;
-  sup_opts.seed =
-      im.options.supervisor_seed != 0 ? im.options.supervisor_seed : config.scenario.seed;
-  im.sup = Supervisor(im.options.workers, sup_opts);
+  SupervisorOptions supervision = im.options.supervision;
+  if (supervision.seed == 0) supervision.seed = config.scenario.seed;
+  im.sup = Supervisor(im.options.workers, supervision);
 
   WorkerCampaign& wc = im.wc_template;
   wc.campaign = config;  // only the identity fields and collect_metrics travel
@@ -572,25 +538,15 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   bool determinism_ok = true;
   for (Impl::Worker& w : im.workers) {
     if (!im.worker_alive(w)) continue;
-    auto ready_frame = w.ch->recv_frame(300000);
-    std::optional<Message> ready;
-    if (ready_frame.has_value()) ready = parse_message(*ready_frame);
-    if (!ready.has_value() || ready->type != MsgType::kReady) {
-      im.kill_worker(w);
-      im.sup.record_failure(w.slot, Clock::now(), "no ready before timeout");
-      continue;
-    }
-    if (render_metrics(ready->baseline) != im.expected_baseline ||
-        render_metrics(ready->retest_baseline) != im.expected_retest) {
+    const Ready ready = im.await_ready(w);
+    if (ready == Ready::kDiverged) {
       // The worker simulates differently from the coordinator. That must
       // never happen; if it does, no worker verdict is trustworthy.
       determinism_ok = false;
       break;
     }
-    w.last_heard = Clock::now();
-    w.last_progress = w.last_heard;
-    if (!w.journal_path.empty()) im.journal_files.push_back(w.journal_path);
-    im.attach_coord_chaos(w);
+    if (ready == Ready::kSilent)
+      im.sup.record_failure(w.slot, Clock::now(), "no ready before timeout");
   }
   if (!determinism_ok || im.alive_count() == 0) {
     for (auto& w : im.workers) im.kill_worker(w);
@@ -604,7 +560,7 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
 
 std::size_t DistributedBackend::capacity() const {
   std::size_t alive = impl_->alive_count();
-  return std::max<std::size_t>(1, alive * static_cast<std::size_t>(impl_->options.per_worker_depth));
+  return std::max<std::size_t>(1, alive * kPerWorkerDepth);
 }
 
 void DistributedBackend::submit(core::TrialTask task) {
@@ -660,13 +616,14 @@ core::TrialOutcome DistributedBackend::wait_outcome() {
       Impl::Worker& w = *by_fd[i];
       if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) im.pump_worker(w);
       if (!im.worker_alive(w)) {
-        im.declare_dead(w, w.ch != nullptr && w.ch->eof() ? "worker eof" : "wire error");
+        im.retire(w, SlotVerdict::kFailure,
+                  w.ch != nullptr && w.ch->eof() ? "worker eof" : "wire error");
         continue;
       }
       const auto silence =
           std::chrono::duration_cast<std::chrono::milliseconds>(now - w.last_heard).count();
       if (silence > im.options.heartbeat_timeout_ms) {
-        im.declare_dead(w, "heartbeat timeout");
+        im.retire(w, SlotVerdict::kFailure, "heartbeat timeout");
         continue;
       }
       // Dispatch starvation: the worker heartbeats an *empty* queue while
@@ -680,7 +637,7 @@ core::TrialOutcome DistributedBackend::wait_outcome() {
           std::chrono::duration_cast<std::chrono::milliseconds>(now - w.last_progress).count();
       if (!w.assigned.empty() && w.reported_queue == 0 &&
           stalled > im.options.heartbeat_timeout_ms) {
-        im.declare_dead(w, "dispatch starvation");
+        im.retire(w, SlotVerdict::kFailure, "dispatch starvation");
       }
     }
   }
@@ -695,7 +652,7 @@ void DistributedBackend::on_feedback(const std::vector<core::JournalObservation>
   // and the campaign waits forever for those trials.
   for (Impl::Worker& w : impl_->workers)
     if (impl_->worker_alive(w) && !w.ch->send_frame(frame))
-      impl_->declare_dead(w, "send failed");
+      impl_->retire(w, SlotVerdict::kFailure, "send failed");
 }
 
 void DistributedBackend::finish(obs::MetricsRegistry* into) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/supervisor.h"
 #include "snake/backend.h"
 #include "snake/journal.h"
 
@@ -58,10 +59,6 @@ struct DistOptions {
   /// in the bye message and sum into selfcheck_violations().
   bool selfcheck = false;
 
-  /// Worker binary; "" = /proc/self/exe (the usual case — any SNAKE
-  /// executable whose main() calls maybe_run_worker can host workers).
-  std::string worker_exe;
-
   /// Test-only fault injection: worker i exits abruptly (no bye, SIGKILL
   /// semantics) after entry i results. Empty = never. Applies to a slot's
   /// first incarnation only, so the respawned replacement finishes the job.
@@ -73,25 +70,10 @@ struct DistOptions {
   /// only.
   std::vector<std::uint64_t> corrupt_after_results;
 
-  /// Trials kept in flight per worker; also the shard size work-stealing
-  /// aims to level out.
-  int per_worker_depth = 4;
-
-  // ---- fleet supervision (see dist/supervisor.h) ----
-
-  /// Respawns allowed per worker slot before quarantine (0 = never respawn,
-  /// the pre-supervision behaviour).
-  int respawn_limit = 8;
-  /// Exponential backoff base/cap between a slot's death and its respawn;
-  /// the spread between slots is seed-keyed, not random.
-  int respawn_backoff_ms = 50;
-  int respawn_backoff_cap_ms = 5000;
-  /// Crash-loop detector: quarantine a slot after this many failures inside
-  /// the window even with respawn budget left.
-  int crash_loop_failures = 5;
-  int crash_loop_window_ms = 10000;
-  /// Keys the deterministic backoff spread (and nothing outcome-relevant).
-  std::uint64_t supervisor_seed = 0;
+  /// Fleet supervision (see dist/supervisor.h): respawn budget, backoff and
+  /// crash-loop window per worker slot. `supervision.seed` 0 keys the
+  /// deterministic backoff spread by the campaign seed.
+  SupervisorOptions supervision;
 
   // ---- byzantine result verification ----
 

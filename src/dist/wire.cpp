@@ -327,14 +327,18 @@ std::string encode_campaign(const WorkerCampaign& wc) {
   return finish(w);
 }
 
+std::string render_baseline(const core::RunMetrics& m) {
+  obs::JsonWriter w;
+  core::write_json(w, m);
+  return w.take();
+}
+
 std::string encode_ready(const core::RunMetrics& baseline,
                          const core::RunMetrics& retest_baseline) {
   obs::JsonWriter w;
   begin(w, MsgType::kReady);
-  w.key("baseline");
-  core::write_json(w, baseline);
-  w.key("retest_baseline");
-  core::write_json(w, retest_baseline);
+  w.key("baseline").value(render_baseline(baseline));
+  w.key("retest_baseline").value(render_baseline(retest_baseline));
   w.end_object();
   return finish(w);
 }
@@ -474,12 +478,11 @@ std::optional<Message> parse_message(std::string_view payload) {
     case MsgType::kReady: {
       const obs::JsonValue* baseline = doc->find("baseline");
       const obs::JsonValue* retest = doc->find("retest_baseline");
-      if (baseline == nullptr || retest == nullptr) return std::nullopt;
-      auto b = core::run_metrics_from_json(*baseline);
-      auto r = core::run_metrics_from_json(*retest);
-      if (!b.has_value() || !r.has_value()) return std::nullopt;
-      m.baseline = std::move(*b);
-      m.retest_baseline = std::move(*r);
+      if (baseline == nullptr || !baseline->is_string() || retest == nullptr ||
+          !retest->is_string())
+        return std::nullopt;
+      m.baseline = baseline->str_v;
+      m.retest_baseline = retest->str_v;
       break;
     }
     case MsgType::kTrials: {

@@ -12,9 +12,10 @@
 // Message flow, coordinator's view ("C" = coordinator, "W" = worker):
 //   W->C hello      protocol version + pid (sent immediately after exec)
 //   C->W campaign   the full campaign wire form (WorkerCampaign)
-//   W->C ready      worker's own baseline RunMetrics — "an executor first
-//                   runs a non-attack test"; C verifies them byte-equal to
-//                   its own as a cross-process determinism guard
+//   W->C ready      renderings of the worker's own baseline RunMetrics —
+//                   "an executor first runs a non-attack test"; C compares
+//                   them byte for byte with its own as a cross-process
+//                   determinism guard
 //   C->W trials     a shard of numbered trials (dynamic sizing)
 //   W->C result     one finished TrialRecord, tagged with its seq
 //   C->W steal      give back up to N not-yet-started trials
@@ -45,7 +46,9 @@ namespace snake::dist {
 /// v3: campaign frames carry every outcome field (the TCP profile by
 /// content, not by name) and are rejected unless they hash to their
 /// identity_hash.
-inline constexpr std::uint32_t kWireVersion = 3;
+/// v4: ready frames carry the baselines as render_baseline strings, compared
+/// byte for byte instead of parsed.
+inline constexpr std::uint32_t kWireVersion = 4;
 
 /// Frames larger than this are treated as a protocol violation (a corrupted
 /// length prefix would otherwise ask for gigabytes).
@@ -194,9 +197,9 @@ struct Message {
   // campaign
   WorkerCampaign campaign;
 
-  // ready (baselines; exact round-trip RunMetrics)
-  core::RunMetrics baseline;
-  core::RunMetrics retest_baseline;
+  // ready (render_baseline of each baseline)
+  std::string baseline;
+  std::string retest_baseline;
 
   // trials
   std::vector<WireTrial> trials;
@@ -222,6 +225,10 @@ struct Message {
   std::uint64_t selfcheck_violations = 0;
 };
 
+/// A baseline as the ready frame carries it: core::write_json's rendering.
+/// The coordinator renders its own baselines the same way and compares bytes.
+std::string render_baseline(const core::RunMetrics& m);
+
 // Encoders: one per message type, returning the frame payload (not framed).
 std::string encode_hello();
 std::string encode_campaign(const WorkerCampaign& wc);
@@ -241,7 +248,7 @@ std::string encode_shutdown();
 std::string encode_bye(const std::string& metrics_json, std::uint64_t violations);
 
 /// Decodes one frame payload. nullopt on anything malformed — unknown type,
-/// missing field, bad strategy/record/metrics encoding. Decoding is
+/// missing field, bad strategy/record encoding. Decoding is
 /// hardened (fuzzed in tests/fuzz_test.cpp): no input may crash it.
 std::optional<Message> parse_message(std::string_view payload);
 

@@ -66,33 +66,33 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   if (!campaign_frame.has_value()) return 1;
   auto campaign_msg = parse_message(*campaign_frame);
   if (!campaign_msg.has_value() || campaign_msg->type != MsgType::kCampaign) return 1;
-  const WorkerCampaign wc = std::move(campaign_msg->campaign);
+  WorkerCampaign wc = std::move(campaign_msg->campaign);
 
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* reg = wc.campaign.collect_metrics ? &registry : nullptr;
 
   std::unique_ptr<core::RunInspector> inspector;
   if (wc.selfcheck && hooks.make_inspector) inspector = hooks.make_inspector(wc.campaign.scenario);
+  wc.campaign.scenario.inspector = inspector.get();
 
-  // The worker's own non-attack baselines, computed exactly as the
-  // coordinator computes its pair (controller.cpp): same configs, same
-  // seeds, fresh arena. Shipping them back lets the coordinator verify
-  // byte-for-byte that this process simulates identically.
-  core::ScenarioConfig run_config = wc.campaign.scenario;
-  run_config.metrics = reg;
-  run_config.faults = nullptr;
-  run_config.inspector = inspector.get();
-  // Baselines and trials take the campaign's early-exit cut, exactly as the
-  // coordinator's do, or the cross-process byte-equality check would
-  // compare different cuts.
-  run_config.early_exit = core::CampaignConfig::early_exit;
-  core::ScenarioConfig retest_config = run_config;
-  retest_config.seed += wc.campaign.retest_seed_offset;
-
+  // The worker's own non-attack baselines, from the recipe the coordinator
+  // ran its pair with, in a fresh arena. Shipping their rendering back lets
+  // the coordinator verify byte-for-byte that this process simulates
+  // identically.
+  core::RunTemplates base = core::baseline_templates(wc.campaign);
+  base.run.metrics = reg;
+  base.retest.metrics = reg;
   core::ScenarioArena arena;
-  core::RunMetrics baseline = core::run_scenario(arena, run_config, std::nullopt);
-  core::RunMetrics retest_baseline = core::run_scenario(arena, retest_config, std::nullopt);
+  core::RunMetrics baseline = core::run_scenario(arena, base.run, std::nullopt);
+  core::RunMetrics retest_baseline = core::run_scenario(arena, base.retest, std::nullopt);
   if (!sender.send(encode_ready(baseline, retest_baseline))) return 1;
+
+  // The trial context, with a per-worker snapshot store like a
+  // ThreadBackend's. Selfcheck campaigns carry an inspector, which the store
+  // declines per-trial, so the oracle always sees a from-zero run.
+  core::TrialContext ctx =
+      core::make_trial_context(wc.campaign, std::move(baseline), std::move(retest_baseline));
+  ctx.snapshots = std::make_unique<core::SnapshotStore>();
 
   // Wire chaos attaches strictly *after* the ready handshake: the supervisor
   // must always be able to respawn a slot into a working fleet, so the spawn
@@ -120,21 +120,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
       });
     }
   }
-
-  core::TrialContext ctx;
-  ctx.run_template = &run_config;
-  ctx.retest_template = &retest_config;
-  ctx.baseline = &baseline;
-  ctx.retest_baseline = &retest_baseline;
-  ctx.format = &core::format_for_protocol(wc.campaign.scenario.protocol);
-  ctx.threshold = wc.campaign.detect_threshold;
-  ctx.max_attempts = wc.campaign.trial_attempts;
-  ctx.retry_seed_offset = wc.campaign.retry_seed_offset;
-  // Per-worker snapshot store, same as a ThreadBackend executor. Selfcheck
-  // campaigns carry an inspector, which the store declines per-trial, so the
-  // oracle always sees a from-zero run.
-  core::SnapshotStore snapshots;
-  ctx.snapshots = &snapshots;
 
   std::deque<WireTrial> queue;
   std::mutex queue_mutex;  // heartbeat thread reads the depth

@@ -242,15 +242,9 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // Non-attack baselines, one per seed used ("runs a non-attack test").
   // Fault rules are keyed by strategy id and target trials; the baselines
   // (and the combination phase, which reuses these configs) run clean.
-  ScenarioConfig base_scenario = config.scenario;
-  base_scenario.metrics = main_reg;
-  base_scenario.faults = nullptr;
-  // Baselines take the same early-exit cut as trials: the detector compares
-  // their byte counts against trial byte counts, so both sides must be
-  // measured under the same run driver.
-  base_scenario.early_exit = config.early_exit;
-  ScenarioConfig retest_scenario = base_scenario;
-  retest_scenario.seed += config.retest_seed_offset;
+  RunTemplates base = baseline_templates(config);
+  base.run.metrics = main_reg;
+  base.retest.metrics = main_reg;
   // The coordinator's arena serves the baselines now and the combination
   // phase later; each executor owns its own (arenas are single-threaded).
   ScenarioArena main_arena;
@@ -258,8 +252,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   RunMetrics retest_baseline;
   {
     obs::ScopedTimer timer(main_reg, "campaign.baseline_seconds");
-    baseline = run_scenario(main_arena, base_scenario, std::nullopt);
-    retest_baseline = run_scenario(main_arena, retest_scenario, std::nullopt);
+    baseline = run_scenario(main_arena, base.run, std::nullopt);
+    retest_baseline = run_scenario(main_arena, base.retest, std::nullopt);
   }
   result.baseline = baseline;
 
@@ -570,7 +564,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     for (std::size_t i = 0; i < top.size(); ++i) {
       for (std::size_t j = i + 1; j < top.size(); ++j) {
         std::vector<strategy::Strategy> pair = {top[i]->strat, top[j]->strat};
-        RunMetrics run = run_scenario(main_arena, base_scenario, pair);
+        RunMetrics run = run_scenario(main_arena, base.run, pair);
         Detection d = detect(baseline, run, threshold);
         count_detection_reasons(main_reg, d, threshold);
         ++result.combinations_tried;

@@ -76,10 +76,14 @@ struct CampaignConfig {
   /// executors always serve eligible trials from the campaign's snapshot
   /// store (snake/snapshot.h). Neither changes a detection, classification
   /// or signature; the tests compare both against from-zero, full-horizon
-  /// references. The cut stays a named constant rather than disappearing
-  /// because code that runs a campaign's scenarios outside the controller
-  /// copies it into its ScenarioConfig — campbench/traced.cpp does so when
-  /// it replays journaled trials.
+  /// references. Inside src the cut is read in one place: the template
+  /// derivation behind baseline_templates() and make_trial_context()
+  /// (trial_runner.h), which every baseline and every executor — thread,
+  /// worker process, or the distributed coordinator's own re-executions —
+  /// runs from. It stays a named constant because code that runs a
+  /// campaign's scenarios outside the controller copies it into its
+  /// ScenarioConfig — campbench/traced.cpp does so when it replays
+  /// journaled trials.
   static constexpr bool early_exit = true;
 
   /// Progress callback (strategies committed, total queued so far). Invoked

@@ -25,7 +25,6 @@
 
 namespace snake::obs {
 class JsonWriter;
-struct JsonValue;
 class MetricsRegistry;
 }
 
@@ -167,18 +166,13 @@ struct RunMetrics {
   std::string abort_reason;  ///< "event-budget" or "wall-clock" when aborted
 };
 
-/// Writes the full RunMetrics as one JSON object (run_metrics_json.cpp).
-/// The encoding round-trips *exactly* through run_metrics_from_json:
-/// durations travel as integer nanoseconds, doubles are rendered
-/// round-trippably, observation order is preserved. Exactness matters —
-/// workers ship their baseline RunMetrics to the coordinator over this
-/// encoding, and the coordinator compares it against its own baseline for
-/// the cross-process determinism check (src/dist).
+/// Writes the full RunMetrics as one JSON object (run_metrics_json.cpp):
+/// durations as integer nanoseconds, observations in order. The rendering
+/// is canonical — equal metrics give equal bytes — which is what the
+/// distributed backend's cross-process determinism check compares: workers
+/// ship their baselines' rendering, the coordinator compares it with its
+/// own (src/dist).
 void write_json(obs::JsonWriter& w, const RunMetrics& m);
-
-/// Parses write_json's encoding; nullopt when the document is not an object
-/// or an observation entry is malformed.
-std::optional<RunMetrics> run_metrics_from_json(const obs::JsonValue& v);
 
 /// Observer given read access to a finished run's live objects (network with
 /// its packet trace, attack proxy with its trackers) plus the metrics about

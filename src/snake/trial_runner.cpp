@@ -34,7 +34,38 @@ RunMetrics run_one(ScenarioArena& arena, const TrialContext& ctx,
   return run_scenario(arena, config, strat);
 }
 
+/// The one derivation of a campaign's scenario templates (the trial and
+/// baseline templates differ only in `faults`).
+RunTemplates derive_templates(const CampaignConfig& config, const FaultPlan* faults) {
+  RunTemplates t{config.scenario, {}};
+  t.run.metrics = nullptr;
+  t.run.faults = faults;
+  // Trials and baselines take the same cut: the detector compares their
+  // byte counts, so both sides must be measured under one run driver.
+  t.run.early_exit = config.early_exit;
+  t.retest = t.run;
+  t.retest.seed += config.retest_seed_offset;
+  return t;
+}
+
 }  // namespace
+
+RunTemplates baseline_templates(const CampaignConfig& config) {
+  return derive_templates(config, nullptr);
+}
+
+TrialContext make_trial_context(const CampaignConfig& config, RunMetrics baseline,
+                                RunMetrics retest_baseline) {
+  TrialContext ctx;
+  ctx.templates = derive_templates(config, config.scenario.faults);
+  ctx.baseline = std::move(baseline);
+  ctx.retest_baseline = std::move(retest_baseline);
+  ctx.format = &format_for_protocol(config.scenario.protocol);
+  ctx.threshold = config.detect_threshold;
+  ctx.max_attempts = std::max<std::uint32_t>(1, config.trial_attempts);
+  ctx.retry_seed_offset = config.retry_seed_offset;
+  return ctx;
+}
 
 std::vector<JournalObservation> journal_observations(
     const std::vector<statemachine::EndpointTracker::Observation>& obs) {
@@ -52,7 +83,6 @@ TrialRecord execute_trial(ScenarioArena& arena, const TrialContext& ctx,
                           const strategy::Strategy& strat, obs::MetricsRegistry* reg) {
   TrialRecord record;
   record.key = strategy::canonical_key(strat);
-  const std::uint32_t max_attempts = std::max<std::uint32_t>(1, ctx.max_attempts);
 
   // Live trial, guarded: a watchdog abort or an exception fails the attempt
   // instead of wedging or killing the executor; failed attempts retry (once
@@ -62,20 +92,20 @@ TrialRecord execute_trial(ScenarioArena& arena, const TrialContext& ctx,
   bool trial_completed = false;
   TrialVerdict fail_verdict = TrialVerdict::kErrored;
   std::uint32_t attempts_used = 0;
-  for (std::uint32_t attempt = 0; attempt < max_attempts && !trial_completed; ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < ctx.max_attempts && !trial_completed; ++attempt) {
     attempts_used = attempt + 1;
     if (attempt > 0 && reg != nullptr) ++reg->counter("campaign.trials_retried");
     // The retry seed is a pure function of the retry index so results stay
     // reproducible; the fault key/attempt let seed-driven fault rules target
     // specific strategies and model transient failures.
-    ScenarioConfig attempt_config = *ctx.run_template;
-    attempt_config.seed += attempt * ctx.retry_seed_offset;
-    attempt_config.fault_key = strat.id;
-    attempt_config.fault_attempt = attempt;
-    ScenarioConfig attempt_retest = *ctx.retest_template;
-    attempt_retest.seed += attempt * ctx.retry_seed_offset;
-    attempt_retest.fault_key = strat.id;
-    attempt_retest.fault_attempt = attempt;
+    ScenarioConfig attempt_config = ctx.templates.run;
+    ScenarioConfig attempt_retest = ctx.templates.retest;
+    for (ScenarioConfig* c : {&attempt_config, &attempt_retest}) {
+      c->seed += attempt * ctx.retry_seed_offset;
+      c->fault_key = strat.id;
+      c->fault_attempt = attempt;
+      c->metrics = reg;
+    }
     try {
       run = run_one(arena, ctx, attempt_config, strat, attempt);
       if (run.aborted) {
@@ -85,7 +115,7 @@ TrialRecord execute_trial(ScenarioArena& arena, const TrialContext& ctx,
         if (reg != nullptr) ++reg->counter("campaign.trials_aborted");
         continue;
       }
-      Detection first = detect(*ctx.baseline, run, ctx.threshold);
+      Detection first = detect(ctx.baseline, run, ctx.threshold);
       count_detection_reasons(reg, first, ctx.threshold);
       if (first.is_attack) {
         if (reg != nullptr) ++reg->counter("campaign.detected_first_pass");
@@ -99,7 +129,7 @@ TrialRecord execute_trial(ScenarioArena& arena, const TrialContext& ctx,
           if (reg != nullptr) ++reg->counter("campaign.trials_aborted");
           continue;
         }
-        Detection second = detect(*ctx.retest_baseline, again, ctx.threshold);
+        Detection second = detect(ctx.retest_baseline, again, ctx.threshold);
         if (second.is_attack) {
           if (reg != nullptr) ++reg->counter("campaign.retest_confirmed");
           record.found = true;
@@ -143,22 +173,11 @@ TrialRecord execute_trial(ScenarioArena& arena, const TrialContext& ctx,
 struct ThreadBackend::Impl {
   int executors = 1;
 
-  // Campaign context, fixed at start().
-  ScenarioConfig run_template;
-  ScenarioConfig retest_template;
-  RunMetrics baseline;
-  RunMetrics retest_baseline;
-  const packet::HeaderFormat* format = nullptr;
-  double threshold = 0.5;
-  std::uint32_t max_attempts = 1;
-  std::uint64_t retry_seed_offset = 7919;
-  bool collect_metrics = true;
-
-  /// One snapshot store shared by every executor (see SnapshotStore):
-  /// sessions are built once per seed instead of once per executor thread,
-  /// which drops both duplicate prefix runs and N-1 resident frozen worlds.
-  /// Emplaced fresh per start() — the store is campaign-scoped.
-  std::optional<SnapshotStore> snapshots;
+  /// Campaign context, fixed at start(). Its snapshot store is shared by
+  /// every executor (see SnapshotStore): sessions are built once per seed
+  /// instead of once per executor thread, which drops both duplicate prefix
+  /// runs and N-1 resident frozen worlds.
+  TrialContext ctx;
 
   std::mutex mutex;
   std::condition_variable inbox_cv;
@@ -171,25 +190,9 @@ struct ThreadBackend::Impl {
   std::vector<obs::MetricsRegistry> registries;
 
   void executor_main(obs::MetricsRegistry* reg) {
-    // Thread-private scenario configs pointing at this executor's registry,
-    // plus the executor's arena: network and stacks built once, reset
-    // between trials.
+    // The executor's arena: network and stacks built once, reset between
+    // trials.
     ScenarioArena arena;
-    ScenarioConfig run_config = run_template;
-    run_config.metrics = reg;
-    ScenarioConfig retest_config = retest_template;
-    retest_config.metrics = reg;
-    TrialContext ctx;
-    ctx.snapshots = snapshots.has_value() ? &*snapshots : nullptr;
-    ctx.run_template = &run_config;
-    ctx.retest_template = &retest_config;
-    ctx.baseline = &baseline;
-    ctx.retest_baseline = &retest_baseline;
-    ctx.format = format;
-    ctx.threshold = threshold;
-    ctx.max_attempts = max_attempts;
-    ctx.retry_seed_offset = retry_seed_offset;
-
     while (true) {
       TrialTask task;
       {
@@ -223,22 +226,13 @@ ThreadBackend::~ThreadBackend() {
 bool ThreadBackend::start(const CampaignConfig& config, const RunMetrics& baseline,
                           const RunMetrics& retest_baseline) {
   Impl& im = *impl_;
-  im.run_template = config.scenario;
-  im.run_template.early_exit = config.early_exit;
-  im.retest_template = im.run_template;
-  im.retest_template.seed += config.retest_seed_offset;
-  im.baseline = baseline;
-  im.retest_baseline = retest_baseline;
-  im.format = &format_for_protocol(config.scenario.protocol);
-  im.threshold = config.detect_threshold;
-  im.max_attempts = std::max<std::uint32_t>(1, config.trial_attempts);
-  im.retry_seed_offset = config.retry_seed_offset;
-  im.collect_metrics = config.collect_metrics;
-  im.snapshots.emplace();  // fresh campaign-scoped store (sessions key by seed)
-  // One session per executor: the pool's whole point is that every executor
-  // can fork trials concurrently; capping below the thread count turns the
-  // overflow into fallback full runs (snapshot.pool_exhausted counts them).
-  im.snapshots->set_max_sessions_per_seed(static_cast<std::size_t>(im.executors));
+  im.ctx = make_trial_context(config, baseline, retest_baseline);
+  // A fresh campaign-scoped store (sessions key by seed) with one session per
+  // executor: the pool's whole point is that every executor can fork trials
+  // concurrently; capping below the thread count turns the overflow into
+  // fallback full runs (snapshot.pool_exhausted counts them).
+  im.ctx.snapshots = std::make_unique<SnapshotStore>();
+  im.ctx.snapshots->set_max_sessions_per_seed(static_cast<std::size_t>(im.executors));
 
   im.registries.clear();
   im.registries.resize(static_cast<std::size_t>(im.executors));
@@ -246,7 +240,7 @@ bool ThreadBackend::start(const CampaignConfig& config, const RunMetrics& baseli
   im.threads.reserve(static_cast<std::size_t>(im.executors));
   for (int i = 0; i < im.executors; ++i) {
     obs::MetricsRegistry* reg =
-        im.collect_metrics ? &im.registries[static_cast<std::size_t>(i)] : nullptr;
+        config.collect_metrics ? &im.registries[static_cast<std::size_t>(i)] : nullptr;
     im.threads.emplace_back([&im, reg] { im.executor_main(reg); });
   }
   return true;

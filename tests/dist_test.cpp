@@ -5,8 +5,9 @@
 //  - the coordinator's progress callback stays sequential and monotonic
 //    whatever the fleet does;
 //  - the wire protocol: exact round-trips for Strategy / Detection /
-//    RunMetrics / TrialRecord, frame codec behaviour, worker-side steal
-//    handling driven by a hand-rolled coordinator;
+//    TrialRecord, baseline renderings in the ready frame, frame codec
+//    behaviour, worker-side steal handling driven by a hand-rolled
+//    coordinator;
 //  - the trial-record log as cross-campaign result cache: hit/miss scoping
 //    by campaign identity, checksum rejection of tampered (poisoned) lines,
 //    persistence, compaction;
@@ -264,8 +265,8 @@ TEST(Distributed, SurvivesWorkerKilledMidCampaign) {
   options.workers = 2;
   options.exit_after_results = {2, 0};  // worker 0 dies abruptly after 2 trials
   options.heartbeat_timeout_ms = 2000;
-  options.respawn_backoff_ms = 10;
-  options.respawn_backoff_cap_ms = 100;
+  options.supervision.backoff_base_ms = 10;
+  options.supervision.backoff_cap_ms = 100;
   dist::DistributedBackend backend(options);
   config.backend = &backend;
   core::CampaignResult distributed = core::run_campaign(config);
@@ -291,8 +292,8 @@ TEST(Distributed, RespawnsEveryKilledSlotAndKeepsFullParallelism) {
   options.workers = 2;
   options.exit_after_results = {2, 2};
   options.heartbeat_timeout_ms = 2000;
-  options.respawn_backoff_ms = 10;
-  options.respawn_backoff_cap_ms = 100;
+  options.supervision.backoff_base_ms = 10;
+  options.supervision.backoff_cap_ms = 100;
   dist::DistributedBackend backend(options);
   config.backend = &backend;
   core::CampaignResult distributed = core::run_campaign(config);
@@ -377,6 +378,48 @@ TEST(Distributed, CacheConflictTriggersVerificationWithoutQuarantine) {
   EXPECT_EQ(backend.slots_quarantined(), 0);
 }
 
+TEST(Distributed, CoordinatorReexecutionsTakeTheWorkersEarlyExitCut) {
+  // The trials the coordinator runs itself (byzantine re-executions here,
+  // the inline fallback likewise) come from the same trial context as the
+  // workers' runs, early-exit cut included. DCCP runs reach quiescence
+  // before the horizon, so counting cut runs tells the two drivers apart.
+  core::CampaignConfig config;
+  config.scenario.protocol = core::Protocol::kDccp;
+  config.scenario.test_duration = Duration::seconds(4.0);
+  config.scenario.seed = 7;
+  config.executors = 2;
+  config.max_strategies = 10;
+  const char* cut = "scenario.early_exit_runs";
+
+  // Cuts taken by one baseline pair, and by one campaign's trials (the
+  // single-process campaign runs one baseline pair plus every trial once).
+  obs::MetricsRegistry base_reg;
+  core::RunTemplates base = core::baseline_templates(config);
+  base.run.metrics = &base_reg;
+  base.retest.metrics = &base_reg;
+  core::run_scenario(base.run, std::nullopt);
+  core::run_scenario(base.retest, std::nullopt);
+  const std::uint64_t baseline_cuts = base_reg.counter(cut);
+  core::CampaignResult single = core::run_campaign(config);
+  ASSERT_GE(single.metrics.counter(cut), baseline_cuts);
+  const std::uint64_t trial_cuts = single.metrics.counter(cut) - baseline_cuts;
+  ASSERT_GT(trial_cuts, 0u) << "no DCCP trial took the cut; the test would be vacuous";
+
+  dist::DistOptions options;
+  options.workers = 2;
+  options.verify_sample = 1;  // the coordinator re-executes every result
+  dist::DistributedBackend backend(options);
+  config.backend = &backend;
+  core::CampaignResult fleet = core::run_campaign(config);
+  EXPECT_EQ(result_fingerprint(fleet), result_fingerprint(single));
+  EXPECT_EQ(fleet.metrics.counter("campaign.backend_fallback"), 0u);
+  EXPECT_EQ(backend.trials_verified(), fleet.strategies_tried);
+  EXPECT_EQ(backend.results_divergent(), 0u);
+  // Three baseline pairs (coordinator and two workers), every trial once on
+  // a worker and once more on the coordinator, each run cut alike.
+  EXPECT_EQ(fleet.metrics.counter(cut), 3 * baseline_cuts + 2 * trial_cuts);
+}
+
 TEST(Distributed, ChaosSoakBitIdenticalUnderFullFaultLoad) {
   // Every wire fault enabled at once on both socket ends: torn and garbage
   // frames, duplicates, delays, stalled heartbeats, workers dying mid-write.
@@ -404,10 +447,10 @@ TEST(Distributed, ChaosSoakBitIdenticalUnderFullFaultLoad) {
     options.heartbeat_timeout_ms = 1500;
     // Generous supervision budget: the soak asserts the fleet outruns the
     // chaos, so nothing may quarantine and nothing may run inline.
-    options.respawn_limit = 64;
-    options.respawn_backoff_ms = 5;
-    options.respawn_backoff_cap_ms = 50;
-    options.crash_loop_failures = 1000;
+    options.supervision.respawn_limit = 64;
+    options.supervision.backoff_base_ms = 5;
+    options.supervision.backoff_cap_ms = 50;
+    options.supervision.crash_loop_failures = 1000;
     dist::DistributedBackend backend(options);
     config.backend = &backend;
     core::CampaignResult result = core::run_campaign(config);
@@ -488,19 +531,13 @@ TEST(WorkerProtocol, HandshakeBaselinesMatchCoordinatorsOwn) {
   auto ready = fc.expect(dist::MsgType::kReady, 300000);
   ASSERT_TRUE(ready.has_value());
 
-  // Cross-process determinism: the worker's baselines equal ours exactly.
-  core::ScenarioConfig base = wc.campaign.scenario;
-  core::ScenarioConfig retest = base;
-  retest.seed += wc.campaign.retest_seed_offset;
-  core::RunMetrics mine = core::run_scenario(base, std::nullopt);
-  core::RunMetrics mine_retest = core::run_scenario(retest, std::nullopt);
-  obs::JsonWriter w1, w2, w3, w4;
-  core::write_json(w1, mine);
-  core::write_json(w2, ready->baseline);
-  core::write_json(w3, mine_retest);
-  core::write_json(w4, ready->retest_baseline);
-  EXPECT_EQ(w1.take(), w2.take());
-  EXPECT_EQ(w3.take(), w4.take());
+  // Cross-process determinism: the worker's baselines, rendered, equal
+  // ours byte for byte — both sides run the campaign's one baseline recipe.
+  const core::RunTemplates base = core::baseline_templates(wc.campaign);
+  EXPECT_TRUE(base.run.early_exit);
+  EXPECT_EQ(ready->baseline, dist::render_baseline(core::run_scenario(base.run, std::nullopt)));
+  EXPECT_EQ(ready->retest_baseline,
+            dist::render_baseline(core::run_scenario(base.retest, std::nullopt)));
 
   ASSERT_TRUE(fc.ch().send_frame(dist::encode_shutdown()));
   EXPECT_TRUE(fc.expect(dist::MsgType::kBye).has_value());
@@ -616,30 +653,6 @@ TEST(WireRoundTrip, DetectionAndTrialRecordExact) {
   EXPECT_EQ(back->client_obs, record.client_obs);
 }
 
-TEST(WireRoundTrip, RunMetricsFromRealRunExact) {
-  core::ScenarioConfig config;
-  config.protocol = core::Protocol::kTcp;
-  config.tcp_profile = tcp::linux_3_13_profile();
-  config.test_duration = Duration::seconds(4.0);
-  config.seed = 3;
-  core::RunMetrics m = core::run_scenario(config, std::nullopt);
-  ASSERT_FALSE(m.client_observations.empty());
-
-  obs::JsonWriter w;
-  core::write_json(w, m);
-  std::string doc = w.take();
-  auto parsed = obs::parse_json(doc);
-  ASSERT_TRUE(parsed.has_value());
-  auto back = core::run_metrics_from_json(*parsed);
-  ASSERT_TRUE(back.has_value());
-  obs::JsonWriter w2;
-  core::write_json(w2, *back);
-  EXPECT_EQ(doc, w2.take());
-  EXPECT_EQ(back->target_bytes, m.target_bytes);
-  EXPECT_EQ(back->client_observations.size(), m.client_observations.size());
-  EXPECT_EQ(back->client_state_stats.size(), m.client_state_stats.size());
-}
-
 TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
   auto check = [](const std::string& payload, dist::MsgType want) {
     auto m = dist::parse_message(payload);
@@ -655,6 +668,23 @@ TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
   check(dist::encode_shutdown(), dist::MsgType::kShutdown);
   check(dist::encode_bye("", 2), dist::MsgType::kBye);
   check(dist::encode_result(9, sample_record()), dist::MsgType::kResult);
+
+  core::RunMetrics baseline;
+  baseline.target_bytes = 123456;
+  baseline.client_observations.push_back(
+      {"ESTABLISHED", "ACK", statemachine::TriggerKind::kSend});
+  core::RunMetrics retest = baseline;
+  retest.target_bytes += 1;
+  auto ready = dist::parse_message(dist::encode_ready(baseline, retest));
+  ASSERT_TRUE(ready.has_value());
+  EXPECT_EQ(ready->type, dist::MsgType::kReady);
+  EXPECT_EQ(ready->baseline, dist::render_baseline(baseline));
+  EXPECT_EQ(ready->retest_baseline, dist::render_baseline(retest));
+  // The baselines travel as renderings: an inline object (the v3 form) or a
+  // missing rendering is malformed.
+  EXPECT_FALSE(
+      dist::parse_message(R"({"type":"ready","baseline":{},"retest_baseline":{}})").has_value());
+  EXPECT_FALSE(dist::parse_message(R"({"type":"ready","baseline":"{}"})").has_value());
 
   auto campaign = dist::parse_message(dist::encode_campaign(tiny_worker_campaign()));
   ASSERT_TRUE(campaign.has_value());

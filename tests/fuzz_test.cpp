@@ -481,6 +481,7 @@ TEST(ParserFuzz, WireDecoderMutantsNeverCrash) {
   seeds.push_back({"live_stolen", dist::encode_stolen({5, 6, 7})});
   seeds.push_back({"live_feedback", dist::encode_feedback({{"ESTABLISHED", "ACK"}})});
   seeds.push_back({"live_heartbeat", dist::encode_heartbeat(2)});
+  seeds.push_back({"live_ready", dist::encode_ready(core::RunMetrics{}, core::RunMetrics{})});
   seeds.push_back({"live_shutdown", dist::encode_shutdown()});
   core::TrialRecord record;
   record.key = "k";
