@@ -54,6 +54,12 @@ void BulkHttpServer::pump(tcp::TcpEndpoint* endpoint, std::shared_ptr<PerConnect
   // Top the send buffer up to one chunk; stop once the full response has
   // been handed over, then close like an HTTP/1.0 server would.
   while (state->queued < response_bytes_ && endpoint->send_queue_bytes() < kChunk) {
+    if (!endpoint->accepts_data()) {
+      // Every further chunk would be dropped: count the response as handed
+      // over without filling up to a gigabyte of pattern to get there.
+      state->queued = response_bytes_;
+      break;
+    }
     std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(kChunk, response_bytes_ - state->queued));
     chunk_scratch_.resize(n);

@@ -185,7 +185,6 @@ struct DistributedBackend::Impl {
   /// experiment, the replacement must be healthy.
   WorkerCampaign campaign_for(int slot, int incarnation) const {
     WorkerCampaign wc = wc_template;
-    wc.worker_index = slot;
     if (!options.journal_dir.empty()) {
       wc.journal_path = options.journal_dir + "/worker-" + std::to_string(slot);
       if (incarnation > 0) wc.journal_path += ".r" + std::to_string(incarnation);
@@ -520,7 +519,6 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   WorkerCampaign& wc = im.wc_template;
   wc.campaign = config;  // only the identity fields and collect_metrics travel
   wc.heartbeat_interval_ms = im.options.heartbeat_interval_ms;
-  wc.heartbeat_timeout_ms = im.options.heartbeat_timeout_ms;
   wc.selfcheck = im.options.selfcheck;
   wc.wire_fault_seed = im.options.wire_fault_seed;
   wc.wire_fault_mask = im.options.wire_fault_mask;

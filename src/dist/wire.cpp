@@ -313,10 +313,8 @@ std::string encode_campaign(const WorkerCampaign& wc) {
   ConfigWriter fields{w};
   core::visit_identity_fields(wc.campaign, fields);
   w.key("collect_metrics").value(wc.campaign.collect_metrics);
-  w.key("worker_index").value(wc.worker_index);
   w.key("journal_path").value(wc.journal_path);
   w.key("heartbeat_interval_ms").value(wc.heartbeat_interval_ms);
-  w.key("heartbeat_timeout_ms").value(wc.heartbeat_timeout_ms);
   w.key("selfcheck").value(wc.selfcheck);
   w.key("exit_after_results").value(wc.exit_after_results);
   w.key("wire_fault_seed").value(wc.wire_fault_seed);
@@ -459,12 +457,9 @@ std::optional<Message> parse_message(std::string_view payload) {
       // coordinator's identity was corrupted or edited in flight.
       if (core::campaign_identity_hash(config) != *identity) return std::nullopt;
       config.collect_metrics = bool_field(*doc, "collect_metrics", true);
-      m.campaign.worker_index = static_cast<int>(i64_field(*doc, "worker_index", 0));
       m.campaign.journal_path = str_field(*doc, "journal_path");
       m.campaign.heartbeat_interval_ms =
           static_cast<int>(i64_field(*doc, "heartbeat_interval_ms", 250));
-      m.campaign.heartbeat_timeout_ms =
-          static_cast<int>(i64_field(*doc, "heartbeat_timeout_ms", 5000));
       m.campaign.selfcheck = bool_field(*doc, "selfcheck", false);
       m.campaign.exit_after_results = u64_field(*doc, "exit_after_results", 0);
       m.campaign.wire_fault_seed = u64_field(*doc, "wire_fault_seed", 0);

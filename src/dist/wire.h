@@ -157,12 +157,8 @@ const char* to_string(MsgType type);
 /// fault plan or inspector refuses distribution, coordinator.cpp).
 struct WorkerCampaign {
   core::CampaignConfig campaign;
-  int worker_index = 0;
   std::string journal_path;  ///< per-worker journal file ("" = none)
   int heartbeat_interval_ms = 250;
-  /// The coordinator's liveness window, mirrored to the worker for
-  /// diagnostics and so both ends agree on how patient the fleet is.
-  int heartbeat_timeout_ms = 5000;
   bool selfcheck = false;  ///< attach the caller's oracle inspector (hooks)
   /// Test-only fault: _exit(2) after this many results (0 = never). Drives
   /// the kill-a-worker-mid-campaign resilience test without OS-level help.

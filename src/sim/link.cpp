@@ -19,65 +19,105 @@ Link::Link(Scheduler& scheduler, LinkConfig config, std::function<void(Packet)> 
       sink_(std::move(sink)) {}
 
 void Link::send(Packet packet) {
-  if (busy_) {
-    if (queue_.size() >= config_.queue_limit_packets) {
-      ++packets_dropped_;
-      if (config_.drop_policy == DropPolicy::kRandom && !queue_.empty()) {
-        // Evict a random victim among queued + arriving; if the victim is a
-        // queued packet, the arrival takes its slot.
-        std::size_t victim = static_cast<std::size_t>(drop_rng_.uniform(0, queue_.size()));
-        if (victim < queue_.size()) {
-          SNAKE_TRACE << config_.name << ": queue full, evicting queued packet id="
-                      << queue_[victim].id;
-          scheduler_.buffer_pool().release(std::move(queue_[victim].bytes));
-          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(victim));
-          queue_.push_back(std::move(packet));
-          return;
-        }
+  const TimePoint now = scheduler_.now();
+  count_started(now);
+  const std::size_t waiting = line_.size() - started_;
+  if (busy_until_ > now && waiting >= config_.queue_limit_packets) {
+    ++packets_dropped_;
+    if (config_.drop_policy == DropPolicy::kRandom && waiting > 0) {
+      // Evict a random victim among queued + arriving; if the victim is a
+      // queued packet, the arrival takes its slot. A queued packet is never
+      // the front of the line (something is serializing ahead of it), so
+      // the one scheduled arrival stays as it is.
+      std::size_t victim = static_cast<std::size_t>(drop_rng_.uniform(0, waiting));
+      if (victim < waiting) {
+        SNAKE_TRACE << config_.name << ": queue full, evicting queued packet id="
+                    << line_[started_ + victim].packet.id;
+        evict(started_ + victim);
+        append(std::move(packet), now);
+        return;
       }
-      SNAKE_TRACE << config_.name << ": queue full, dropping packet id=" << packet.id;
-      scheduler_.buffer_pool().release(std::move(packet.bytes));
-      return;
     }
-    queue_.push_back(std::move(packet));
-    queue_highwater_ = std::max(queue_highwater_, queue_depth());
+    SNAKE_TRACE << config_.name << ": queue full, dropping packet id=" << packet.id;
+    scheduler_.buffer_pool().release(std::move(packet.bytes));
     return;
   }
-  start_transmission(std::move(packet));
+  // Depth after the append: the waiting packets, the new one and the one
+  // serializing ahead of it — or, on an idle link, just the new one.
+  const bool idle = busy_until_ <= now;
+  append(std::move(packet), now);
+  queue_highwater_ = std::max(queue_highwater_, idle ? std::size_t{1} : waiting + 2);
 }
 
-void Link::start_transmission(Packet packet) {
-  busy_ = true;
-  queue_highwater_ = std::max(queue_highwater_, queue_depth());
-  Duration tx = serialization_time(packet);
-  ++packets_sent_;
-  bytes_sent_ += packet.wire_size();
-  // Arrival = serialization + propagation. Completion of serialization frees
-  // the transmitter for the next queued packet.
-  scheduler_.schedule_in(tx + config_.delay,
-                         [this, p = std::move(packet)]() mutable { sink_(std::move(p)); });
-  scheduler_.schedule_in(tx, [this] { transmission_complete(); });
+std::size_t Link::first_waiting(TimePoint now) const {
+  std::size_t i = started_;
+  while (i < line_.size() && line_[i].start <= now) ++i;
+  return i;
 }
 
-void Link::transmission_complete() {
-  busy_ = false;
-  if (!queue_.empty()) {
-    Packet next = std::move(queue_.front());
-    queue_.pop_front();
-    start_transmission(std::move(next));
+void Link::count_started(TimePoint now) {
+  for (const std::size_t end = first_waiting(now); started_ < end; ++started_) {
+    ++packets_sent_;
+    bytes_sent_ += line_[started_].packet.wire_size();
   }
+}
+
+void Link::append(Packet packet, TimePoint now) {
+  const Duration tx = serialization_time(packet);
+  const TimePoint start = std::max(now, busy_until_);
+  busy_until_ = start + tx;
+  line_.push_back(InFlight{std::move(packet), start, tx});
+  if (line_.size() == 1) schedule_front();
+}
+
+void Link::evict(std::size_t index) {
+  const Duration tx = line_[index].tx;
+  for (std::size_t i = index + 1; i < line_.size(); ++i) line_[i].start = line_[i].start - tx;
+  busy_until_ = busy_until_ - tx;
+  scheduler_.buffer_pool().release(std::move(line_[index].packet.bytes));
+  line_.erase(line_.begin() + static_cast<std::ptrdiff_t>(index));
+}
+
+void Link::schedule_front() {
+  const InFlight& front = line_.front();
+  scheduler_.schedule_at(front.start + front.tx + config_.delay, [this] { deliver_front(); });
+}
+
+void Link::deliver_front() {
+  if (started_ == 0) count_started(scheduler_.now());  // counts the front, at least
+  Packet packet = std::move(line_.front().packet);
+  line_.pop_front();
+  --started_;
+  if (!line_.empty()) schedule_front();
+  sink_(std::move(packet));
+}
+
+std::uint64_t Link::packets_sent() const {
+  return packets_sent_ + (first_waiting(scheduler_.now()) - started_);
+}
+
+std::uint64_t Link::bytes_sent() const {
+  std::uint64_t bytes = bytes_sent_;
+  for (std::size_t i = started_, end = first_waiting(scheduler_.now()); i < end; ++i)
+    bytes += line_[i].packet.wire_size();
+  return bytes;
+}
+
+std::size_t Link::queue_depth() const {
+  const TimePoint now = scheduler_.now();
+  return (line_.size() - first_waiting(now)) + (busy_until_ > now ? 1 : 0);
 }
 
 void Link::reset() {
-  for (Packet& queued : queue_) scheduler_.buffer_pool().release(std::move(queued.bytes));
+  for (InFlight& entry : line_) scheduler_.buffer_pool().release(std::move(entry.packet.bytes));
   State::operator=(State(config_.drop_rng_seed));
 }
 
 void Link::export_metrics(obs::MetricsRegistry& registry) const {
   const std::string prefix = "link." + config_.name + ".";
-  registry.counter(prefix + "packets_forwarded") += packets_sent_;
+  registry.counter(prefix + "packets_forwarded") += packets_sent();
   registry.counter(prefix + "packets_dropped") += packets_dropped_;
-  registry.counter(prefix + "bytes_forwarded") += bytes_sent_;
+  registry.counter(prefix + "bytes_forwarded") += bytes_sent();
   registry.gauge_max(prefix + "queue_highwater", static_cast<double>(queue_highwater_));
 }
 

@@ -40,25 +40,39 @@ struct LinkConfig {
 };
 
 /// Mutable per-run link state, copied whole by the snapshot layer and
-/// replaced by a fresh one on reset(). The in-serialization packet is not
-/// part of it: its bytes live inside the scheduler's transmission-complete
-/// closure, which the scheduler snapshot clones.
+/// replaced by a fresh one on reset(). Every accepted, undelivered packet —
+/// waiting, serializing or propagating — lives in `line_`, so a capture
+/// holds the link's whole traffic; the scheduler only holds the front's
+/// arrival event, whose closure captures the link alone.
 struct LinkState {
+  /// An accepted packet with the virtual time it starts (or started)
+  /// serializing and its serialization time.
+  struct InFlight {
+    Packet packet;
+    TimePoint start;
+    Duration tx;
+  };
+
   explicit LinkState(std::uint64_t drop_rng_seed) : drop_rng_(drop_rng_seed) {}
 
   snake::Rng drop_rng_;
-  std::deque<Packet> queue_;
-  bool busy_ = false;
+  std::deque<InFlight> line_;  ///< departure order; only the front's arrival is scheduled
+  TimePoint busy_until_ = TimePoint::origin();  ///< when the transmitter frees up
+  /// Leading entries of `line_` already counted in packets_sent_/bytes_sent_
+  /// (a cursor: each packet passes it once, when it is seen to have started).
+  std::size_t started_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::size_t queue_highwater_ = 0;
 };
 
-/// Unidirectional link. `send` enqueues the packet behind whatever is
-/// currently serializing; a packet leaves the queue after its serialization
-/// time and arrives at the sink after the propagation delay. Queue overflow
-/// drops the packet (congestion signal for the transports under test).
+/// Unidirectional link. `send` computes a packet's departure at enqueue: it
+/// starts serializing at max(now, busy_until) and arrives at the sink after
+/// its serialization time plus the propagation delay, one event per packet.
+/// A packet counts as queued while its start lies in the future; one whose
+/// start equals now has left the queue. Queue overflow drops a packet
+/// (congestion signal for the transports under test).
 class Link : private LinkState {
  public:
   Link(Scheduler& scheduler, LinkConfig config, std::function<void(Packet)> sink);
@@ -66,10 +80,12 @@ class Link : private LinkState {
   void send(Packet packet);
 
   const LinkConfig& config() const { return config_; }
-  std::uint64_t packets_sent() const { return packets_sent_; }
+  /// Packets (bytes) that have started serializing.
+  std::uint64_t packets_sent() const;
   std::uint64_t packets_dropped() const { return packets_dropped_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-  std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
+  std::uint64_t bytes_sent() const;
+  /// Queued packets plus the one serializing, if any.
+  std::size_t queue_depth() const;
   /// Deepest the queue (including the packet in serialization) ever got.
   std::size_t queue_highwater() const { return queue_highwater_; }
 
@@ -77,8 +93,8 @@ class Link : private LinkState {
   /// forwarded/dropped, bytes, queue high-watermark).
   void export_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Rewinds to a just-constructed state for scenario-arena reuse: queued
-  /// buffers recycled, then a fresh State.
+  /// Rewinds to a just-constructed state for scenario-arena reuse: buffers
+  /// of undelivered packets recycled, then a fresh State.
   void reset();
 
   using State = LinkState;
@@ -86,8 +102,15 @@ class Link : private LinkState {
   void restore(const State& state) { State::operator=(state); }
 
  private:
-  void start_transmission(Packet packet);
-  void transmission_complete();
+  /// Index of the first packet of `line_` still waiting at `now`.
+  std::size_t first_waiting(TimePoint now) const;
+  /// Moves the started_ cursor past every packet started by `now`,
+  /// counting each one as sent.
+  void count_started(TimePoint now);
+  void append(Packet packet, TimePoint now);
+  void evict(std::size_t index);
+  void schedule_front();
+  void deliver_front();
   Duration serialization_time(const Packet& packet) const;
 
   Scheduler& scheduler_;

@@ -97,7 +97,7 @@ void TcpEndpoint::accept(Seq remote_isn, bool peer_sack_permitted) {
 }
 
 void TcpEndpoint::send(const Bytes& data) {
-  if (released_ || fin_pending_ || fin_sent_) return;
+  if (!accepts_data()) return;
   send_buf_.insert(send_buf_.end(), data.begin(), data.end());
   queued_total_ += data.size();
   push_points_.push_back(queued_total_);  // PSH at the end of this write

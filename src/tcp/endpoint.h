@@ -246,6 +246,8 @@ class TcpEndpoint : private TcpEndpointState {
   // ---- Introspection ---------------------------------------------------
   TcpState state() const { return state_; }
   bool released() const { return released_; }
+  /// False once send() drops its data: after close(), a FIN or release.
+  bool accepts_data() const { return !released_ && !fin_pending_ && !fin_sent_; }
   const TcpEndpointStats& stats() const { return stats_; }
   const TcpEndpointConfig& config() const { return config_; }
   const TcpProfile& profile() const { return *profile_; }

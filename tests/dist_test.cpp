@@ -720,7 +720,8 @@ TEST(WireRoundTrip, CampaignFieldEditedUnderStaleIdentityIsRejected) {
   EXPECT_FALSE(edit("\"tcp_profile\":\"sack-renege\"", "\"tcp_profile\":\"custom\"").has_value());
   EXPECT_FALSE(edit("\"protocol\":\"tcp\"", "\"protocol\":\"dccp\"").has_value());
   // ...worker options are not.
-  EXPECT_TRUE(edit("\"worker_index\":0", "\"worker_index\":3").has_value());
+  EXPECT_TRUE(
+      edit("\"heartbeat_interval_ms\":50", "\"heartbeat_interval_ms\":75").has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
-// Differential suite for the scheduler's timer-wheel ready queue.
+// Differential suite for the scheduler's timer-wheel ready queue and the
+// links built on it.
 //
 // The wheel must shadow a reference model kept here in the test: a plain
 // vector of pending events popped by linear scan for the smallest
 // (time, seq). For any script of schedule / cancel / run operations both
 // fire the same events in the same order with the same clock and counters
 // (scheduler.h, "Event engine" in DESIGN.md), including after a snapshot
-// restore. On top of the scheduler-level properties, whole campaigns must
-// be byte-identical between snapshot-forked and from-zero trial execution,
-// and the deterministic early-exit cut must never change what a trial
-// measures.
+// restore. sim::Link, which schedules one event per packet per hop, must
+// likewise shadow the two-event link it replaced, kept here as its
+// reference. On top of these, whole campaigns must be byte-identical
+// between snapshot-forked and from-zero trial execution, and the
+// deterministic early-exit cut must never change what a trial measures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "sim/link.h"
 #include "sim/scheduler.h"
 #include "snake/arena.h"
 #include "snake/controller.h"
@@ -338,6 +343,257 @@ TEST(SchedulerEngines, QuiescentRunMatchesPlainRunOnActiveEvents) {
   });
   ASSERT_FALSE(failure.has_value())
       << "seed " << failure->seed << ": " << failure->message;
+}
+
+// ---------------------------------------------------------------------------
+// Link-level properties: sim::Link computes each departure at enqueue and
+// keeps one pending event per link (the front packet's arrival). The
+// reference is the two-event link it replaced: every packet schedules its
+// arrival plus a transmission-complete event that starts the next queued
+// packet. Both must deliver the same packets at the same times and count
+// the same drops, forwards and queue high-water mark.
+
+/// The two-event link. Its queue holds only waiting packets; the one
+/// serializing and those propagating live inside scheduler closures.
+class TwoEventLink {
+ public:
+  TwoEventLink(Scheduler& scheduler, sim::LinkConfig config,
+               std::function<void(sim::Packet)> sink)
+      : scheduler_(scheduler),
+        config_(std::move(config)),
+        sink_(std::move(sink)),
+        drop_rng_(config_.drop_rng_seed) {}
+
+  void send(sim::Packet packet) {
+    if (busy_) {
+      if (queue_.size() >= config_.queue_limit_packets) {
+        ++packets_dropped_;
+        if (config_.drop_policy == sim::DropPolicy::kRandom && !queue_.empty()) {
+          auto victim = static_cast<std::size_t>(drop_rng_.uniform(0, queue_.size()));
+          if (victim < queue_.size()) {
+            queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(victim));
+            queue_.push_back(std::move(packet));
+          }
+        }
+        return;
+      }
+      queue_.push_back(std::move(packet));
+      queue_highwater_ = std::max(queue_highwater_, queue_depth());
+      return;
+    }
+    start_transmission(std::move(packet));
+  }
+
+  std::uint64_t packets_sent() const { return packets_sent_; }
+  std::uint64_t packets_dropped() const { return packets_dropped_; }
+  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
+  std::size_t queue_highwater() const { return queue_highwater_; }
+
+  /// Times at which a transmission completed, in order.
+  std::vector<std::int64_t> departures;
+
+ private:
+  void start_transmission(sim::Packet packet) {
+    busy_ = true;
+    queue_highwater_ = std::max(queue_highwater_, queue_depth());
+    const Duration tx =
+        Duration::seconds(static_cast<double>(packet.wire_size()) * 8.0 / config_.rate_bps);
+    ++packets_sent_;
+    bytes_sent_ += packet.wire_size();
+    scheduler_.schedule_in(tx + config_.delay,
+                           [this, p = std::move(packet)]() mutable { sink_(std::move(p)); });
+    scheduler_.schedule_in(tx, [this] { transmission_complete(); });
+  }
+
+  void transmission_complete() {
+    departures.push_back(scheduler_.now().ns());
+    busy_ = false;
+    if (!queue_.empty()) {
+      sim::Packet next = std::move(queue_.front());
+      queue_.pop_front();
+      start_transmission(std::move(next));
+    }
+  }
+
+  Scheduler& scheduler_;
+  sim::LinkConfig config_;
+  std::function<void(sim::Packet)> sink_;
+  Rng drop_rng_;
+  std::deque<sim::Packet> queue_;
+  bool busy_ = false;
+  std::uint64_t packets_sent_ = 0;
+  std::uint64_t packets_dropped_ = 0;
+  std::uint64_t bytes_sent_ = 0;
+  std::size_t queue_highwater_ = 0;
+};
+
+/// One link scenario: a config, timed sends (payload sizes) and the times at
+/// which both links' counters are compared mid-run.
+struct LinkScript {
+  sim::LinkConfig config;
+  std::vector<std::pair<std::int64_t, std::size_t>> sends;  ///< (at ns, payload bytes)
+  std::vector<std::int64_t> checkpoints;                    ///< ascending
+};
+
+LinkScript make_link_script(std::uint64_t seed) {
+  Rng rng(seed);
+  LinkScript script;
+  script.config.rate_bps = 10e6;  // a 1500-byte packet serializes in 1.2 ms
+  script.config.delay = Duration::nanos(static_cast<std::int64_t>(rng.uniform(0, 5'000'000)));
+  script.config.queue_limit_packets = rng.uniform(1, 5);
+  script.config.drop_policy = rng.uniform(0, 1) == 0 ? sim::DropPolicy::kTail
+                                                     : sim::DropPolicy::kRandom;
+  script.config.drop_rng_seed = rng.next_u64();
+  // Offered load from light to many times the link rate; a fifth of the
+  // sends land on the previous send's instant (bursts).
+  const std::size_t n = rng.uniform(5, 80);
+  const std::uint64_t span = rng.uniform(1'000'000, 40'000'000);
+  std::int64_t at = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.uniform(0, 4) != 0)
+      at += static_cast<std::int64_t>(rng.uniform(0, 2 * span / n));
+    script.sends.emplace_back(at, rng.uniform(0, 1480));
+  }
+  for (int i = 0; i < 8; ++i)
+    script.checkpoints.push_back(static_cast<std::int64_t>(rng.uniform(0, 2 * static_cast<std::uint64_t>(at) + 1)));
+  std::sort(script.checkpoints.begin(), script.checkpoints.end());
+  return script;
+}
+
+/// A scheduler, a link of type L and the (time, id) log of its deliveries.
+/// Closures capture `this`: keep it behind a unique_ptr.
+template <typename L>
+struct LinkWorld {
+  explicit LinkWorld(const LinkScript& script)
+      : link(sched, script.config, [this](sim::Packet p) {
+          delivered.emplace_back(sched.now().ns(), p.id);
+        }) {
+    for (std::size_t i = 0; i < script.sends.size(); ++i) {
+      const auto [at, payload] = script.sends[i];
+      sched.schedule_at(TimePoint::from_ns(at), [this, i, payload = payload] {
+        sim::Packet p;
+        p.id = i + 1;
+        p.bytes.assign(payload, 0x5a);
+        link.send(std::move(p));
+      });
+    }
+  }
+
+  std::string counters() const {
+    std::ostringstream os;
+    os << sched.now().ns() << " sent " << link.packets_sent() << '/' << link.bytes_sent()
+       << " dropped " << link.packets_dropped() << " depth " << link.queue_depth()
+       << " highwater " << link.queue_highwater();
+    return os.str();
+  }
+
+  Scheduler sched;
+  L link;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> delivered;
+};
+
+/// Moves every send that falls on a departure instant of the two-event link
+/// one nanosecond later, until none does. There the two-event link's answer
+/// depends on whether the send or the transmission-complete event was
+/// scheduled first (see LinkEngines.SendAtDepartureInstantFindsTheSlotFree).
+bool avoid_departure_instants(LinkScript& script) {
+  for (int round = 0; round < 100; ++round) {
+    auto reference = std::make_unique<LinkWorld<TwoEventLink>>(script);
+    reference->sched.run_all();
+    const std::vector<std::int64_t>& departures = reference->link.departures;
+    bool moved = false;
+    for (auto& send : script.sends) {
+      if (std::binary_search(departures.begin(), departures.end(), send.first)) {
+        ++send.first;
+        moved = true;
+      }
+    }
+    if (!moved) return true;
+  }
+  return false;
+}
+
+TEST(LinkEngines, IdenticalDeliveriesOnRandomScripts) {
+  auto config = testing::PropertyConfig::from_env(/*default_iterations=*/60, /*seed=*/23);
+  auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
+                                                    -> std::optional<std::string> {
+    LinkScript script = make_link_script(seed);
+    if (!avoid_departure_instants(script))
+      return std::string("could not move the sends off the departure instants");
+    auto link = std::make_unique<LinkWorld<sim::Link>>(script);
+    auto reference = std::make_unique<LinkWorld<TwoEventLink>>(script);
+    for (std::int64_t checkpoint : script.checkpoints) {
+      link->sched.run_until(TimePoint::from_ns(checkpoint));
+      reference->sched.run_until(TimePoint::from_ns(checkpoint));
+      if (link->counters() != reference->counters())
+        return "counters diverged at " + std::to_string(checkpoint) + ": link " +
+               link->counters() + " vs reference " + reference->counters();
+    }
+    link->sched.run_all();
+    reference->sched.run_all();
+    if (link->delivered != reference->delivered) return std::string("deliveries diverged");
+    if (link->counters() != reference->counters())
+      return "final counters diverged: link " + link->counters() + " vs reference " +
+             reference->counters();
+    return std::nullopt;
+  });
+  ASSERT_FALSE(failure.has_value())
+      << "seed " << failure->seed << ": " << failure->message;
+}
+
+TEST(LinkEngines, SendAtDepartureInstantFindsTheSlotFree) {
+  // One-packet queue, 1 ms serialization. At t=0 packet 1 starts and 2
+  // waits; packet 3 is sent at 1 ms, the instant 1 departs and 2 starts.
+  sim::LinkConfig config;
+  config.rate_bps = 8e6;
+  config.delay = Duration::zero();
+  config.queue_limit_packets = 1;
+  auto send = [](auto& link, std::uint64_t id) {
+    sim::Packet p;
+    p.id = id;
+    p.bytes.assign(980, 0);
+    link.send(std::move(p));
+  };
+  const TimePoint departure = TimePoint::from_ns(1'000'000);
+
+  // sim::Link: packet 2's start equals now, so it has left the queue and 3
+  // takes the freed slot — whatever order the events were scheduled in.
+  Scheduler sched;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> delivered;
+  sim::Link link(sched, config, [&](sim::Packet p) {
+    delivered.emplace_back(sched.now().ns(), p.id);
+  });
+  sched.schedule_at(departure, [&] {
+    send(link, 3);
+    EXPECT_EQ(link.queue_depth(), 2u);
+    EXPECT_EQ(link.packets_sent(), 2u);
+  });
+  send(link, 1);
+  send(link, 2);
+  sched.run_all();
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> expected = {
+      {1'000'000, 1}, {2'000'000, 2}, {3'000'000, 3}};
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(link.packets_dropped(), 0u);
+  EXPECT_EQ(link.queue_highwater(), 2u);
+
+  // The two-event link gives either answer. A send scheduled before packet
+  // 1's transmission-complete event still sees the queue full and drops 3;
+  // one scheduled after it finds the slot free, as sim::Link does.
+  for (bool send_first : {true, false}) {
+    SCOPED_TRACE(send_first);
+    Scheduler ref_sched;
+    std::size_t ref_delivered = 0;
+    TwoEventLink reference(ref_sched, config, [&](sim::Packet) { ++ref_delivered; });
+    if (send_first) ref_sched.schedule_at(departure, [&] { send(reference, 3); });
+    send(reference, 1);
+    send(reference, 2);
+    if (!send_first) ref_sched.schedule_at(departure, [&] { send(reference, 3); });
+    ref_sched.run_all();
+    EXPECT_EQ(reference.packets_dropped(), send_first ? 1u : 0u);
+    EXPECT_EQ(ref_delivered, send_first ? 2u : 3u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/dumbbell.h"
@@ -198,6 +199,92 @@ TEST(Link, DropTailOnOverflow) {
   EXPECT_EQ(delivered, 3);  // 1 in flight + 2 queued
   EXPECT_EQ(link.packets_dropped(), 7u);
   EXPECT_EQ(link.packets_sent(), 3u);
+}
+
+TEST(Link, RandomDropEvictsAQueuedPacketAndPullsLaterArrivalsForward) {
+  // 8 Mb/s: one byte per microsecond, so a packet of wire size W takes W µs.
+  // Packet 1 serializes, 2-4 fill the queue, and 5 arrives mid-serialization
+  // to a full queue. The seeds below are searched for one whose draw evicts
+  // packet 3, from the middle of the queue.
+  const std::size_t payloads[] = {980, 480, 780, 580, 380};  // wire 1000/500/800/600/400 µs
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Scheduler s;
+    std::vector<std::pair<std::uint64_t, std::int64_t>> arrivals;  // (id, µs)
+    LinkConfig cfg;
+    cfg.rate_bps = 8e6;
+    cfg.delay = Duration::zero();
+    cfg.queue_limit_packets = 3;
+    cfg.drop_policy = DropPolicy::kRandom;
+    cfg.drop_rng_seed = seed;
+    Link link(s, cfg, [&](Packet p) { arrivals.emplace_back(p.id, s.now().ns() / 1000); });
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+      Packet p = make_packet(1, 2, payloads[id - 1]);
+      p.id = id;
+      link.send(std::move(p));
+    }
+    s.run_until(TimePoint::from_ns(Duration::micros(300).ns()));
+    Packet late = make_packet(1, 2, payloads[4]);
+    late.id = 5;
+    link.send(std::move(late));
+    EXPECT_EQ(link.packets_dropped(), 1u);
+    EXPECT_EQ(link.queue_depth(), 4u);
+    s.run_all();
+    std::vector<std::uint64_t> ids;
+    for (const auto& arrival : arrivals) ids.push_back(arrival.first);
+    if (ids != std::vector<std::uint64_t>{1, 2, 4, 5}) continue;  // another victim
+    // Without the eviction packet 4 would have arrived at 1000+500+800+600;
+    // it lands one serialization time of packet 3 (800 µs) earlier, and the
+    // arrival that took the freed slot queues right behind it.
+    const std::vector<std::pair<std::uint64_t, std::int64_t>> expected = {
+        {1, 1000}, {2, 1500}, {4, 2100}, {5, 2500}};
+    EXPECT_EQ(arrivals, expected);
+    EXPECT_EQ(link.packets_sent(), 4u);
+    EXPECT_EQ(link.bytes_sent(), 1000u + 500u + 600u + 400u);
+    EXPECT_EQ(link.queue_highwater(), 4u);
+    EXPECT_EQ(link.queue_depth(), 0u);
+    return;
+  }
+  FAIL() << "no seed in 1..64 evicted the mid-queue packet";
+}
+
+TEST(Link, SnapshotRestoresPacketsInFlightAndQueued) {
+  // 1 ms serialization, 5 ms propagation. At 2.5 ms packets 1-2 are on the
+  // wire, 3 is serializing and 4-6 wait; nothing has arrived yet.
+  Scheduler s;
+  std::vector<std::pair<std::uint64_t, std::int64_t>> arrivals;  // (id, ns)
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;
+  cfg.delay = Duration::millis(5);
+  Link link(s, cfg, [&](Packet p) { arrivals.emplace_back(p.id, s.now().ns()); });
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    Packet p = make_packet(1, 2, 980);
+    p.id = id;
+    link.send(std::move(p));
+  }
+  s.run_until(TimePoint::from_ns(Duration::micros(2500).ns()));
+  ASSERT_TRUE(arrivals.empty());
+  ASSERT_EQ(link.queue_depth(), 4u);
+  ASSERT_EQ(link.packets_sent(), 3u);
+  Scheduler::Snapshot snap;
+  ASSERT_TRUE(s.capture(snap));
+  const Link::State state = link.capture();
+
+  s.run_all();
+  const auto uninterrupted = arrivals;
+  ASSERT_EQ(uninterrupted.size(), 6u);
+  EXPECT_EQ(uninterrupted.back(), (std::pair<std::uint64_t, std::int64_t>{6, 11'000'000}));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    s.restore(snap);
+    link.restore(state);
+    arrivals.clear();
+    EXPECT_EQ(link.packets_sent(), 3u);
+    s.run_all();
+    EXPECT_EQ(arrivals, uninterrupted);
+    EXPECT_EQ(link.packets_sent(), 6u);
+    EXPECT_EQ(link.bytes_sent(), 6'000u);
+    EXPECT_EQ(link.queue_highwater(), 6u);
+  }
 }
 
 TEST(Node, DemuxesByProtocol) {
