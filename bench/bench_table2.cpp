@@ -356,23 +356,23 @@ void dccp_request_termination() {
 
 int main(int argc, char** argv) {
   const char* json_path = nullptr;
-  const char* journal_path = nullptr;
+  const char* journal_arg = nullptr;
   bool resume = false;
   bench::Cli cli("bench_table2");
-  cli.text("--json", json_path).text("--journal", journal_path).flag("--resume", resume);
+  cli.text("--json", json_path).text("--journal", journal_arg).flag("--resume", resume);
   if (!cli.parse(argc, argv)) return 2;
-  if (resume && journal_path == nullptr) {
+  if (resume && journal_arg == nullptr) {
     std::fprintf(stderr, "--resume requires --journal PATH\n");
     return 1;
   }
 
   std::map<std::string, JournaledRow> done;
-  if (resume) done = load_row_journal(journal_path);
-  if (journal_path != nullptr) {
+  if (resume) done = load_row_journal(journal_arg);
+  if (journal_arg != nullptr) {
     // Append after replayable rows; truncate when starting fresh.
-    row_journal = std::fopen(journal_path, done.empty() ? "w" : "a");
+    row_journal = std::fopen(journal_arg, done.empty() ? "w" : "a");
     if (row_journal == nullptr) {
-      std::fprintf(stderr, "cannot open journal %s\n", journal_path);
+      std::fprintf(stderr, "cannot open journal %s\n", journal_arg);
       return 1;
     }
   }
@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
   }
   if (replayed > 0)
     std::printf("\n(%zu of %zu rows replayed from journal %s)\n", replayed, steps.size(),
-                journal_path);
+                journal_arg);
   if (row_journal != nullptr) {
     std::fclose(row_journal);
     row_journal = nullptr;

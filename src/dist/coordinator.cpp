@@ -19,6 +19,7 @@
 #include "dist/wire.h"
 #include "obs/metrics.h"
 #include "snake/arena.h"
+#include "snake/snapshot.h"
 #include "snake/trial_runner.h"
 
 namespace snake::dist {
@@ -66,7 +67,6 @@ struct DistributedBackend::Impl {
     bool steal_pending = false;
     bool reaped = false;
     bool death_handled = false;  // retire ran for this life
-    std::string journal_path;
     int slot = 0;
     int incarnation = 0;  // 0 = initial spawn; respawns count up
     // Starvation detector inputs: when this worker last made observable
@@ -95,7 +95,8 @@ struct DistributedBackend::Impl {
   core::TrialContext ctx;
   bool collect_metrics = true;
   std::unique_ptr<core::ScenarioArena> inline_arena;
-  obs::MetricsRegistry inline_registry;
+  // Re-executions that vindicated their worker: run here, never committed.
+  obs::MetricsRegistry verify_registry;
 
   // Dispatch state.
   std::map<std::uint64_t, strategy::Strategy> strategies;  // in flight, by seq
@@ -111,8 +112,6 @@ struct DistributedBackend::Impl {
   std::uint64_t frames_rejected_n = 0;
   std::uint64_t verified = 0;
   std::uint64_t divergent = 0;
-  std::vector<std::string> worker_metrics_json;
-  std::vector<std::string> journal_files;
 
   bool started = false;
 
@@ -179,17 +178,12 @@ struct DistributedBackend::Impl {
       sup.record_failure(w.slot, Clock::now(), std::move(reason));
   }
 
-  /// The WorkerCampaign for a (slot, incarnation): per-slot journal path and
-  /// test faults on top of the shared template. Test faults apply to the
-  /// first incarnation only — the injected death/corruption is the
-  /// experiment, the replacement must be healthy.
+  /// The WorkerCampaign for a (slot, incarnation): test faults and chaos
+  /// seed on top of the shared template. Test faults apply to the first
+  /// incarnation only — the injected death/corruption is the experiment, the
+  /// replacement must be healthy.
   WorkerCampaign campaign_for(int slot, int incarnation) const {
     WorkerCampaign wc = wc_template;
-    if (!options.journal_dir.empty()) {
-      wc.journal_path = options.journal_dir + "/worker-" + std::to_string(slot);
-      if (incarnation > 0) wc.journal_path += ".r" + std::to_string(incarnation);
-      wc.journal_path += ".jsonl";
-    }
     if (incarnation == 0) {
       const auto i = static_cast<std::size_t>(slot);
       if (i < options.exit_after_results.size())
@@ -224,12 +218,10 @@ struct DistributedBackend::Impl {
       kill_worker(w);
       return false;
     }
-    WorkerCampaign wc = campaign_for(slot, incarnation);
-    if (!w.ch->send_frame(encode_campaign(wc))) {
+    if (!w.ch->send_frame(encode_campaign(campaign_for(slot, incarnation)))) {
       kill_worker(w);
       return false;
     }
-    w.journal_path = wc.journal_path;
     return true;
   }
 
@@ -252,7 +244,6 @@ struct DistributedBackend::Impl {
     }
     w.last_heard = Clock::now();
     w.last_progress = w.last_heard;
-    if (!w.journal_path.empty()) journal_files.push_back(w.journal_path);
     // Chaos only after the handshake: the supervisor needs spawns to make
     // progress, and the worker applies its own plan after ready likewise.
     attach_coord_chaos(w);
@@ -329,13 +320,15 @@ struct DistributedBackend::Impl {
     return render_record(record);
   }
 
-  /// Byzantine verification for one result. Returns the record to commit:
+  /// Byzantine verification for one result. Returns the outcome to commit:
   /// the worker's own when it checks out, the coordinator's re-execution
-  /// when the worker lied (in which case the worker is already quarantined).
-  core::TrialRecord verify_result(Worker& w, std::uint64_t seq, const strategy::Strategy& strat,
-                                  core::TrialRecord record) {
+  /// (record and registry) when the worker lied, in which case the worker is
+  /// already quarantined.
+  core::TrialOutcome verify_result(Worker& w, const strategy::Strategy& strat,
+                                   core::TrialOutcome reported) {
+    const core::TrialRecord& record = reported.record;
     bool selected =
-        options.verify_sample != 0 && mix64(seq) % options.verify_sample == 0;
+        options.verify_sample != 0 && mix64(reported.seq) % options.verify_sample == 0;
     if (!selected && options.verify_cache != nullptr) {
       // A cache conflict is exactly the "verdict conflicts with the
       // cross-campaign cache" trigger: either the cache line or the worker
@@ -343,13 +336,19 @@ struct DistributedBackend::Impl {
       const core::TrialRecord* hit = options.verify_cache->lookup(record.key);
       if (hit != nullptr && verdict_surface(*hit) != verdict_surface(record)) selected = true;
     }
-    if (!selected) return record;
+    if (!selected) return reported;
     ++verified;
-    core::TrialRecord truth = execute_record(strat);
-    if (verdict_surface(truth) == verdict_surface(record)) return record;
+    core::TrialOutcome truth = execute_outcome(reported.seq, strat);
+    if (verdict_surface(truth.record) == verdict_surface(record)) {
+      // Vindicated: the worker's run is the committed one; the re-execution
+      // is extra work, tallied under dist.verify.* at finish().
+      verify_registry.merge_from(truth.metrics);
+      return reported;
+    }
     ++divergent;
     retire(w, SlotVerdict::kQuarantine,
-           "divergent result for seq " + std::to_string(seq) + " (key " + truth.key + ")");
+           "divergent result for seq " + std::to_string(reported.seq) + " (key " +
+               truth.record.key + ")");
     // Commit the re-execution: bit-identical to single-process by
     // construction, so the campaign's determinism guarantee survives.
     return truth;
@@ -373,8 +372,8 @@ struct DistributedBackend::Impl {
         // must not ride along (its outcome is committed right here).
         strategy::Strategy strat = std::move(sit->second);
         strategies.erase(sit);
-        core::TrialRecord record = verify_result(w, m->seq, strat, std::move(m->record));
-        outcomes.push_back(core::TrialOutcome{m->seq, std::move(record)});
+        outcomes.push_back(verify_result(
+            w, strat, core::TrialOutcome{m->seq, std::move(m->record), std::move(m->metrics)}));
         w.last_progress = Clock::now();
         break;
       }
@@ -398,7 +397,6 @@ struct DistributedBackend::Impl {
         break;                         // last_heard already refreshed
       case MsgType::kBye:
         violations += m->selfcheck_violations;
-        if (!m->metrics_json.empty()) worker_metrics_json.push_back(std::move(m->metrics_json));
         break;
       default:
         break;
@@ -468,18 +466,19 @@ struct DistributedBackend::Impl {
   /// One trial executed in this process — the shared body behind the
   /// fleet-gone inline fallback and byzantine re-execution. Same templates,
   /// same trial runner, so the record is bit-identical to any honest
-  /// worker's.
-  core::TrialRecord execute_record(const strategy::Strategy& strat) {
+  /// worker's, and its registry counts what a worker's would.
+  core::TrialOutcome execute_outcome(std::uint64_t seq, const strategy::Strategy& strat) {
     if (inline_arena == nullptr) inline_arena = std::make_unique<core::ScenarioArena>();
-    return core::execute_trial(*inline_arena, ctx, strat,
-                               collect_metrics ? &inline_registry : nullptr);
+    core::TrialOutcome out;
+    out.seq = seq;
+    out.record =
+        core::execute_trial(*inline_arena, ctx, strat, collect_metrics ? &out.metrics : nullptr);
+    return out;
   }
 
   core::TrialOutcome run_inline(core::TrialTask task) {
     // Whole fleet lost for good: the show goes on in-process.
-    core::TrialOutcome out;
-    out.seq = task.seq;
-    out.record = execute_record(task.strat);
+    core::TrialOutcome out = execute_outcome(task.seq, task.strat);
     strategies.erase(task.seq);
     ++inline_ran;
     return out;
@@ -505,7 +504,10 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   if (config.scenario.faults != nullptr || config.scenario.inspector != nullptr) return false;
   if (im.options.workers < 1) return false;
 
+  // The trials this process runs itself fork from snapshots like any
+  // executor's, so their registries count what a worker's would.
   im.ctx = core::make_trial_context(config, baseline, retest_baseline);
+  im.ctx.snapshots = std::make_unique<core::SnapshotStore>();
   im.collect_metrics = config.collect_metrics;
   im.expected_baseline = render_baseline(baseline);
   im.expected_retest = render_baseline(retest_baseline);
@@ -549,7 +551,6 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   if (!determinism_ok || im.alive_count() == 0) {
     for (auto& w : im.workers) im.kill_worker(w);
     im.workers.clear();
-    im.journal_files.clear();
     return false;
   }
   im.started = true;
@@ -655,8 +656,8 @@ void DistributedBackend::on_feedback(const std::vector<core::JournalObservation>
 
 void DistributedBackend::finish(obs::MetricsRegistry* into) {
   Impl& im = *impl_;
-  // Orderly shutdown: every worker gets shutdown, answers bye (metrics +
-  // selfcheck tally), and exits; stragglers are killed.
+  // Orderly shutdown: every worker gets shutdown, answers bye (selfcheck
+  // tally), and exits; stragglers are killed.
   for (Impl::Worker& w : im.workers) {
     if (!im.worker_alive(w)) continue;
     w.ch->send_frame(encode_shutdown());
@@ -678,15 +679,12 @@ void DistributedBackend::finish(obs::MetricsRegistry* into) {
   for (Impl::Worker& w : im.workers) im.kill_worker(w);
 
   if (into != nullptr) {
-    // Deterministic merge order: bye arrival order follows worker index
-    // (the loop above collects sequentially).
-    for (const std::string& doc_text : im.worker_metrics_json) {
-      auto doc = obs::parse_json(doc_text);
-      if (doc.has_value()) into->merge_from_json(*doc);
-    }
-    into->merge_from(im.inline_registry);
-    // Fleet supervision tallies, so quarantines and respawns land in the
-    // campaign report's metrics block alongside the worker-side numbers.
+    // Trial metrics arrived with the committed outcomes. What lands here is
+    // the fleet's own work: supervision tallies, so quarantines and respawns
+    // show in the campaign report's metrics block, and the counters of
+    // verification re-executions that committed nothing.
+    for (const auto& [name, v] : im.verify_registry.counters())
+      into->counter("dist.verify." + name) += v;
     into->counter("dist.workers_spawned") += static_cast<std::uint64_t>(im.spawned);
     into->counter("dist.workers_lost") += static_cast<std::uint64_t>(im.lost);
     into->counter("dist.inline_trials") += im.inline_ran;
@@ -711,15 +709,5 @@ std::uint64_t DistributedBackend::frames_rejected() const { return impl_->frames
 std::uint64_t DistributedBackend::trials_verified() const { return impl_->verified; }
 std::uint64_t DistributedBackend::results_divergent() const { return impl_->divergent; }
 std::string DistributedBackend::fleet_report() const { return impl_->sup.report(); }
-
-const std::vector<std::string>& DistributedBackend::journal_paths() const {
-  return impl_->journal_files;
-}
-
-core::TrialLog DistributedBackend::merged_journal() const {
-  core::TrialLog log;
-  for (const std::string& path : impl_->journal_files) log.ingest_file(path);
-  return log;
-}
 
 }  // namespace snake::dist

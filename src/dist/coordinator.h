@@ -25,6 +25,13 @@
 // re-executed by the coordinator; a worker whose record diverges from the
 // re-execution is quarantined and the re-executed record committed, so the
 // bit-identical-to-single-process guarantee survives even a lying worker.
+//
+// Metrics: each result frame carries the registry its trial recorded, and
+// the outcome hands it to the controller, which merges it only when it
+// commits the trial. A committed record always comes with the registry of
+// the run that produced it (a worker's, an inline fallback's, or a
+// byzantine re-execution's); work that is not a committed trial, such as a
+// re-execution that vindicates its worker, lands under `dist.*` at finish().
 #pragma once
 
 #include <cstdint>
@@ -47,12 +54,6 @@ struct DistOptions {
   /// duration of a trial.
   int heartbeat_interval_ms = 250;
   int heartbeat_timeout_ms = 5000;
-
-  /// Directory for per-worker journals ("" = none). Worker i appends to
-  /// <dir>/worker-<i>.jsonl (respawned incarnations get distinct
-  /// worker-<i>.r<k>.jsonl files); every part is a core::TrialLog file, and
-  /// merged_journal() below reads them all into one.
-  std::string journal_dir;
 
   /// Ask workers to attach the embedding executable's oracle inspector
   /// (WorkerHooks::make_inspector) to every run; violation counts come back
@@ -142,12 +143,6 @@ class DistributedBackend : public core::TrialBackend {
   std::uint64_t results_divergent() const;
   /// Human-readable per-slot supervision summary ("" when nothing failed).
   std::string fleet_report() const;
-
-  /// Per-worker journal paths (empty when journal_dir was "").
-  const std::vector<std::string>& journal_paths() const;
-  /// Reads every per-worker journal into one log (first copy of a key
-  /// wins; torn tails and damaged lines count in rejected()).
-  core::TrialLog merged_journal() const;
 
  private:
   struct Impl;

@@ -289,6 +289,14 @@ struct ConfigReader {
 
 std::string finish(obs::JsonWriter& w) { return w.take(); }
 
+/// A result frame's checksum: the record's under scope = seq, chained over
+/// the metrics rendering when the frame carries one ("" = none).
+std::uint64_t result_checksum(std::uint64_t seq, const core::TrialRecord& record,
+                              std::string_view metrics_json) {
+  const std::uint64_t check = core::scoped_record_checksum(seq, record);
+  return metrics_json.empty() ? check : core::scoped_checksum(check, metrics_json);
+}
+
 obs::JsonWriter& begin(obs::JsonWriter& w, MsgType type) {
   w.begin_object();
   w.key("type").value(to_string(type));
@@ -313,7 +321,6 @@ std::string encode_campaign(const WorkerCampaign& wc) {
   ConfigWriter fields{w};
   core::visit_identity_fields(wc.campaign, fields);
   w.key("collect_metrics").value(wc.campaign.collect_metrics);
-  w.key("journal_path").value(wc.journal_path);
   w.key("heartbeat_interval_ms").value(wc.heartbeat_interval_ms);
   w.key("selfcheck").value(wc.selfcheck);
   w.key("exit_after_results").value(wc.exit_after_results);
@@ -357,13 +364,16 @@ std::string encode_trials(const std::vector<WireTrial>& trials) {
   return finish(w);
 }
 
-std::string encode_result(std::uint64_t seq, const core::TrialRecord& record) {
+std::string encode_result(std::uint64_t seq, const core::TrialRecord& record,
+                          const obs::MetricsRegistry* metrics) {
+  const std::string metrics_json = metrics != nullptr ? metrics->to_json() : std::string();
   obs::JsonWriter w;
   begin(w, MsgType::kResult);
   w.key("seq").value(seq);
-  w.key("check").value(hex16(core::scoped_record_checksum(seq, record)));
+  w.key("check").value(hex16(result_checksum(seq, record, metrics_json)));
   w.key("record");
   core::write_json(w, record);
+  if (metrics != nullptr) w.key("metrics").value(metrics_json);
   w.end_object();
   return finish(w);
 }
@@ -416,13 +426,9 @@ std::string encode_shutdown() {
   return finish(w);
 }
 
-std::string encode_bye(const std::string& metrics_json, std::uint64_t violations) {
+std::string encode_bye(std::uint64_t violations) {
   obs::JsonWriter w;
   begin(w, MsgType::kBye);
-  if (metrics_json.empty())
-    w.key("metrics").null_value();
-  else
-    w.key("metrics").raw(metrics_json);
   w.key("selfcheck_violations").value(violations);
   w.end_object();
   return finish(w);
@@ -457,7 +463,6 @@ std::optional<Message> parse_message(std::string_view payload) {
       // coordinator's identity was corrupted or edited in flight.
       if (core::campaign_identity_hash(config) != *identity) return std::nullopt;
       config.collect_metrics = bool_field(*doc, "collect_metrics", true);
-      m.campaign.journal_path = str_field(*doc, "journal_path");
       m.campaign.heartbeat_interval_ms =
           static_cast<int>(i64_field(*doc, "heartbeat_interval_ms", 250));
       m.campaign.selfcheck = bool_field(*doc, "selfcheck", false);
@@ -505,11 +510,22 @@ std::optional<Message> parse_message(std::string_view payload) {
       auto check_v = parse_hex16(check->str_v);
       auto rec = core::trial_record_from_json(*record);
       if (!seq_v.has_value() || !check_v.has_value() || !rec.has_value()) return std::nullopt;
+      // The trial's registry is optional (absent when metrics are off); when
+      // present it is a rendering, checksummed as the exact bytes sent.
+      const obs::JsonValue* metrics = doc->find("metrics");
+      if (metrics != nullptr && !metrics->is_string()) return std::nullopt;
+      const std::string_view metrics_json =
+          metrics != nullptr ? std::string_view(metrics->str_v) : std::string_view();
       // Integrity gate: recompute the checksum over the canonical
-      // re-rendering of the parsed record (exact round-trip, journal.cpp).
-      // Any in-flight corruption — or a result replayed under another seq —
-      // fails here and is handled like any other malformed frame.
-      if (core::scoped_record_checksum(*seq_v, *rec) != *check_v) return std::nullopt;
+      // re-rendering of the parsed record (exact round-trip, journal.cpp)
+      // and the metrics rendering. Any in-flight corruption — or a result
+      // replayed under another seq — fails here and is handled like any
+      // other malformed frame.
+      if (result_checksum(*seq_v, *rec, metrics_json) != *check_v) return std::nullopt;
+      if (metrics != nullptr) {
+        const std::optional<obs::JsonValue> registry = obs::parse_json(metrics_json);
+        if (!registry.has_value() || !m.metrics.merge_from_json(*registry)) return std::nullopt;
+      }
       m.seq = *seq_v;
       m.record = std::move(*rec);
       break;
@@ -548,39 +564,9 @@ std::optional<Message> parse_message(std::string_view payload) {
       break;
     case MsgType::kShutdown:
       break;
-    case MsgType::kBye: {
-      const obs::JsonValue* metrics = doc->find("metrics");
-      if (metrics != nullptr && metrics->is_object()) {
-        // Keep the raw text for merge_from_json at the coordinator; re-render
-        // from the parsed value so the stored string is self-contained.
-        obs::JsonWriter w;
-        std::function<void(const obs::JsonValue&)> render = [&](const obs::JsonValue& v) {
-          switch (v.type) {
-            case obs::JsonValue::Type::kNull: w.null_value(); break;
-            case obs::JsonValue::Type::kBool: w.value(v.bool_v); break;
-            case obs::JsonValue::Type::kNumber: w.value(v.num_v); break;
-            case obs::JsonValue::Type::kString: w.value(v.str_v); break;
-            case obs::JsonValue::Type::kArray:
-              w.begin_array();
-              for (const obs::JsonValue& e : v.array_v) render(e);
-              w.end_array();
-              break;
-            case obs::JsonValue::Type::kObject:
-              w.begin_object();
-              for (const auto& [k, e] : v.object_v) {
-                w.key(k);
-                render(e);
-              }
-              w.end_object();
-              break;
-          }
-        };
-        render(*metrics);
-        m.metrics_json = w.take();
-      }
+    case MsgType::kBye:
       m.selfcheck_violations = u64_field(*doc, "selfcheck_violations", 0);
       break;
-    }
   }
   return m;
 }

@@ -17,7 +17,8 @@
 //                   them byte for byte with its own as a cross-process
 //                   determinism guard
 //   C->W trials     a shard of numbered trials (dynamic sizing)
-//   W->C result     one finished TrialRecord, tagged with its seq
+//   W->C result     one finished TrialRecord, tagged with its seq, plus the
+//                   metrics registry that trial recorded
 //   C->W steal      give back up to N not-yet-started trials
 //   W->C stolen     the seqs handed back (reassigned to an idle worker)
 //   C->W feedback   newly covered (state, packet type) pairs, broadcast so
@@ -25,7 +26,7 @@
 //                   result payloads
 //   W->C heartbeat  liveness + queue depth (timeout => worker declared dead)
 //   C->W shutdown   campaign drained; worker answers bye and exits
-//   W->C bye        final metrics-registry snapshot + selfcheck tally
+//   W->C bye        selfcheck tally
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,10 @@ namespace snake::dist {
 /// identity_hash.
 /// v4: ready frames carry the baselines as render_baseline strings, compared
 /// byte for byte instead of parsed.
-inline constexpr std::uint32_t kWireVersion = 4;
+/// v5: result frames carry their trial's metrics registry under the
+/// checksum; bye frames no longer carry a registry, and campaign frames no
+/// journal path.
+inline constexpr std::uint32_t kWireVersion = 5;
 
 /// Frames larger than this are treated as a protocol violation (a corrupted
 /// length prefix would otherwise ask for gigabytes).
@@ -150,14 +154,12 @@ const char* to_string(MsgType type);
 /// Everything a worker needs to run trials for one campaign, plus the
 /// worker-specific options. Of `campaign`, the outcome fields travel as
 /// core::visit_identity_fields lists them (the TCP profile by content), plus
-/// collect_metrics; the frame carries campaign_identity_hash(campaign), the
-/// decoder re-checks it, and the worker stamps it on its journal lines. The
-/// rest stays at its defaults on the worker: strategy selection happens
+/// collect_metrics; the frame carries campaign_identity_hash(campaign) and
+/// the decoder re-checks it. The rest stays at its defaults on the worker: strategy selection happens
 /// coordinator-side, and pointers never cross the wire (a campaign with a
 /// fault plan or inspector refuses distribution, coordinator.cpp).
 struct WorkerCampaign {
   core::CampaignConfig campaign;
-  std::string journal_path;  ///< per-worker journal file ("" = none)
   int heartbeat_interval_ms = 250;
   bool selfcheck = false;  ///< attach the caller's oracle inspector (hooks)
   /// Test-only fault: _exit(2) after this many results (0 = never). Drives
@@ -203,6 +205,7 @@ struct Message {
   // result
   std::uint64_t seq = 0;
   core::TrialRecord record;
+  obs::MetricsRegistry metrics;  ///< the trial's registry (empty when metrics off)
 
   // steal
   std::uint64_t steal_count = 0;
@@ -217,7 +220,6 @@ struct Message {
   std::uint64_t queued = 0;
 
   // bye
-  std::string metrics_json;  ///< registry snapshot ("" when metrics off)
   std::uint64_t selfcheck_violations = 0;
 };
 
@@ -232,16 +234,22 @@ std::string encode_ready(const core::RunMetrics& baseline,
                          const core::RunMetrics& retest_baseline);
 std::string encode_trials(const std::vector<WireTrial>& trials);
 /// Result frames carry a mandatory integrity checksum (the trial-log
-/// construction with scope = seq, see core::scoped_record_checksum); parse_message
-/// rejects a result whose checksum is missing or fails re-validation, so
-/// transport corruption surfaces as a malformed frame.
-std::string encode_result(std::uint64_t seq, const core::TrialRecord& record);
+/// construction with scope = seq, see core::scoped_record_checksum). When
+/// the frame carries the trial's registry (`metrics` non-null; null = metrics
+/// off, no "metrics" member), it travels as its write_json rendering in a
+/// string, like the ready frame's baselines, and the checksum is chained over
+/// those exact bytes. parse_message rejects a result whose checksum is
+/// missing or fails re-validation, or whose rendering is not a registry, so
+/// transport corruption of the record or its metrics surfaces as a
+/// malformed frame.
+std::string encode_result(std::uint64_t seq, const core::TrialRecord& record,
+                          const obs::MetricsRegistry* metrics = nullptr);
 std::string encode_steal(std::uint64_t count);
 std::string encode_stolen(const std::vector<std::uint64_t>& seqs);
 std::string encode_feedback(const std::vector<core::JournalObservation>& pairs);
 std::string encode_heartbeat(std::uint64_t queued);
 std::string encode_shutdown();
-std::string encode_bye(const std::string& metrics_json, std::uint64_t violations);
+std::string encode_bye(std::uint64_t violations);
 
 /// Decodes one frame payload. nullopt on anything malformed — unknown type,
 /// missing field, bad strategy/record encoding. Decoding is

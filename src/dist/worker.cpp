@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -68,9 +67,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   if (!campaign_msg.has_value() || campaign_msg->type != MsgType::kCampaign) return 1;
   WorkerCampaign wc = std::move(campaign_msg->campaign);
 
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = wc.campaign.collect_metrics ? &registry : nullptr;
-
   std::unique_ptr<core::RunInspector> inspector;
   if (wc.selfcheck && hooks.make_inspector) inspector = hooks.make_inspector(wc.campaign.scenario);
   wc.campaign.scenario.inspector = inspector.get();
@@ -78,10 +74,9 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   // The worker's own non-attack baselines, from the recipe the coordinator
   // ran its pair with, in a fresh arena. Shipping their rendering back lets
   // the coordinator verify byte-for-byte that this process simulates
-  // identically.
-  core::RunTemplates base = core::baseline_templates(wc.campaign);
-  base.run.metrics = reg;
-  base.retest.metrics = reg;
+  // identically. They record no metrics: the campaign's baselines are the
+  // coordinator's.
+  const core::RunTemplates base = core::baseline_templates(wc.campaign);
   core::ScenarioArena arena;
   core::RunMetrics baseline = core::run_scenario(arena, base.run, std::nullopt);
   core::RunMetrics retest_baseline = core::run_scenario(arena, base.retest, std::nullopt);
@@ -101,24 +96,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   if (wc.wire_fault_mask != 0 && wc.wire_fault_period != 0) {
     chaos.emplace(wc.wire_fault_seed, wc.wire_fault_mask, wc.wire_fault_period);
     ch.set_fault_plan(&*chaos);
-  }
-
-  // Per-worker journal: private file, so the multi-writer campaign journal
-  // is crash-atomic by construction (nobody interleaves; the coordinator
-  // reads every part into one core::TrialLog). Lines carry the campaign
-  // identity the campaign frame was checked against, so they merge and
-  // resume under the coordinator's identity.
-  const std::uint64_t identity = core::campaign_identity_hash(wc.campaign);
-  std::FILE* journal_file = nullptr;
-  std::unique_ptr<core::TrialJournal> journal;
-  if (!wc.journal_path.empty()) {
-    journal_file = std::fopen(wc.journal_path.c_str(), "ab");
-    if (journal_file != nullptr) {
-      journal = std::make_unique<core::TrialJournal>([journal_file](std::string_view line) {
-        std::fwrite(line.data(), 1, line.size(), journal_file);
-        std::fflush(journal_file);
-      });
-    }
   }
 
   std::deque<WireTrial> queue;
@@ -243,31 +220,29 @@ int run_worker(int fd, const WorkerHooks& hooks) {
       continue;
     }
 
+    // A fresh registry per trial: it travels in the result frame and the
+    // coordinator merges it only if it commits this result.
+    obs::MetricsRegistry metrics;
+    obs::MetricsRegistry* reg = wc.campaign.collect_metrics ? &metrics : nullptr;
     core::TrialRecord record = core::execute_trial(arena, ctx, trial.strat, reg);
-    if (journal != nullptr) {
-      try {
-        journal->append(identity, record);  // full record; pruning is wire-only
-      } catch (...) {
-      }
-    }
     prune_observations(record.client_obs, covered);
     prune_observations(record.server_obs, covered);
     if (wc.corrupt_after_results != 0 && results_sent + 1 >= wc.corrupt_after_results) {
-      // Test-only byzantine fault: lie about the verdict *after* journaling
-      // the truth, and let encode_result stamp a valid checksum over the lie —
-      // exactly what a genuinely divergent worker would produce. Transport
-      // integrity cannot catch this; only coordinator re-execution can.
+      // Test-only byzantine fault: lie about the verdict, and let
+      // encode_result stamp a valid checksum over the lie — exactly what a
+      // genuinely divergent worker would produce. Transport integrity cannot
+      // catch this; only coordinator re-execution can.
       record.found = false;
       record.attempts += 1;
       record.errored_attempts += 1;
       record.failure_reason = "byzantine-lie";
     }
-    sender.send(encode_result(trial.seq, record));
+    sender.send(encode_result(trial.seq, record, reg));
     in_flight.store(0, std::memory_order_relaxed);
     ++results_sent;
     if (wc.exit_after_results != 0 && results_sent >= wc.exit_after_results) {
       // Test-only fault injection: die abruptly mid-campaign, exactly like a
-      // crashed worker (no bye, no flush of the channel, journal left as-is).
+      // crashed worker (no bye, no flush of the channel).
       std::_Exit(2);
     }
   }
@@ -278,10 +253,8 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   if (exit_code == 0) {
     std::uint64_t violations = 0;
     if (inspector != nullptr && hooks.violations) violations = hooks.violations(*inspector);
-    std::string metrics_json = reg != nullptr ? reg->to_json() : std::string();
-    sender.send(encode_bye(metrics_json, violations));
+    sender.send(encode_bye(violations));
   }
-  if (journal_file != nullptr) std::fclose(journal_file);
   return exit_code;
 }
 

@@ -11,8 +11,8 @@
 //  - Slots are plain `std::uint64_t` / `double` and lookups return stable
 //    references, so hot-path code resolves a slot once and then does a bare
 //    increment. No atomics, no locks: the simulator is single-threaded per
-//    scenario, and each campaign executor owns a private registry that the
-//    controller merges after the worker threads join.
+//    scenario, and each campaign trial records into a fresh registry of its
+//    own, which the controller merges when it commits the trial.
 //  - Instrumentation must not perturb behaviour. Nothing here touches the
 //    simulation RNG or the virtual clock; ScopedTimer reads the *wall*
 //    clock, which only ever lands in a metric value. A determinism test
@@ -83,15 +83,16 @@ class MetricsRegistry {
 
   /// Folds another registry in: counters add, gauges keep the maximum
   /// (every gauge in this system is a high-watermark), histograms add
-  /// bucket-wise. Used to merge per-executor registries at campaign end.
+  /// bucket-wise. Used to merge each committed trial's registry into the
+  /// campaign's.
   void merge_from(const MetricsRegistry& other);
 
   /// Folds a parsed write_json() document in with merge_from() semantics —
-  /// the cross-process form used when worker processes ship their registry
-  /// snapshots to the coordinator (src/dist). Histogram bucket layouts are
-  /// reconstructed from the "le" bounds, so merged snapshots line up exactly
-  /// with in-process merges. Returns false (registry untouched) when the
-  /// document does not have write_json's shape.
+  /// the cross-process form in which a worker process's result frame carries
+  /// its trial's registry to the coordinator (src/dist). Histogram bucket
+  /// layouts are reconstructed from the "le" bounds, so merged snapshots line
+  /// up exactly with in-process merges. Returns false (registry untouched)
+  /// when the document does not have write_json's shape.
   bool merge_from_json(const JsonValue& doc);
 
   bool empty() const {

@@ -1,10 +1,6 @@
 #include "search/search.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "obs/json.h"
 
 namespace snake::search {
 
@@ -42,116 +38,6 @@ std::uint32_t energy_for(double fitness, const SearchConfig& config) {
   if (scaled >= static_cast<double>(hi)) return hi;
   const std::uint32_t energy = lo + static_cast<std::uint32_t>(scaled);
   return std::min(hi, std::max(lo, energy));
-}
-
-// ------------------------------------------------------------ pool state
-
-bool PoolState::operator==(const PoolState& other) const {
-  if (seed != other.seed || mutation_counter != other.mutation_counter ||
-      trials_seen != other.trials_seen || attacks_seen != other.attacks_seen ||
-      rounds != other.rounds || mutations_spawned != other.mutations_spawned ||
-      universe_size != other.universe_size || entries.size() != other.entries.size())
-    return false;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& a = entries[i];
-    const Entry& b = other.entries[i];
-    if (a.key != b.key || a.fitness != b.fitness || a.energy_left != b.energy_left ||
-        a.generation != b.generation)
-      return false;
-  }
-  return true;
-}
-
-void write_json(obs::JsonWriter& w, const PoolState& state) {
-  w.begin_object();
-  w.key("schema").value(std::string(kPoolStateSchema));
-  w.key("seed").value(state.seed);
-  w.key("mutation_counter").value(state.mutation_counter);
-  w.key("trials_seen").value(state.trials_seen);
-  w.key("attacks_seen").value(state.attacks_seen);
-  w.key("rounds").value(state.rounds);
-  w.key("mutations_spawned").value(state.mutations_spawned);
-  w.key("universe_size").value(state.universe_size);
-  w.key("pool").begin_array();
-  for (const PoolState::Entry& e : state.entries) {
-    w.begin_object();
-    w.key("key").value(e.key);
-    w.key("fitness").value(e.fitness);
-    w.key("energy_left").value(static_cast<std::uint64_t>(e.energy_left));
-    w.key("generation").value(static_cast<std::uint64_t>(e.generation));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-namespace {
-
-/// Strict numeric field reader: present, a number, finite, non-negative and
-/// integral (the parser backs numbers with double; a checkpoint holding
-/// "trials_seen": 3.5 is poisoned, not sloppy).
-bool u64_field(const obs::JsonValue& v, const char* name, std::uint64_t* out) {
-  const obs::JsonValue* f = v.find(name);
-  if (f == nullptr || !f->is_number()) return false;
-  const double d = f->num_v;
-  if (!std::isfinite(d) || d < 0.0 || d > 9.007199254740992e15) return false;
-  if (d != std::floor(d)) return false;
-  *out = static_cast<std::uint64_t>(d);
-  return true;
-}
-
-bool u32_field(const obs::JsonValue& v, const char* name, std::uint32_t* out) {
-  std::uint64_t wide = 0;
-  if (!u64_field(v, name, &wide)) return false;
-  if (wide > std::numeric_limits<std::uint32_t>::max()) return false;
-  *out = static_cast<std::uint32_t>(wide);
-  return true;
-}
-
-}  // namespace
-
-std::optional<PoolState> pool_state_from_json(const obs::JsonValue& v) {
-  if (!v.is_object()) return std::nullopt;
-  const obs::JsonValue* schema = v.find("schema");
-  if (schema == nullptr || !schema->is_string() || schema->str_v != kPoolStateSchema)
-    return std::nullopt;
-  PoolState state;
-  if (!u64_field(v, "seed", &state.seed)) return std::nullopt;
-  if (!u64_field(v, "mutation_counter", &state.mutation_counter)) return std::nullopt;
-  if (!u64_field(v, "trials_seen", &state.trials_seen)) return std::nullopt;
-  if (!u64_field(v, "attacks_seen", &state.attacks_seen)) return std::nullopt;
-  if (!u64_field(v, "rounds", &state.rounds)) return std::nullopt;
-  if (!u64_field(v, "mutations_spawned", &state.mutations_spawned)) return std::nullopt;
-  if (!u64_field(v, "universe_size", &state.universe_size)) return std::nullopt;
-  const obs::JsonValue* pool = v.find("pool");
-  if (pool == nullptr || !pool->is_array()) return std::nullopt;
-  for (const obs::JsonValue& item : pool->array_v) {
-    if (!item.is_object()) return std::nullopt;
-    PoolState::Entry e;
-    const obs::JsonValue* key = item.find("key");
-    if (key == nullptr || !key->is_string() || key->str_v.empty()) return std::nullopt;
-    e.key = key->str_v;
-    const obs::JsonValue* fitness = item.find("fitness");
-    if (fitness == nullptr || !fitness->is_number()) return std::nullopt;
-    e.fitness = fitness->num_v;
-    // Pool membership requires positive fitness; zero, negative or NaN
-    // entries cannot have been written by the engine.
-    if (!std::isfinite(e.fitness) || e.fitness <= 0.0) return std::nullopt;
-    if (!u32_field(item, "energy_left", &e.energy_left)) return std::nullopt;
-    if (!u32_field(item, "generation", &e.generation)) return std::nullopt;
-    state.entries.push_back(std::move(e));
-  }
-  // A consistent checkpoint never claims more attacks or mutations than
-  // trials and counter draws.
-  if (state.attacks_seen > state.trials_seen) return std::nullopt;
-  if (state.mutations_spawned > state.mutation_counter) return std::nullopt;
-  return state;
-}
-
-std::optional<PoolState> pool_state_from_text(std::string_view text) {
-  std::optional<obs::JsonValue> doc = obs::parse_json(text);
-  if (!doc.has_value()) return std::nullopt;
-  return pool_state_from_json(*doc);
 }
 
 // ---------------------------------------------------------------- engine
@@ -217,8 +103,6 @@ void SearchEngine::offer(std::vector<strategy::Strategy> batch) {
 
 void SearchEngine::on_result(const strategy::Strategy& strat,
                              const TrialFeedback& feedback) {
-  ++trials_seen_;
-  if (feedback.found) ++attacks_seen_;
   for (const auto& [state, type] : feedback.fresh_pairs) {
     covered_states_.insert(state);
     covered_types_.insert(type);
@@ -572,26 +456,6 @@ bool SearchEngine::splice_coordinates(strategy::Strategy& child, std::mt19937_64
   child.packet_type = coords.second;
   if (child.inject.has_value()) child.inject->packet_type = coords.second;
   return true;
-}
-
-PoolState SearchEngine::state() const {
-  PoolState state;
-  state.seed = seed_;
-  state.mutation_counter = mutation_counter_;
-  state.trials_seen = trials_seen_;
-  state.attacks_seen = attacks_seen_;
-  state.rounds = rounds_;
-  state.mutations_spawned = mutations_spawned_;
-  state.universe_size = universe_.size();
-  for (const PoolEntry* e : ranked_pool()) {
-    PoolState::Entry entry;
-    entry.key = e->key;
-    entry.fitness = e->fitness;
-    entry.energy_left = e->energy_left;
-    entry.generation = e->generation;
-    state.entries.push_back(std::move(entry));
-  }
-  return state;
 }
 
 }  // namespace snake::search

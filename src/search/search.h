@@ -37,11 +37,6 @@
 #include "statemachine/state_machine.h"
 #include "strategy/strategy.h"
 
-namespace snake::obs {
-class JsonWriter;
-struct JsonValue;
-}
-
 namespace snake::search {
 
 /// How the campaign walks its strategy space.
@@ -82,10 +77,6 @@ struct SearchConfig {
   /// Weight of the state-coverage term against the detector-margin term in
   /// the fitness (see fitness_score).
   double coverage_weight = 0.5;
-  /// Commit interval between pool-state checkpoint lines appended to the
-  /// campaign journal (0 disables periodic checkpoints; a final one is
-  /// always written).
-  std::uint64_t checkpoint_interval = 16;
 };
 
 /// What the controller feeds back for one committed trial. Everything is
@@ -112,45 +103,6 @@ double fitness_score(const TrialFeedback& feedback, const SearchConfig& config);
 /// [energy_min, energy_max], monotone non-decreasing in fitness.
 std::uint32_t energy_for(double fitness, const SearchConfig& config);
 
-/// Serializable snapshot of the engine, checkpointed into the campaign
-/// journal (schema "snake-search-pool/v1"). Resume correctness never depends
-/// on it — a resumed campaign reconstructs the engine by deterministic
-/// replay — but the checkpoint makes search progress inspectable, lets the
-/// resilience suite prove the reconstruction equals the original, and is a
-/// hardened parse surface (fuzzed in tests/fuzz_test.cpp).
-struct PoolState {
-  std::uint64_t seed = 0;
-  std::uint64_t mutation_counter = 0;
-  std::uint64_t trials_seen = 0;
-  std::uint64_t attacks_seen = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t mutations_spawned = 0;
-  std::uint64_t universe_size = 0;
-
-  struct Entry {
-    std::string key;  ///< strategy::canonical_key of the pool member
-    double fitness = 0.0;
-    std::uint32_t energy_left = 0;
-    std::uint32_t generation = 0;
-  };
-  std::vector<Entry> entries;  ///< fitness-ranked, best first
-
-  bool operator==(const PoolState& other) const;
-};
-
-inline constexpr std::string_view kPoolStateSchema = "snake-search-pool/v1";
-
-/// Writes the checkpoint as one JSON object (one journal line).
-void write_json(obs::JsonWriter& w, const PoolState& state);
-
-/// Parses write_json's encoding. nullopt on anything malformed: wrong or
-/// missing schema tag, missing/ill-typed fields, non-finite fitness, or a
-/// malformed entry. A torn line (truncated JSON) fails the JSON parse; a
-/// poisoned one (valid JSON, wrong shape) fails validation — either way the
-/// loader rejects rather than guessing.
-std::optional<PoolState> pool_state_from_json(const obs::JsonValue& v);
-std::optional<PoolState> pool_state_from_text(std::string_view text);
-
 /// The greybox engine. Single-threaded by design: only the controller's
 /// coordinating thread calls it, at deterministic points (see file header).
 class SearchEngine {
@@ -174,9 +126,6 @@ class SearchEngine {
   /// and packet types the campaign has actually observed come before those
   /// targeting never-reached corners. Empty when the search is exhausted.
   std::vector<strategy::Strategy> next_round();
-
-  /// Checkpoint snapshot of the current engine state.
-  PoolState state() const;
 
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t mutations_spawned() const { return mutations_spawned_; }
@@ -241,8 +190,6 @@ class SearchEngine {
   std::set<std::pair<std::string, std::string>> known_coords_seen_;
 
   std::uint64_t mutation_counter_ = 0;
-  std::uint64_t trials_seen_ = 0;
-  std::uint64_t attacks_seen_ = 0;
   std::uint64_t rounds_ = 0;
   std::uint64_t mutations_spawned_ = 0;
 };

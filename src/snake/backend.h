@@ -14,12 +14,9 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
 #include "snake/journal.h"
 #include "strategy/strategy.h"
-
-namespace snake::obs {
-class MetricsRegistry;
-}
 
 namespace snake::core {
 
@@ -35,10 +32,15 @@ struct TrialTask {
 
 /// What comes back from the backend for one task: the full trial record
 /// (verdict, detection payload, failure tallies) plus the deduplicated
-/// send-observations that feed the strategy generator.
+/// send-observations that feed the strategy generator, and the metrics the
+/// trial recorded ("reports performance information back"). `metrics` is a
+/// fresh registry per execute_trial, empty when the campaign runs without
+/// metrics; the coordinator merges it in commit order, so a campaign's
+/// metrics are a function of the trials it commits.
 struct TrialOutcome {
   std::uint64_t seq = 0;
   TrialRecord record;
+  obs::MetricsRegistry metrics;
 };
 
 /// Executes trials on behalf of the campaign coordinator. Implementations
@@ -75,8 +77,11 @@ class TrialBackend {
   /// backend needs no such hint.
   virtual void on_feedback(const std::vector<JournalObservation>& pairs) { (void)pairs; }
 
-  /// Tears the backend down and folds its executors' metric registries into
-  /// `into` (nullptr when the campaign runs without metrics).
+  /// Tears the backend down and adds the backend's own tallies to `into`
+  /// (nullptr when the campaign runs without metrics): work that is not a
+  /// committed trial, such as a distributed backend's `dist.*` fleet
+  /// accounting. Trial metrics never pass through here; they travel with
+  /// each TrialOutcome.
   virtual void finish(obs::MetricsRegistry* into) = 0;
 };
 

@@ -206,9 +206,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     engine = std::make_unique<search::SearchEngine>(config.search, config.scenario.seed,
                                                     format, machine);
 
-  // The coordinator's registry (baselines, commit path, combination phase);
-  // backends keep per-executor registries and fold them in at finish(), so
-  // the sim hot path never shares a metrics slot across threads.
+  // The coordinator's registry: baselines, the commit path (which merges
+  // each committed trial's own registry, in commit order) and the
+  // combination phase. Trials record into per-trial registries, so the sim
+  // hot path never shares a metrics slot across threads.
   obs::MetricsRegistry main_registry;
   obs::MetricsRegistry* main_reg = config.collect_metrics ? &main_registry : nullptr;
 
@@ -227,18 +228,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       ++main_reg->counter("campaign.resume_incompatible");
     resume = nullptr;
   }
-  // Validate the resumed log's last pool checkpoint through the strict
-  // search-library parser. A torn or poisoned checkpoint is rejected and
-  // counted; correctness is unaffected either way, because the resumed
-  // engine is reconstructed by replaying the logged trials in order.
-  if (resume != nullptr && engine != nullptr && !resume->search_pool(identity).empty()) {
-    if (search::pool_state_from_text(resume->search_pool(identity)).has_value()) {
-      if (main_reg != nullptr) ++main_reg->counter("campaign.search_pool_resumed");
-    } else {
-      if (main_reg != nullptr) ++main_reg->counter("campaign.search_pool_invalid");
-    }
-  }
-
   // Non-attack baselines, one per seed used ("runs a non-attack test").
   // Fault rules are keyed by strategy id and target trials; the baselines
   // (and the combination phase, which reuses these configs) run clean.
@@ -311,6 +300,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     TrialRecord record;
     strategy::Strategy strat;
     TrialSource source = TrialSource::kLive;
+    obs::MetricsRegistry metrics;  ///< the live run's; empty for replays
   };
   std::map<std::uint64_t, Pending> pending;               // finished, awaiting commit
   std::map<std::uint64_t, strategy::Strategy> in_flight;  // submitted to the backend
@@ -332,14 +322,14 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       // failure tallies, and the generator feedback — without running the
       // simulation.
       if (main_reg != nullptr) ++main_reg->counter("campaign.resume_skipped");
-      pending.emplace(seq, Pending{*prior, std::move(strat), TrialSource::kResume});
+      pending.emplace(seq, Pending{*prior, std::move(strat), TrialSource::kResume, {}});
       return;
     }
     if (config.cache != nullptr) {
       if (const TrialRecord* hit = config.cache->lookup(key); hit != nullptr) {
         // Cross-campaign cache hit: same replay discipline as resume.
         if (main_reg != nullptr) ++main_reg->counter("campaign.cache_hits");
-        pending.emplace(seq, Pending{*hit, std::move(strat), TrialSource::kCache});
+        pending.emplace(seq, Pending{*hit, std::move(strat), TrialSource::kCache, {}});
         return;
       }
     }
@@ -350,21 +340,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     backend->submit(std::move(task));
   };
 
-  // Appends the engine's serialized pool state to the journal as its own
-  // line. Best-effort like trial appends: the journal is a checkpoint, the
-  // campaign result is not allowed to depend on it.
-  auto checkpoint_pool = [&]() {
-    if (engine == nullptr || config.journal == nullptr) return;
-    try {
-      obs::JsonWriter w;
-      search::write_json(w, engine->state());
-      config.journal->append_raw(identity, w.take());
-    } catch (...) {
-      ++result.journal_errors;
-      if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");
-    }
-  };
-
   auto commit_one = [&](Pending p) {
     TrialRecord& record = p.record;
     result.trials_aborted += record.aborted_attempts;
@@ -372,6 +347,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     result.trials_retried += record.attempts - 1;
     if (p.source == TrialSource::kResume) ++result.resume_skipped;
     if (p.source == TrialSource::kCache) ++result.cache_hits;
+    if (main_reg != nullptr) main_reg->merge_from(p.metrics);
 
     // Checkpoint (resume replays are already in this journal). Best-effort:
     // the results matter, the checkpoint does not.
@@ -432,8 +408,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         result.found.push_back(std::move(o));
       }
     } else {
-      // Quarantined strategies score zero fitness but still advance the
-      // engine's trial counter, keeping checkpoints consistent.
+      // Quarantined strategies score zero fitness.
       if (engine != nullptr) engine->on_result(p.strat, search::TrialFeedback{});
       CampaignResult::Quarantined q;
       q.strat = std::move(p.strat);
@@ -444,9 +419,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       result.quarantined.push_back(std::move(q));
     }
     ++committed;
-    if (engine != nullptr && config.search.checkpoint_interval != 0 &&
-        committed % config.search.checkpoint_interval == 0)
-      checkpoint_pool();
     if (config.on_progress) config.on_progress(committed, queued_total);
   };
 
@@ -504,14 +476,13 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       continue;
     }
     pending.emplace(out.seq, Pending{std::move(out.record), std::move(it->second),
-                                     TrialSource::kLive});
+                                     TrialSource::kLive, std::move(out.metrics)});
     in_flight.erase(it);
   }
 
   backend->finish(config.collect_metrics ? &result.metrics : nullptr);
   result.strategies_tried = dispatched;
   if (engine != nullptr) {
-    checkpoint_pool();  // final pool state, whatever the periodic cadence
     result.search_rounds = engine->rounds();
     result.search_mutations = engine->mutations_spawned();
   }

@@ -64,11 +64,12 @@ struct CampaignConfig {
   double detect_threshold = 0.5;
 
   /// When true (default), the campaign records counters, stage timings and
-  /// per-attack-action counts into CampaignResult::metrics. Each executor
-  /// thread writes to a private registry, merged after the pool joins, so
-  /// the sim hot path never takes a lock. Instrumentation does not perturb
-  /// results: identical seeds give identical outcomes either way (enforced
-  /// by the determinism test in observability_test.cpp).
+  /// per-attack-action counts into CampaignResult::metrics. Each trial
+  /// records into its own registry, which travels with its outcome (across
+  /// the wire too) and is merged when the trial commits, so the sim hot path
+  /// never takes a lock. Instrumentation does not perturb results: identical
+  /// seeds give identical outcomes either way (enforced by the determinism
+  /// test in observability_test.cpp).
   bool collect_metrics = true;
 
   /// Trials always stop at the deterministic quiescence cut instead of
@@ -103,8 +104,9 @@ struct CampaignConfig {
   /// Per-retry seed perturbation. A pure function of the retry index, so
   /// campaigns stay reproducible for equal seeds.
   std::uint64_t retry_seed_offset = 7919;
-  /// Optional checkpoint journal (not owned). Every finished strategy is
-  /// appended as one trial-log line stamped with campaign_identity_hash;
+  /// Optional checkpoint journal (not owned). Every committed strategy,
+  /// whichever backend ran it, is appended as one trial-log line stamped
+  /// with campaign_identity_hash;
   /// append failures increment campaign.journal_errors and never fail the
   /// campaign.
   TrialJournal* journal = nullptr;
@@ -208,9 +210,14 @@ struct CampaignResult {
   /// interleaving.
   std::vector<Quarantined> quarantined;
 
-  /// Campaign observability: merged per-executor registries (stage timings,
-  /// scheduler/link/proxy/tracker counters, retest outcomes, detection
-  /// reasons). Empty when CampaignConfig::collect_metrics was false.
+  /// Campaign observability (stage timings, scheduler/link/proxy/tracker
+  /// counters, retest outcomes, detection reasons): the coordinator's
+  /// baselines, plus every committed trial's registry in commit order, plus
+  /// the backend's own tallies (`dist.*`). Its counters are a function of
+  /// the committed trials, so they match across executor counts and
+  /// backends, worker deaths included; only snapshot.sessions_built and
+  /// sim.buffers_reused depend on which executor ran a trial. Empty when
+  /// CampaignConfig::collect_metrics was false.
   obs::MetricsRegistry metrics;
 
   /// Renders a Table-I-style row.

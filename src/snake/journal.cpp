@@ -7,7 +7,6 @@
 #include <type_traits>
 
 #include "obs/json.h"
-#include "search/search.h"
 #include "snake/controller.h"
 #include "util/strings.h"
 
@@ -102,22 +101,10 @@ std::string render_record(const TrialRecord& record) {
   return w.take();
 }
 
-/// The checksum covers the scope *and* the canonical record rendering, so
-/// neither can be edited — nor a record re-homed under another campaign or
-/// seq — without failing validation.
-std::uint64_t scoped_checksum(std::uint64_t scope, std::string_view record_json) {
-  Fnv1a h;
-  const std::string prefix = hex16(scope) + "|";
-  h.bytes(prefix.data(), prefix.size());
-  h.bytes(record_json.data(), record_json.size());
-  return h.h;
-}
-
-/// One validated log line: a checksummed record, or (record empty) a
-/// search-pool checkpoint, under its campaign identity.
+/// One validated log line: a checksummed record under its campaign identity.
 struct LogLine {
   std::uint64_t identity = 0;
-  std::optional<TrialRecord> record;
+  TrialRecord record;
 };
 
 std::optional<LogLine> parse_line(std::string_view line) {
@@ -125,8 +112,6 @@ std::optional<LogLine> parse_line(std::string_view line) {
   if (!doc.has_value() || !doc->is_object()) return std::nullopt;
   std::optional<std::uint64_t> identity = parse_hex16(str_field(*doc, "identity"));
   if (!identity.has_value()) return std::nullopt;
-  if (str_field(*doc, "schema") == search::kPoolStateSchema)
-    return LogLine{*identity, std::nullopt};
   // Content validation: the checksum is recomputed over the canonical
   // re-rendering of the parsed record, so any edit to it — a swapped key, a
   // forged verdict, a pasted-in identity — fails here.
@@ -135,10 +120,10 @@ std::optional<LogLine> parse_line(std::string_view line) {
   if (!record.has_value() || !check.has_value() ||
       scoped_record_checksum(*identity, *record) != *check)
     return std::nullopt;
-  return LogLine{*identity, std::move(record)};
+  return LogLine{*identity, std::move(*record)};
 }
 
-/// Calls fn(line, parsed) for each non-empty line. A line is only
+/// Calls fn(parsed) for each non-empty line. A line is only
 /// trustworthy once its newline hit the disk: an unterminated tail — the
 /// signature of a killed writer — arrives with parsed == nullopt.
 template <typename Fn>
@@ -149,7 +134,7 @@ void for_each_line(std::string_view text, Fn&& fn) {
     const bool complete = nl != std::string_view::npos;
     std::string_view line = complete ? text.substr(pos, nl - pos) : text.substr(pos);
     pos = complete ? nl + 1 : text.size();
-    if (!line.empty()) fn(line, complete ? parse_line(line) : std::nullopt);
+    if (!line.empty()) fn(complete ? parse_line(line) : std::nullopt);
   }
 }
 
@@ -225,6 +210,14 @@ const char* to_string(TrialVerdict verdict) {
   return "?";
 }
 
+std::uint64_t scoped_checksum(std::uint64_t scope, std::string_view text) {
+  Fnv1a h;
+  const std::string prefix = hex16(scope) + "|";
+  h.bytes(prefix.data(), prefix.size());
+  h.bytes(text.data(), text.size());
+  return h.h;
+}
+
 std::uint64_t scoped_record_checksum(std::uint64_t scope, const TrialRecord& record) {
   return scoped_checksum(scope, render_record(record));
 }
@@ -244,14 +237,6 @@ void TrialJournal::append(std::uint64_t identity, const TrialRecord& record) {
   sink_(line);
 }
 
-void TrialJournal::append_raw(std::uint64_t identity, std::string_view json_object) {
-  std::string line = "{\"identity\":\"" + hex16(identity) + "\",";
-  line.append(json_object.substr(1));
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_(line);
-}
-
 bool TrialLog::ingest_file(const std::string& path) {
   std::optional<std::string> text = read_text(path);
   if (!text.has_value()) return false;
@@ -260,15 +245,12 @@ bool TrialLog::ingest_file(const std::string& path) {
 }
 
 void TrialLog::ingest(std::string_view text) {
-  for_each_line(text, [this](std::string_view line, std::optional<LogLine> parsed) {
+  for_each_line(text, [this](std::optional<LogLine> parsed) {
     if (!parsed.has_value()) {
       ++rejected_;
       return;
     }
-    if (parsed->record.has_value())
-      entries_.try_emplace({parsed->identity, parsed->record->key}, std::move(*parsed->record));
-    else
-      pools_[parsed->identity].assign(line);  // later checkpoints supersede
+    entries_.try_emplace({parsed->identity, parsed->record.key}, std::move(parsed->record));
   });
 }
 
@@ -286,7 +268,7 @@ void TrialLog::store(std::uint64_t identity, const TrialRecord& record) {
 
 bool TrialLog::holds(std::uint64_t identity) const {
   auto it = entries_.lower_bound({identity, std::string()});
-  return (it != entries_.end() && it->first.first == identity) || pools_.contains(identity);
+  return it != entries_.end() && it->first.first == identity;
 }
 
 std::size_t TrialLog::count(std::uint64_t identity) const {
@@ -294,11 +276,6 @@ std::size_t TrialLog::count(std::uint64_t identity) const {
   auto last = first;
   while (last != entries_.end() && last->first.first == identity) ++last;
   return static_cast<std::size_t>(std::distance(first, last));
-}
-
-std::string_view TrialLog::search_pool(std::uint64_t identity) const {
-  auto it = pools_.find(identity);
-  return it == pools_.end() ? std::string_view() : std::string_view(it->second);
 }
 
 TrialLog::CompactStats TrialLog::compact() {
@@ -311,25 +288,17 @@ TrialLog::CompactStats TrialLog::compact() {
   }
 
   std::set<std::pair<std::uint64_t, std::string>> seen;
-  std::map<std::uint64_t, std::string> pools;
   std::string out_text;
-  for_each_line(*text, [&](std::string_view line, std::optional<LogLine> parsed) {
+  for_each_line(*text, [&](std::optional<LogLine> parsed) {
     if (!parsed.has_value()) {
       ++stats.dropped_invalid;
-    } else if (!parsed->record.has_value()) {
-      pools[parsed->identity].assign(line);
-    } else if (!seen.insert({parsed->identity, parsed->record->key}).second) {
+    } else if (!seen.insert({parsed->identity, parsed->record.key}).second) {
       ++stats.dropped_duplicate;  // first copy wins, matching store()
     } else {
-      out_text += encode_trial_line(parsed->identity, *parsed->record);
+      out_text += encode_trial_line(parsed->identity, parsed->record);
       ++stats.kept;
     }
   });
-  for (const auto& [identity, line] : pools) {
-    out_text += line;
-    out_text.push_back('\n');
-    ++stats.kept;
-  }
 
   const std::string tmp = path_ + ".tmp";
   {

@@ -1,8 +1,8 @@
 // Checkpoint/resume and result memoization for campaigns: one JSONL
 // trial-record log.
 //
-// Executors append one line per *finished* strategy (completed or
-// quarantined) through a shared, mutex-guarded sink. Each line is a
+// The controller appends one line per committed strategy (completed or
+// quarantined) through a mutex-guarded sink. Each line is a
 // self-contained JSON document flushed at once and checksummed under the
 // campaign identity it belongs to, so a killed campaign leaves a log whose
 // every complete line is valid — the loader rejects a torn tail. A resumed
@@ -76,12 +76,17 @@ struct TrialRecord {
   std::vector<JournalObservation> server_obs;
 };
 
+/// FNV-1a over hex16(scope) + "|" + text. The scope is bound to the text,
+/// so neither can be edited, nor the text re-homed under another scope,
+/// without the checksum changing.
+std::uint64_t scoped_checksum(std::uint64_t scope, std::string_view text);
+
 /// The checksum construction every trial-log line and every wire result
-/// frame is validated with: FNV-1a over a 64-bit scope value bound to the
-/// *canonical* re-rendering of the record (write_json round-trips exactly,
-/// which makes that sound). Log lines use scope = campaign identity; the
-/// dist wire uses scope = result seq, so a result can neither be corrupted
-/// in flight nor replayed under another trial's seq without detection.
+/// frame is validated with: scoped_checksum over the *canonical*
+/// re-rendering of the record (write_json round-trips exactly, which makes
+/// that sound). Log lines use scope = campaign identity; the dist wire uses
+/// scope = result seq, so a result can neither be corrupted in flight nor
+/// replayed under another trial's seq without detection.
 std::uint64_t scoped_record_checksum(std::uint64_t scope, const TrialRecord& record);
 
 /// Renders one trial-log line (newline-terminated): the record's write_json
@@ -108,12 +113,6 @@ class TrialJournal {
   /// checkpointing is best-effort, results are not).
   void append(std::uint64_t identity, const TrialRecord& record);
 
-  /// Appends one pre-rendered, non-empty JSON object as its own line with
-  /// the "identity" key stamped in front (no other validation). The greybox
-  /// controller checkpoints its search-pool state this way; TrialLog keeps
-  /// the last such line per identity (see TrialLog::search_pool).
-  void append_raw(std::uint64_t identity, std::string_view json_object);
-
  private:
   std::mutex mutex_;
   Sink sink_;
@@ -135,8 +134,7 @@ class TrialCache {
   virtual void store(const TrialRecord& record) = 0;
 };
 
-/// The one trial-record store: resume log, worker-journal merge and
-/// cross-campaign result cache. A trial is a pure function of (campaign
+/// The one trial-record store: resume log and cross-campaign result cache. A trial is a pure function of (campaign
 /// identity, canonical strategy key), so the store is a map over that pair,
 /// read from any number of encode_trial_line files — one campaign's journal,
 /// a cache spanning many campaigns, or several of either concatenated.
@@ -145,10 +143,10 @@ class TrialCache {
 /// written and its checksum matches the canonical re-rendering of its
 /// record under its identity. Anything else — a torn tail, garbage, an
 /// edited verdict, a line re-homed under another identity — is skipped and
-/// counted in rejected(). The first copy of an (identity, key) wins. Search
-/// pool checkpoints (schema "snake-search-pool/v1" plus "identity") carry no
-/// record checksum: the search library's strict parser validates them, and
-/// resume correctness never depends on them.
+/// counted in rejected(). The first copy of an (identity, key) wins, so a
+/// cache that two campaigns appended the same trial to keeps one record.
+/// Lines of any other shape, such as the "snake-search-pool/v1" checkpoints
+/// earlier builds wrote into journals, are rejected like garbage.
 class TrialLog {
  public:
   /// In-memory log (tests, resume snapshots, intra-run caches).
@@ -175,16 +173,14 @@ class TrialLog {
   /// line to the backing file when it is new. Appending is best-effort.
   void store(std::uint64_t identity, const TrialRecord& record);
 
-  /// Whether any line — record or pool checkpoint — belongs to `identity`.
+  /// Whether any record belongs to `identity`.
   bool holds(std::uint64_t identity) const;
   /// Records stored under `identity`.
   std::size_t count(std::uint64_t identity) const;
-  /// Raw text of the last pool checkpoint line of `identity` ("" if none).
-  std::string_view search_pool(std::uint64_t identity) const;
 
   /// Records that survived validation, across every identity.
   std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty() && pools_.empty(); }
+  bool empty() const { return entries_.empty(); }
   /// Lines rejected by the loading rule.
   std::uint64_t rejected() const { return rejected_; }
 
@@ -193,7 +189,7 @@ class TrialLog {
 
   /// Crash-safe rewrite of the backing file: re-validates every line, drops
   /// rejected and duplicate ones, writes the survivors canonically (records
-  /// first-wins, then the last pool line per identity) to `path + ".tmp"`
+  /// first-wins) to `path + ".tmp"`
   /// and renames it over the original — a crash at any point leaves either
   /// the old file or the new one, never a mix. Call before load(); does not
   /// touch in-memory entries. No-op (ok=true) for memory-only logs and
@@ -226,7 +222,6 @@ class TrialLog {
  private:
   std::string path_;  ///< "" = memory-only
   Entries entries_;
-  std::map<std::uint64_t, std::string> pools_;  ///< last pool line per identity
   std::uint64_t rejected_ = 0;
 };
 

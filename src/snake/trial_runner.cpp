@@ -186,10 +186,10 @@ struct ThreadBackend::Impl {
   std::deque<TrialOutcome> outbox;
   bool stopping = false;
 
+  bool collect_metrics = true;
   std::vector<std::thread> threads;
-  std::vector<obs::MetricsRegistry> registries;
 
-  void executor_main(obs::MetricsRegistry* reg) {
+  void executor_main() {
     // The executor's arena: network and stacks built once, reset between
     // trials.
     ScenarioArena arena;
@@ -204,7 +204,7 @@ struct ThreadBackend::Impl {
       }
       TrialOutcome out;
       out.seq = task.seq;
-      out.record = execute_trial(arena, ctx, task.strat, reg);
+      out.record = execute_trial(arena, ctx, task.strat, collect_metrics ? &out.metrics : nullptr);
       {
         std::lock_guard<std::mutex> lock(mutex);
         outbox.push_back(std::move(out));
@@ -234,15 +234,10 @@ bool ThreadBackend::start(const CampaignConfig& config, const RunMetrics& baseli
   im.ctx.snapshots = std::make_unique<SnapshotStore>();
   im.ctx.snapshots->set_max_sessions_per_seed(static_cast<std::size_t>(im.executors));
 
-  im.registries.clear();
-  im.registries.resize(static_cast<std::size_t>(im.executors));
+  im.collect_metrics = config.collect_metrics;
   im.stopping = false;
   im.threads.reserve(static_cast<std::size_t>(im.executors));
-  for (int i = 0; i < im.executors; ++i) {
-    obs::MetricsRegistry* reg =
-        config.collect_metrics ? &im.registries[static_cast<std::size_t>(i)] : nullptr;
-    im.threads.emplace_back([&im, reg] { im.executor_main(reg); });
-  }
+  for (int i = 0; i < im.executors; ++i) im.threads.emplace_back([&im] { im.executor_main(); });
   return true;
 }
 
@@ -268,7 +263,7 @@ TrialOutcome ThreadBackend::wait_outcome() {
   return out;
 }
 
-void ThreadBackend::finish(obs::MetricsRegistry* into) {
+void ThreadBackend::finish(obs::MetricsRegistry* /*into*/) {
   Impl& im = *impl_;
   if (!im.threads.empty()) {
     {
@@ -279,9 +274,6 @@ void ThreadBackend::finish(obs::MetricsRegistry* into) {
     for (auto& t : im.threads) t.join();
     im.threads.clear();
   }
-  if (into != nullptr)
-    for (const obs::MetricsRegistry& reg : im.registries) into->merge_from(reg);
-  im.registries.clear();
 }
 
 }  // namespace snake::core

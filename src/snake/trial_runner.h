@@ -76,10 +76,10 @@ TrialRecord execute_trial(ScenarioArena& arena, const TrialContext& ctx,
                           const strategy::Strategy& strat, obs::MetricsRegistry* reg);
 
 /// The default backend: `executors` in-process threads, each owning a
-/// ScenarioArena and (when metrics are on) a private registry merged at
-/// finish(). Replaces the controller's previous hand-rolled pool; with the
-/// coordinator's in-order commits, campaigns are now deterministic for any
-/// executor count, not just one.
+/// ScenarioArena. Each trial records into its outcome's own registry (when
+/// metrics are on), so no metrics slot is shared across threads and nothing
+/// is merged at finish(). With the coordinator's in-order commits, campaigns
+/// are deterministic for any executor count.
 class ThreadBackend : public TrialBackend {
  public:
   explicit ThreadBackend(int executors);

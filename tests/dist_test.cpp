@@ -11,9 +11,12 @@
 //  - the trial-record log as cross-campaign result cache: hit/miss scoping
 //    by campaign identity, checksum rejection of tampered (poisoned) lines,
 //    persistence, compaction;
+//  - fleet metrics: a campaign's counters are a function of its committed
+//    trials, so they match the in-process campaign's line for line, worker
+//    deaths included;
 //  - the campaign identity's field coverage;
-//  - crash-atomic multi-writer journals: per-worker parts read into one log
-//    with truncated tails, duplicates and mismatched identities.
+//  - trial logs read from several files into one, with truncated tails,
+//    duplicates and mismatched identities.
 //
 // This binary supplies its own main(): a worker re-entered through
 // /proc/self/exe must take the --snake-worker-child branch before gtest
@@ -131,6 +134,56 @@ std::string result_fingerprint(const core::CampaignResult& r) {
   return w.take();
 }
 
+/// Runs `config` with a TrialJournal attached as its journal, and checks
+/// that the journal holds one valid line per trial the campaign tried,
+/// under the campaign's identity, whichever backend ran them. `log`
+/// receives the journal when given.
+core::CampaignResult run_journaled(core::CampaignConfig config, core::TrialLog* log = nullptr) {
+  std::string text;
+  core::TrialJournal journal([&](std::string_view line) { text.append(line); });
+  config.journal = &journal;
+  core::CampaignResult result = core::run_campaign(config);
+  core::TrialLog local;
+  core::TrialLog& read = log != nullptr ? *log : local;
+  read.ingest(text);
+  EXPECT_EQ(read.rejected(), 0u);
+  EXPECT_EQ(read.count(core::campaign_identity_hash(config)), result.strategies_tried);
+  EXPECT_EQ(read.size(), result.strategies_tried);
+  return result;
+}
+
+/// The registry counters that must not depend on where trials ran, one
+/// "name value" line each: everything except the fleet's own dist.*
+/// tallies, and the two counters that depend on which executor ran a
+/// trial (sessions built per snapshot store, buffers reused per arena).
+std::string trial_counter_lines(const core::CampaignResult& r) {
+  std::string out;
+  for (const auto& [name, v] : r.metrics.counters()) {
+    if (name.starts_with("dist.") || name == "snapshot.sessions_built" ||
+        name == "sim.buffers_reused")
+      continue;
+    out += name + " " + std::to_string(v) + "\n";
+  }
+  return out;
+}
+
+/// Options for a fleet under every wire fault at once, with a supervision
+/// budget generous enough that the fleet outruns the chaos: nothing may
+/// quarantine and nothing may run inline.
+dist::DistOptions chaos_options(std::uint64_t seed) {
+  dist::DistOptions options;
+  options.workers = 2;
+  options.wire_fault_seed = seed;
+  options.wire_fault_mask = core::kAllWireFaults;
+  options.wire_fault_period = 7;
+  options.heartbeat_timeout_ms = 1500;
+  options.supervision.respawn_limit = 64;
+  options.supervision.backoff_base_ms = 5;
+  options.supervision.backoff_cap_ms = 50;
+  options.supervision.crash_loop_failures = 1000;
+  return options;
+}
+
 struct TempDir {
   fs::path path;
   TempDir() {
@@ -181,10 +234,8 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
   core::CampaignConfig config = small_campaign();
   core::CampaignResult single = core::run_campaign(config);
 
-  TempDir dir;
   dist::DistOptions options;
   options.workers = 2;
-  options.journal_dir = dir.path.string();
   dist::DistributedBackend backend(options);
   config.backend = &backend;
 
@@ -196,7 +247,8 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
     last_queued = queued;
   };
 
-  core::CampaignResult distributed = core::run_campaign(config);
+  // The coordinator's journal records every trial the fleet committed.
+  core::CampaignResult distributed = run_journaled(config);
 
   EXPECT_EQ(result_fingerprint(single), result_fingerprint(distributed));
   EXPECT_EQ(distributed.metrics.counter("campaign.backend_fallback"), 0u)
@@ -205,13 +257,6 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
   EXPECT_EQ(last_done, distributed.strategies_tried);
   EXPECT_EQ(backend.workers_spawned(), 2);
   EXPECT_EQ(backend.workers_lost(), 0);
-
-  // Satellite: the per-worker journals merge into one log covering every
-  // live-run trial, under the single campaign identity.
-  const core::TrialLog merged = backend.merged_journal();
-  EXPECT_EQ(merged.rejected(), 0u);
-  EXPECT_EQ(merged.count(core::campaign_identity_hash(config)), distributed.strategies_tried);
-  EXPECT_EQ(merged.size(), distributed.strategies_tried);
 }
 
 TEST(Distributed, SackCampaignMatchesSingleProcessExactly) {
@@ -338,20 +383,18 @@ TEST(Distributed, CacheConflictTriggersVerificationWithoutQuarantine) {
   const std::uint64_t identity = core::campaign_identity_hash(config);
 
   // Honest first run; its journal supplies a real (key, record) pair.
-  TempDir dir;
   dist::DistOptions options;
   options.workers = 2;
-  options.journal_dir = dir.path.string();
   std::string honest_fp;
   core::TrialRecord truth;
   {
     dist::DistributedBackend backend(options);
     config.backend = &backend;
-    core::CampaignResult result = core::run_campaign(config);
+    core::TrialLog journaled;
+    core::CampaignResult result = run_journaled(config, &journaled);
     honest_fp = result_fingerprint(result);
-    const core::TrialLog merged = backend.merged_journal();
-    ASSERT_GT(merged.count(identity), 0u);
-    truth = merged.entries().begin()->second;
+    ASSERT_GT(journaled.count(identity), 0u);
+    truth = journaled.entries().begin()->second;
   }
 
   // A cross-campaign cache carrying a *forged* version of that record: the
@@ -391,8 +434,8 @@ TEST(Distributed, CoordinatorReexecutionsTakeTheWorkersEarlyExitCut) {
   config.max_strategies = 10;
   const char* cut = "scenario.early_exit_runs";
 
-  // Cuts taken by one baseline pair, and by one campaign's trials (the
-  // single-process campaign runs one baseline pair plus every trial once).
+  // Cuts taken by one baseline pair, and by one campaign's trials (a
+  // campaign's metrics hold one baseline pair plus every committed trial).
   obs::MetricsRegistry base_reg;
   core::RunTemplates base = core::baseline_templates(config);
   base.run.metrics = &base_reg;
@@ -415,9 +458,37 @@ TEST(Distributed, CoordinatorReexecutionsTakeTheWorkersEarlyExitCut) {
   EXPECT_EQ(fleet.metrics.counter("campaign.backend_fallback"), 0u);
   EXPECT_EQ(backend.trials_verified(), fleet.strategies_tried);
   EXPECT_EQ(backend.results_divergent(), 0u);
-  // Three baseline pairs (coordinator and two workers), every trial once on
-  // a worker and once more on the coordinator, each run cut alike.
-  EXPECT_EQ(fleet.metrics.counter(cut), 3 * baseline_cuts + 2 * trial_cuts);
+  // The committed runs are the coordinator's baselines and the workers'
+  // trials. Every re-execution vindicated its worker, so each counts apart,
+  // under dist.verify.*, and took the cut exactly as the worker's run did.
+  EXPECT_EQ(fleet.metrics.counter(cut), baseline_cuts + trial_cuts);
+  EXPECT_EQ(fleet.metrics.counter(std::string("dist.verify.") + cut), trial_cuts);
+}
+
+TEST(Distributed, CountersMatchInProcessLineForLine) {
+  // A campaign's metrics are its coordinator's baselines plus the registry
+  // of every trial it commits, so a fleet's counters equal the in-process
+  // campaign's line for line: a worker's own baselines are not the
+  // campaign's, and a worker that dies loses nothing that was committed.
+  core::CampaignConfig config = small_campaign();
+  const std::string expected = trial_counter_lines(core::run_campaign(config));
+  ASSERT_NE(expected.find("scenario.attack_runs "), std::string::npos) << expected;
+
+  dist::DistOptions options;
+  options.workers = 2;
+  dist::DistributedBackend clean(options);
+  config.backend = &clean;
+  core::CampaignResult clean_result = core::run_campaign(config);
+  EXPECT_EQ(trial_counter_lines(clean_result), expected);
+  EXPECT_EQ(clean_result.metrics.counter("campaign.backend_fallback"), 0u);
+
+  dist::DistributedBackend chaos(chaos_options(0x5eedc0de));
+  config.backend = &chaos;
+  core::CampaignResult chaos_result = core::run_campaign(config);
+  EXPECT_EQ(trial_counter_lines(chaos_result), expected) << chaos.fleet_report();
+  EXPECT_EQ(chaos_result.metrics.counter("campaign.backend_fallback"), 0u);
+  EXPECT_GT(chaos_result.metrics.counter("dist.workers_lost"), 0u)
+      << "chaos never cost a worker; the test would be vacuous";
 }
 
 TEST(Distributed, ChaosSoakBitIdenticalUnderFullFaultLoad) {
@@ -439,19 +510,7 @@ TEST(Distributed, ChaosSoakBitIdenticalUnderFullFaultLoad) {
                 static_cast<unsigned long long>(seed));
     std::fflush(stdout);
 
-    dist::DistOptions options;
-    options.workers = 2;
-    options.wire_fault_seed = seed;
-    options.wire_fault_mask = core::kAllWireFaults;
-    options.wire_fault_period = 7;
-    options.heartbeat_timeout_ms = 1500;
-    // Generous supervision budget: the soak asserts the fleet outruns the
-    // chaos, so nothing may quarantine and nothing may run inline.
-    options.supervision.respawn_limit = 64;
-    options.supervision.backoff_base_ms = 5;
-    options.supervision.backoff_cap_ms = 50;
-    options.supervision.crash_loop_failures = 1000;
-    dist::DistributedBackend backend(options);
+    dist::DistributedBackend backend(chaos_options(seed));
     config.backend = &backend;
     core::CampaignResult result = core::run_campaign(config);
 
@@ -666,7 +725,7 @@ TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
   check(dist::encode_feedback({{"ESTABLISHED", "ACK"}}), dist::MsgType::kFeedback);
   check(dist::encode_heartbeat(7), dist::MsgType::kHeartbeat);
   check(dist::encode_shutdown(), dist::MsgType::kShutdown);
-  check(dist::encode_bye("", 2), dist::MsgType::kBye);
+  check(dist::encode_bye(2), dist::MsgType::kBye);
   check(dist::encode_result(9, sample_record()), dist::MsgType::kResult);
 
   core::RunMetrics baseline;
@@ -695,6 +754,18 @@ TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->seq, 9u);
   EXPECT_EQ(render_record(result->record), render_record(sample_record()));
+  EXPECT_TRUE(result->metrics.empty());  // metrics off: no registry travels
+
+  // A trial's registry travels with its result and comes back exactly.
+  obs::MetricsRegistry trial;
+  trial.counter("sim.events_executed") = 1234567;
+  trial.gauge_max("sim.virtual_time_seconds", 4.125);
+  trial.histogram("scenario.run_seconds", obs::default_time_bounds(), true).record(0.0042);
+  trial.histogram("snapshot.restore_seconds");  // created, never recorded
+  auto with_metrics = dist::parse_message(dist::encode_result(9, sample_record(), &trial));
+  ASSERT_TRUE(with_metrics.has_value());
+  EXPECT_EQ(render_record(with_metrics->record), render_record(sample_record()));
+  EXPECT_EQ(with_metrics->metrics.to_json(), trial.to_json());
 
   EXPECT_FALSE(dist::parse_message("{}").has_value());
   EXPECT_FALSE(dist::parse_message(R"({"type":"warp"})").has_value());
@@ -886,6 +957,24 @@ TEST(WireChaos, ResultChecksumRejectsTamperAndOmission) {
   const std::uint64_t c9 = core::scoped_record_checksum(9, sample_record());
   const std::uint64_t c10 = core::scoped_record_checksum(10, sample_record());
   EXPECT_NE(c9, c10);
+
+  // The checksum covers the trial's registry too: an edited counter, or a
+  // registry stripped from its frame, fails validation like an edited
+  // record.
+  obs::MetricsRegistry trial;
+  trial.counter("campaign.retest_confirmed") = 1;
+  const std::string with_metrics = dist::encode_result(9, sample_record(), &trial);
+  ASSERT_TRUE(dist::parse_message(with_metrics).has_value());
+  std::string edited = with_metrics;
+  pos = edited.find("campaign.retest_confirmed\\\":1");
+  ASSERT_NE(pos, std::string::npos);
+  edited.replace(pos, 29, "campaign.retest_confirmed\\\":2");
+  EXPECT_FALSE(dist::parse_message(edited).has_value());
+  std::string dropped = with_metrics;
+  pos = dropped.find(",\"metrics\":");
+  ASSERT_NE(pos, std::string::npos);
+  dropped.erase(pos, dropped.size() - 1 - pos);  // keep the closing brace
+  EXPECT_FALSE(dist::parse_message(dropped).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -1346,7 +1435,8 @@ TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-atomic multi-writer journals: every part is a trial-log file.
+// Trial logs read from several files into one (journals concatenated into a
+// result cache): every part is a trial-log file.
 
 std::string journal_text(std::uint64_t identity, const std::vector<core::TrialRecord>& records) {
   std::string text;

@@ -17,7 +17,6 @@
 #include "packet/dccp_format.h"
 #include "packet/format_dsl.h"
 #include "packet/tcp_format.h"
-#include "search/search.h"
 #include "snake/journal.h"
 #include "tcp/segment.h"
 #include "testing/fuzz.h"
@@ -153,37 +152,6 @@ TEST(CorpusRegression, JournalTruncatedTailSkippedGarbageTolerated) {
   }
 }
 
-TEST(CorpusRegression, SearchPoolCorpusAcceptsAndRejectsAsDocumented) {
-  std::vector<CorpusFile> files = corpus("search_pool");
-  ASSERT_FALSE(files.empty()) << "corpus dir missing: " SNAKE_CORPUS_DIR "/search_pool";
-  // Well-formed checkpoints load; loading is what journal resume relies on.
-  for (const char* name : {"valid.json", "valid_empty_pool.json"}) {
-    const CorpusFile* f = find_file(files, name);
-    ASSERT_TRUE(f) << name;
-    EXPECT_TRUE(search::pool_state_from_text(f->contents).has_value()) << name;
-  }
-  // Torn (killed writer) and poisoned (valid JSON, inconsistent shape)
-  // checkpoints are rejected at load, never half-parsed.
-  for (const char* name :
-       {"torn_tail.json", "wrong_schema.json", "missing_counters.json", "negative_counts.json",
-        "float_counters.json", "huge_counts.json", "attacks_exceed_trials.json",
-        "mutations_exceed_counter.json", "entry_bad_fitness.json", "entry_empty_key.json",
-        "pool_not_array.json"}) {
-    const CorpusFile* f = find_file(files, name);
-    ASSERT_TRUE(f) << name;
-    EXPECT_FALSE(search::pool_state_from_text(f->contents).has_value()) << name;
-  }
-  // Accept -> serialize -> accept fixpoint for the valid checkpoint.
-  const CorpusFile* valid = find_file(files, "valid.json");
-  auto state = search::pool_state_from_text(valid->contents);
-  ASSERT_TRUE(state.has_value());
-  obs::JsonWriter w;
-  search::write_json(w, *state);
-  auto again = search::pool_state_from_text(w.take());
-  ASSERT_TRUE(again.has_value());
-  EXPECT_TRUE(*again == *state);
-}
-
 TEST(CorpusRegression, WireCorpusParsesWithoutCrashing) {
   std::vector<CorpusFile> files = corpus("wire");
   ASSERT_FALSE(files.empty()) << "corpus dir missing: " SNAKE_CORPUS_DIR "/wire";
@@ -201,6 +169,9 @@ TEST(CorpusRegression, WireDecoderAcceptsAndRejectsAsDocumented) {
         // v2: a result whose record was edited after checksumming (a flipped
         // verdict here) must fail checksum re-validation.
         "result_bad_checksum.json",
+        // v5: the checksum covers the trial's metrics too; one counter edited
+        // after checksumming fails it.
+        "result_metrics_tampered.json",
         // v3: a campaign config must hash to its identity_hash — neither a
         // mistyped profile field (sack_renege as a string) nor an edited one
         // (min_rto under the stock profile's identity) gets through.
@@ -209,10 +180,12 @@ TEST(CorpusRegression, WireDecoderAcceptsAndRejectsAsDocumented) {
     ASSERT_TRUE(f) << name;
     EXPECT_FALSE(dist::parse_message(f->contents).has_value()) << name;
   }
-  for (const char* name : {"hello.json", "campaign.json", "heartbeat.json", "bye_metrics.json",
-                           // Chaos-schedule campaign fields (re-encoded at v3)
-                           // and a checksummed result frame (v2).
-                           "campaign_chaos.json", "result_checksummed.json"}) {
+  for (const char* name : {"hello.json", "campaign.json", "heartbeat.json",
+                           // Chaos-schedule campaign fields (re-encoded at v3),
+                           // a checksummed result frame (v2), and one carrying
+                           // its trial's metrics (v5).
+                           "campaign_chaos.json", "result_checksummed.json",
+                           "result_metrics.json"}) {
     const CorpusFile* f = find_file(files, name);
     ASSERT_TRUE(f) << name;
     EXPECT_TRUE(dist::parse_message(f->contents).has_value()) << name;
@@ -447,30 +420,6 @@ TEST(ParserFuzz, JournalMutantsNeverCrash) {
       << "seed " << failure->seed << ": " << failure->message;
 }
 
-TEST(ParserFuzz, SearchPoolMutantsNeverCrash) {
-  std::vector<CorpusFile> seeds = corpus("search_pool");
-  ASSERT_FALSE(seeds.empty());
-  PropertyConfig config = PropertyConfig::from_env(2'000);
-  auto failure = for_each_seed(config, [&](std::uint64_t seed) -> std::optional<std::string> {
-    Rng rng(seed);
-    const CorpusFile& base = seeds[rng.uniform(0, seeds.size() - 1)];
-    std::string mutant = mutate_text(rng, base.contents);
-    // Must terminate without crash/UB; a surviving mutant must reach the
-    // accept -> serialize -> accept fixpoint like any valid checkpoint.
-    auto state = search::pool_state_from_text(mutant);
-    if (state.has_value()) {
-      obs::JsonWriter w;
-      search::write_json(w, *state);
-      auto again = search::pool_state_from_text(w.take());
-      if (!again.has_value()) return "re-serialized accepted mutant was rejected";
-      if (!(*again == *state)) return "accept -> serialize -> accept not a fixpoint";
-    }
-    return std::nullopt;
-  });
-  EXPECT_FALSE(failure.has_value())
-      << "seed " << failure->seed << ": " << failure->message;
-}
-
 TEST(ParserFuzz, WireDecoderMutantsNeverCrash) {
   // Seeds: the regression corpus plus one live encoding of every message
   // type, so mutants explore the neighbourhood of real traffic.
@@ -486,7 +435,11 @@ TEST(ParserFuzz, WireDecoderMutantsNeverCrash) {
   core::TrialRecord record;
   record.key = "k";
   seeds.push_back({"live_result", dist::encode_result(1, record)});
-  seeds.push_back({"live_bye", dist::encode_bye(R"({"counters":{"a":1}})", 0)});
+  obs::MetricsRegistry metrics;
+  metrics.counter("scenario.attack_runs") = 2;
+  metrics.gauge_max("sim.virtual_time_seconds", 3.5);
+  metrics.histogram("scenario.run_seconds").record(0.004);
+  seeds.push_back({"live_result_metrics", dist::encode_result(2, record, &metrics)});
 
   PropertyConfig config = PropertyConfig::from_env(2'000);
   auto failure = for_each_seed(config, [&](std::uint64_t seed) -> std::optional<std::string> {

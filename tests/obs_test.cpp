@@ -1,5 +1,5 @@
 // Unit tests for the observability layer: metrics registry semantics
-// (counters, gauges, histograms, per-executor merge), the JSON
+// (counters, gauges, histograms, registry merge), the JSON
 // writer/parser the structured reports are built on, and the lenient field
 // readers every decoder shares.
 #include <gtest/gtest.h>

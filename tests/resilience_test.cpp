@@ -23,6 +23,7 @@
 #include "snake/faultpoint.h"
 #include "snake/journal.h"
 #include "tcp/profile.h"
+#include "util/strings.h"
 
 namespace snake::core {
 namespace {
@@ -494,20 +495,18 @@ TEST(Journal, ResumeOfTraceJournalIntoBulkCampaignIsRefused) {
 
 // ------------------------------------------------- greybox search resume
 
-TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
-  auto greybox_campaign = [] {
-    CampaignConfig c = small_campaign();
-    c.max_strategies = 14;
-    c.search_mode = search::SearchMode::kGreybox;
-    c.search.round_size = 4;            // several refill barriers in 14 trials
-    c.search.max_mutations = 12;
-    c.search.checkpoint_interval = 3;   // pool checkpoints mid-campaign too
-    return c;
-  };
+CampaignConfig greybox_campaign() {
+  CampaignConfig c = small_campaign();
+  c.max_strategies = 14;
+  c.search_mode = search::SearchMode::kGreybox;
+  c.search.round_size = 4;  // several refill barriers in 14 trials
+  c.search.max_mutations = 12;
+  return c;
+}
 
-  // "Interrupted" campaign: dies after 7 of the 14 trials. The journal
-  // carries trial records AND serialized pool-state checkpoints; tear its
-  // tail mid-line the way a killed process would leave it.
+TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
+  // "Interrupted" campaign: dies after 7 of the 14 trials, leaving a torn
+  // line behind the way a killed process would.
   std::string journal_text;
   {
     TrialJournal journal([&](std::string_view line) { journal_text.append(line); });
@@ -516,24 +515,15 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
     interrupted.journal = &journal;
     run_campaign(interrupted);
   }
-  journal_text.resize(journal_text.size() - 10);
+  journal_text += journal_text.substr(0, 40);
   const std::uint64_t identity = campaign_identity_hash(greybox_campaign());
   TrialLog snapshot;
   snapshot.ingest(journal_text);
   EXPECT_EQ(snapshot.count(identity), 7u);
-  // The loader surfaced the last *complete* pool checkpoint, and it parses.
-  ASSERT_FALSE(snapshot.search_pool(identity).empty());
-  auto pool = search::pool_state_from_text(snapshot.search_pool(identity));
-  ASSERT_TRUE(pool.has_value());
-  EXPECT_GT(pool->trials_seen, 0u);
 
-  std::string resumed_journal_text;
-  TrialJournal resumed_journal(
-      [&](std::string_view line) { resumed_journal_text.append(line); });
   CampaignConfig full = greybox_campaign();
   CampaignResult uninterrupted = run_campaign(full);
   full.resume = &snapshot;
-  full.journal = &resumed_journal;
   CampaignResult resumed = run_campaign(full);
 
   // Resume correctness comes from deterministic replay — every journaled
@@ -541,7 +531,6 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
   // equal its uninterrupted twin bit for bit, search trajectory included.
   EXPECT_EQ(resumed.resume_skipped, 7u);
   EXPECT_EQ(uninterrupted.resume_skipped, 0u);
-  EXPECT_EQ(resumed.metrics.counter("campaign.search_pool_resumed"), 1u);
   EXPECT_EQ(resumed.summary_row(), uninterrupted.summary_row());
   EXPECT_EQ(resumed.unique_signatures, uninterrupted.unique_signatures);
   EXPECT_EQ(resumed.strategies_tried, uninterrupted.strategies_tried);
@@ -554,50 +543,59 @@ TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
               strategy::canonical_key(uninterrupted.found[i].strat));
     EXPECT_EQ(resumed.found[i].signature, uninterrupted.found[i].signature);
   }
-
-  // The resumed run's final pool checkpoint equals the engine state the
-  // uninterrupted twin would have reached (replay rebuilt the pool exactly).
-  TrialLog resumed_snap;
-  resumed_snap.ingest(resumed_journal_text);
-  auto resumed_pool = search::pool_state_from_text(resumed_snap.search_pool(identity));
-  ASSERT_TRUE(resumed_pool.has_value());
-
-  std::string twin_journal_text;
-  TrialJournal twin_journal([&](std::string_view line) { twin_journal_text.append(line); });
-  CampaignConfig twin = greybox_campaign();
-  twin.journal = &twin_journal;
-  run_campaign(twin);
-  TrialLog twin_snap;
-  twin_snap.ingest(twin_journal_text);
-  auto twin_pool = search::pool_state_from_text(twin_snap.search_pool(identity));
-  ASSERT_TRUE(twin_pool.has_value());
-  EXPECT_TRUE(*resumed_pool == *twin_pool);
 }
 
-TEST(Journal, TornPoolCheckpointDoesNotPoisonResume) {
-  // A journal whose ONLY pool line is torn: the trial prefix still resumes,
-  // the poisoned checkpoint is counted and ignored.
-  std::string text;
-  TrialJournal journal([&](std::string_view line) { text.append(line); });
-  CampaignConfig config = small_campaign();
-  config.search_mode = search::SearchMode::kGreybox;
-  const std::uint64_t identity = campaign_identity_hash(config);
-  journal.append(identity, sample_found_record());
-  // A poisoned checkpoint a crashing writer could leave: right schema so the
-  // loader surfaces it, garbage shape so validation must reject it.
-  journal.append_raw(identity, R"({"schema":"snake-search-pool/v1","seed":"not a number"})");
-  TrialLog snap;
-  snap.ingest(text);
-  EXPECT_EQ(snap.count(identity), 1u);
-  EXPECT_FALSE(snap.search_pool(identity).empty());
-  EXPECT_FALSE(search::pool_state_from_text(snap.search_pool(identity)).has_value());
+TEST(Journal, PoolCheckpointLinesFromEarlierBuildsAreRejectedAndCompactedAway) {
+  // Earlier builds interleaved "snake-search-pool/v1" checkpoint lines with
+  // a greybox campaign's trial records. Such a file still resumes: every
+  // trial line replays, and each pool line is an ordinary rejected line
+  // that compaction drops.
+  std::string records;
+  {
+    TrialJournal journal([&](std::string_view line) { records.append(line); });
+    CampaignConfig interrupted = greybox_campaign();
+    interrupted.max_strategies = 7;
+    interrupted.journal = &journal;
+    run_campaign(interrupted);
+  }
+  const std::uint64_t identity = campaign_identity_hash(greybox_campaign());
+  const std::string pool_line = "{\"identity\":\"" + hex16(identity) +
+                                "\",\"schema\":\"snake-search-pool/v1\",\"seed\":3,"
+                                "\"mutation_counter\":0,\"trials_seen\":4,"
+                                "\"attacks_seen\":0,\"rounds\":1,\"mutations_spawned\":0,"
+                                "\"universe_size\":90,\"pool\":[]}\n";
+  const std::size_t mid = records.find('\n', records.size() / 2) + 1;
+  const std::string text = records.substr(0, mid) + pool_line + records.substr(mid) + pool_line;
 
-  config.resume = &snap;
-  CampaignResult result = run_campaign(config);
-  EXPECT_EQ(result.metrics.counter("campaign.search_pool_invalid"), 1u);
-  EXPECT_EQ(result.metrics.counter("campaign.search_pool_resumed"), 0u);
-  // The campaign still ran to completion; a bad checkpoint never blocks it.
-  EXPECT_EQ(result.strategies_tried, 12u);
+  const std::string path = ::testing::TempDir() + "journal_with_pool_lines.jsonl";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  TrialLog log(path);
+  ASSERT_TRUE(log.load());
+  EXPECT_EQ(log.count(identity), 7u);
+  EXPECT_EQ(log.rejected(), 2u);
+
+  CampaignConfig full = greybox_campaign();
+  const CampaignResult uninterrupted = run_campaign(full);
+  full.resume = &log;
+  const CampaignResult resumed = run_campaign(full);
+  EXPECT_EQ(resumed.resume_skipped, 7u);
+  EXPECT_EQ(resumed.summary_row(), uninterrupted.summary_row());
+  EXPECT_EQ(resumed.search_rounds, uninterrupted.search_rounds);
+  EXPECT_EQ(resumed.search_mutations, uninterrupted.search_mutations);
+
+  const TrialLog::CompactStats stats = TrialLog(path).compact();
+  EXPECT_TRUE(stats.ok);
+  EXPECT_EQ(stats.kept, 7u);
+  EXPECT_EQ(stats.dropped_invalid, 2u);
+  EXPECT_EQ(stats.dropped_duplicate, 0u);
+  std::ifstream in(path, std::ios::binary);
+  const std::string compacted((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_EQ(compacted, records);
+  std::remove(path.c_str());
 }
 
 TEST(Journal, TamperedVerdictLineIsRerunLive) {
