@@ -80,7 +80,7 @@ BulkHttpClient::BulkHttpClient(tcp::TcpStack& stack, sim::Address server, std::u
                                std::optional<Duration> exit_after) {
   tcp::TcpCallbacks cb;
   cb.on_established = [this] { established_ = true; };
-  cb.on_data = [this](const Bytes& chunk) { bytes_received_ += chunk.size(); };
+  cb.on_data = [this](std::span<const std::uint8_t> chunk) { bytes_received_ += chunk.size(); };
   cb.on_reset = [this] { reset_ = true; };
   cb.on_remote_close = [this] {
     if (endpoint_ != nullptr) endpoint_->close();  // download complete

@@ -9,7 +9,7 @@ DccpIperfSink::DccpIperfSink(dccp::DccpStack& stack, std::uint16_t port,
       [this](dccp::DccpEndpoint&) {
         ++connections_accepted_;
         dccp::DccpCallbacks cb;
-        cb.on_data = [this](const Bytes& d) { goodput_bytes_ += d.size(); };
+        cb.on_data = [this](std::span<const std::uint8_t> d) { goodput_bytes_ += d.size(); };
         return cb;
       },
       accept_config);
@@ -17,7 +17,7 @@ DccpIperfSink::DccpIperfSink(dccp::DccpStack& stack, std::uint16_t port,
 
 DccpIperfSource::DccpIperfSource(dccp::DccpStack& stack, sim::Address server,
                                  std::uint16_t port, Options options)
-    : stack_(stack), options_(options) {
+    : stack_(stack), options_(options), datagram_(options_.payload_bytes, 0x42) {
   stop_at_ = stack.node().scheduler().now() + options_.duration;
   dccp::DccpCallbacks cb;
   cb.on_established = [this] { established_ = true; };
@@ -41,7 +41,7 @@ void DccpIperfSource::tick() {
     return;
   }
   ++offered_;
-  endpoint_->send(Bytes(options_.payload_bytes, 0x42));
+  endpoint_->send(datagram_);
   sched.schedule_in(Duration::seconds(1.0 / options_.offer_rate_pps), [this] { tick(); });
 }
 

@@ -69,6 +69,7 @@ class DccpIperfSource : private DccpIperfSourceState {
 
   dccp::DccpStack& stack_;
   Options options_;
+  Bytes datagram_;  ///< every datagram's content: payload_bytes of 0x42
   dccp::DccpEndpoint* endpoint_ = nullptr;
   TimePoint stop_at_;
 };

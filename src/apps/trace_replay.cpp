@@ -6,11 +6,16 @@ namespace snake::apps {
 
 namespace {
 
-/// Replay payload byte at absolute stream offset q. A different multiplier
-/// than the bulk-download pattern so a mixed-up stream shows up in hexdumps.
-void fill_replay_pattern(Bytes& chunk, std::uint64_t offset) {
-  for (std::size_t i = 0; i < chunk.size(); ++i)
-    chunk[i] = static_cast<std::uint8_t>((offset + i) * 131 + 7);
+/// Writes stream bytes [offset, offset + n) as one application write, built
+/// in `scratch`. Replay payload byte q is (q * 131 + 7) & 0xFF: a different
+/// multiplier than the bulk-download pattern so a mixed-up stream shows up
+/// in hexdumps.
+void send_burst(tcp::TcpEndpoint& endpoint, Bytes& scratch, std::uint64_t offset,
+                std::uint64_t n) {
+  scratch.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < scratch.size(); ++i)
+    scratch[i] = static_cast<std::uint8_t>((offset + i) * 131 + 7);
+  endpoint.send(scratch);
 }
 
 /// Delay from now until trace instant `at_s` (clamped: bursts whose recorded
@@ -52,11 +57,9 @@ void TraceReplayServer::play_flow(tcp::TcpEndpoint* endpoint,
     if (t.server_bytes == 0) continue;
     const std::uint64_t burst_offset = offset;
     const std::uint64_t n = t.server_bytes;
-    scheduler.schedule_in(until(scheduler, epoch_, t.at_s), [endpoint, burst_offset, n] {
+    scheduler.schedule_in(until(scheduler, epoch_, t.at_s), [this, endpoint, burst_offset, n] {
       if (endpoint->released()) return;
-      Bytes chunk(static_cast<std::size_t>(n));
-      fill_replay_pattern(chunk, burst_offset);
-      endpoint->send(chunk);
+      send_burst(*endpoint, burst_scratch_, burst_offset, n);
     });
     offset += n;
   }
@@ -109,14 +112,14 @@ void TraceReplayClient::open_flow(std::size_t index) {
       const std::uint64_t n = t.client_bytes;
       scheduler.schedule_in(until(scheduler, epoch_, t.at_s), [this, state, burst_offset, n] {
         if (exited_ || state->endpoint == nullptr || state->endpoint->released()) return;
-        Bytes chunk(static_cast<std::size_t>(n));
-        fill_replay_pattern(chunk, burst_offset);
-        state->endpoint->send(chunk);
+        send_burst(*state->endpoint, burst_scratch_, burst_offset, n);
       });
       offset += n;
     }
   };
-  cb.on_data = [state](const Bytes& chunk) { state->bytes_received += chunk.size(); };
+  cb.on_data = [state](std::span<const std::uint8_t> chunk) {
+    state->bytes_received += chunk.size();
+  };
   cb.on_reset = [state] { state->reset = true; };
   cb.on_remote_close = [state] {
     if (state->endpoint != nullptr && !state->endpoint->released()) state->endpoint->close();

@@ -55,6 +55,7 @@ class TraceReplayServer {
   std::shared_ptr<const trace::ReplayPlan> plan_;
   TimePoint epoch_;  ///< trace t=0 in scheduler time (construction instant)
   SharedStates<PerConnection> conns_;  ///< in accept order
+  Bytes burst_scratch_;  ///< every burst is built here (not state: refilled per burst)
 };
 
 /// TraceReplayClient's own mutable state; its per-flow state lives in
@@ -116,6 +117,7 @@ class TraceReplayClient : private TraceReplayClientState {
   TimePoint epoch_;
   /// One entry per plan flow, created at construction (fixed registry).
   SharedStates<PerFlow> flows_;
+  Bytes burst_scratch_;  ///< every burst is built here (not state: refilled per burst)
 };
 
 }  // namespace snake::apps

@@ -36,29 +36,24 @@ void Ccid2::on_loss(TimePoint now) {
 
 int Ccid2::on_ack(Seq48 ackno, TimePoint now) {
   int losses = 0;
-  for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-    if (seq48_gt(it->seq, ackno)) {
-      ++it;
-      continue;
-    }
-    if (it->seq == ackno) {
+  outstanding_.erase_if([&](Record& r) {
+    if (seq48_gt(r.seq, ackno)) return false;
+    if (r.seq == ackno) {
       // Definitely received.
       if (pipe_ > 0) --pipe_;
       count_ack_growth();
-      rtt_sample_ = now - it->sent_at;
-      it = outstanding_.erase(it);
-      continue;
+      rtt_sample_ = now - r.sent_at;
+      return true;
     }
     // Older than the cumulative ack: another packet overtook it.
-    if (++it->acked_above >= kDupThreshold) {
+    if (++r.acked_above >= kDupThreshold) {
       if (pipe_ > 0) --pipe_;
       on_loss(now);
       ++losses;
-      it = outstanding_.erase(it);
-      continue;
+      return true;
     }
-    ++it;
-  }
+    return false;
+  });
   return losses;
 }
 

@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "dccp/seq48.h"
+#include "util/fifo.h"
 #include "util/time.h"
 
 namespace snake::dccp {
@@ -60,7 +60,7 @@ class Ccid2 {
     int acked_above = 0;  ///< acknowledgments seen for later packets
   };
 
-  std::deque<Record> outstanding_;
+  Fifo<Record> outstanding_;  ///< in send order
   std::uint32_t cwnd_;
   std::uint32_t ssthresh_;
   std::uint32_t pipe_ = 0;

@@ -13,9 +13,9 @@ Bytes Ccid3Feedback::encode() const {
   return out;
 }
 
-std::optional<Ccid3Feedback> Ccid3Feedback::decode(const Bytes& payload) {
+std::optional<Ccid3Feedback> Ccid3Feedback::decode(std::span<const std::uint8_t> payload) {
   if (payload.size() < 8) return std::nullopt;
-  ByteReader r(payload);
+  ByteReader r(payload.data(), payload.size());
   Ccid3Feedback f;
   f.inverse_p = r.u32();
   f.x_recv_bps = r.u32();

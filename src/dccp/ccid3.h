@@ -39,7 +39,7 @@ struct Ccid3Feedback {
   std::uint32_t x_recv_bps = 0;
 
   Bytes encode() const;
-  static std::optional<Ccid3Feedback> decode(const Bytes& payload);
+  static std::optional<Ccid3Feedback> decode(std::span<const std::uint8_t> payload);
 };
 
 /// Receiver half: loss-interval tracking and feedback generation.

@@ -53,6 +53,7 @@ DccpEndpoint::~DccpEndpoint() {
   pace_timer_.cancel();
   feedback_timer_.cancel();
   no_feedback_timer_.cancel();
+  release_tx_queue();
 }
 
 // ----------------------------------------------------------------- app API
@@ -101,13 +102,15 @@ void DccpEndpoint::accept(const DccpPacket& request) {
   emit(kDccpResponse, gss_, gsr_);
 }
 
-bool DccpEndpoint::send(Bytes datagram) {
+bool DccpEndpoint::send(std::span<const std::uint8_t> datagram) {
   if (released_ || close_pending_) return false;
   if (tx_queue_.size() >= config_.tx_queue_packets) {
     ++stats_.tx_queue_drops;
     return false;
   }
-  tx_queue_.push_back(std::move(datagram));
+  Bytes copy = queue_pool().acquire();
+  copy.assign(datagram.begin(), datagram.end());
+  tx_queue_.push_back(std::move(copy));
   if (state_ == DccpState::kOpen || state_ == DccpState::kPartOpen) pump();
   return true;
 }
@@ -350,7 +353,8 @@ void DccpEndpoint::process_ack(const DccpPacket& p) {
 
 // ------------------------------------------------------------------ output
 
-void DccpEndpoint::emit(DccpType type, Seq48 seq, Seq48 ack, Bytes payload) {
+void DccpEndpoint::emit(DccpType type, Seq48 seq, Seq48 ack,
+                        std::span<const std::uint8_t> payload) {
   DccpPacket p;
   p.src_port = config_.local_port;
   p.dst_port = config_.remote_port;
@@ -358,7 +362,7 @@ void DccpEndpoint::emit(DccpType type, Seq48 seq, Seq48 ack, Bytes payload) {
   p.seq = seq & kSeqMask;
   p.ack = ack & kSeqMask;
   p.has_ack = type_carries_ack(type);
-  p.payload = std::move(payload);
+  p.payload = Payload(payload);
 
   sim::Packet wire;
   wire.dst = config_.remote_addr;
@@ -379,11 +383,9 @@ void DccpEndpoint::pump() {
     return;
   }
   while (!tx_queue_.empty() && cc_.can_send()) {
-    Bytes payload = std::move(tx_queue_.front());
-    tx_queue_.pop_front();
     Seq48 seq = next_seq();
     cc_.on_data_sent(seq, node_.scheduler().now());
-    emit(kDccpDataAck, seq, gsr_, std::move(payload));
+    send_front(seq);
   }
   arm_rto(/*restart=*/false);
 }
@@ -391,9 +393,7 @@ void DccpEndpoint::pump() {
 void DccpEndpoint::pump_ccid3() {
   // TFRC is rate-paced, not window-gated: one packet per send interval.
   if (tx_queue_.empty() || pace_timer_.pending()) return;
-  Bytes payload = std::move(tx_queue_.front());
-  tx_queue_.pop_front();
-  emit(kDccpDataAck, next_seq(), gsr_, std::move(payload));
+  send_front(next_seq());
   arm_no_feedback_timer();
   pace_timer_ = node_.scheduler().schedule_in(ccid3_tx_->send_interval(), [this] {
     if (released_) return;
@@ -513,7 +513,22 @@ void DccpEndpoint::reset_connection(bool notify, bool send_reset) {
   release();
 }
 
+void DccpEndpoint::send_front(Seq48 seq) {
+  // Dequeue before sending: the send may re-enter this endpoint (a filter
+  // injecting into this node), which must see the queue without it.
+  Bytes datagram = std::move(tx_queue_.front());
+  tx_queue_.pop_front();
+  emit(kDccpDataAck, seq, gsr_, datagram);
+  queue_pool().release(std::move(datagram));
+}
+
+void DccpEndpoint::release_tx_queue() {
+  for (Bytes& datagram : tx_queue_) queue_pool().release(std::move(datagram));
+  tx_queue_.clear();
+}
+
 void DccpEndpoint::snapshot_zombify() {
+  release_tx_queue();
   State::operator=(State(config_, rng_));
   released_ = true;
 }

@@ -16,15 +16,16 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "dccp/ccid2.h"
 #include "dccp/ccid3.h"
 #include "dccp/packet.h"
 #include "dccp/seq48.h"
 #include "sim/node.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -47,7 +48,9 @@ const char* to_string(DccpState state);
 
 struct DccpCallbacks {
   std::function<void()> on_established;
-  std::function<void(const Bytes&)> on_data;
+  /// The datagram's payload, a view of the arriving packet's buffer valid
+  /// only during the call.
+  std::function<void(std::span<const std::uint8_t>)> on_data;
   std::function<void()> on_reset;
   std::function<void()> on_closed;
 };
@@ -121,7 +124,9 @@ struct DccpEndpointState {
   Seq48 gsr_ = 0;  ///< greatest valid sequence received
   bool have_gsr_ = false;
 
-  std::deque<Bytes> tx_queue_;
+  /// Queued datagrams, each in a buffer from the scenario's queue pool that
+  /// goes back to it once the datagram is on the wire.
+  Fifo<Bytes> tx_queue_;
   bool close_pending_ = false;
 
   Ccid2 cc_;
@@ -157,10 +162,10 @@ class DccpEndpoint : private DccpEndpointState {
   void connect();                       ///< active open: send Request
   void accept(const DccpPacket& request);  ///< passive open: send Response
 
-  /// Queues one datagram. Returns false (and counts a drop) when the
-  /// transmit queue is full — DCCP applications see backpressure, not
+  /// Queues a copy of one datagram. Returns false (and counts a drop) when
+  /// the transmit queue is full — DCCP applications see backpressure, not
   /// buffering without bound.
-  bool send(Bytes datagram);
+  bool send(std::span<const std::uint8_t> datagram);
 
   /// Graceful close; waits for the transmit queue to drain first.
   void close();
@@ -202,7 +207,13 @@ class DccpEndpoint : private DccpEndpointState {
   void process_ack(const DccpPacket& p);
 
   Seq48 next_seq() { return gss_ = seq_add(gss_, 1); }
-  void emit(DccpType type, Seq48 seq, Seq48 ack, Bytes payload = {});
+  void emit(DccpType type, Seq48 seq, Seq48 ack, std::span<const std::uint8_t> payload = {});
+  /// Dequeues the front datagram, sends it as DataAck `seq` and returns its
+  /// buffer to the queue pool.
+  void send_front(Seq48 seq);
+  /// Returns every queued datagram's buffer to the queue pool.
+  void release_tx_queue();
+  BufferPool& queue_pool() { return node_.scheduler().queue_pool(); }
   void pump();
   void maybe_send_close();
   void arm_handshake_timer();

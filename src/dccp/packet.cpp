@@ -87,7 +87,7 @@ std::optional<DccpPacket> parse_dccp(const Bytes& raw) {
   p.has_ack = type_carries_ack(p.type);
   std::size_t header_bytes = static_cast<std::size_t>(data_offset_words) * 4;
   if (header_bytes < kHeaderBytes || header_bytes > raw.size()) return std::nullopt;
-  p.payload = Bytes(raw.begin() + static_cast<std::ptrdiff_t>(header_bytes), raw.end());
+  p.payload = Payload(std::span<const std::uint8_t>(raw).subspan(header_bytes));
   return p;
 }
 

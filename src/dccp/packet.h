@@ -22,7 +22,9 @@ struct DccpPacket {
   Seq48 seq = 0;
   Seq48 ack = 0;     ///< for Request/Response this aliases the service code
   bool has_ack = false;
-  Bytes payload;
+  /// A parsed packet's payload is a view into the buffer it was parsed
+  /// from; an endpoint's outgoing payload is a view of the queued datagram.
+  Payload payload;
 
   bool is_data() const {
     return type == packet::kDccpData || type == packet::kDccpDataAck;
@@ -38,12 +40,16 @@ const char* type_name(DccpType type);
 
 Bytes serialize(const DccpPacket& packet);
 
-/// Serializes into `out` (cleared first), reusing its capacity — see
-/// tcp::serialize_into; this is the pooled-buffer variant for the endpoint
-/// hot path.
+/// Serializes into `out` (cleared first), reusing its capacity, copying the
+/// payload straight from its view — see tcp::serialize_into; this is the
+/// pooled-buffer variant for the endpoint hot path.
 void serialize_into(const DccpPacket& packet, Bytes& out);
 
-/// Returns std::nullopt on truncation or checksum failure.
+/// Returns std::nullopt on truncation or checksum failure. The payload is a
+/// view into `raw`, valid while `raw` lives unchanged (see
+/// tcp::parse_segment).
 std::optional<DccpPacket> parse_dccp(const Bytes& raw);
+/// A view into a temporary would dangle: bind the bytes to a name first.
+std::optional<DccpPacket> parse_dccp(Bytes&& raw) = delete;
 
 }  // namespace snake::dccp

@@ -7,9 +7,15 @@
 namespace snake::obs {
 
 std::string json_escape(std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
+  std::size_t run = 0;  // start of the pending run of characters copied as-is
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -19,15 +25,12 @@ std::string json_escape(std::string_view text) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(text.substr(run));
   return out;
 }
 

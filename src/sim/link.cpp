@@ -75,7 +75,7 @@ void Link::evict(std::size_t index) {
   for (std::size_t i = index + 1; i < line_.size(); ++i) line_[i].start = line_[i].start - tx;
   busy_until_ = busy_until_ - tx;
   scheduler_.buffer_pool().release(std::move(line_[index].packet.bytes));
-  line_.erase(line_.begin() + static_cast<std::ptrdiff_t>(index));
+  line_.erase(index);
 }
 
 void Link::schedule_front() {
@@ -110,7 +110,10 @@ std::size_t Link::queue_depth() const {
 
 void Link::reset() {
   for (InFlight& entry : line_) scheduler_.buffer_pool().release(std::move(entry.packet.bytes));
-  State::operator=(State(config_.drop_rng_seed));
+  line_.clear();
+  State fresh(config_.drop_rng_seed);
+  fresh.line_ = std::move(line_);
+  State::operator=(std::move(fresh));
 }
 
 void Link::export_metrics(obs::MetricsRegistry& registry) const {

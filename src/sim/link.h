@@ -3,12 +3,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "sim/packet.h"
 #include "sim/scheduler.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -43,7 +43,9 @@ struct LinkConfig {
 /// replaced by a fresh one on reset(). Every accepted, undelivered packet —
 /// waiting, serializing or propagating — lives in `line_`, so a capture
 /// holds the link's whole traffic; the scheduler only holds the front's
-/// arrival event, whose closure captures the link alone.
+/// arrival event, whose closure captures the link alone. `line_` is a Fifo:
+/// a packet's hop costs no allocation, and reset() and restore() reuse its
+/// storage.
 struct LinkState {
   /// An accepted packet with the virtual time it starts (or started)
   /// serializing and its serialization time.
@@ -56,7 +58,7 @@ struct LinkState {
   explicit LinkState(std::uint64_t drop_rng_seed) : drop_rng_(drop_rng_seed) {}
 
   snake::Rng drop_rng_;
-  std::deque<InFlight> line_;  ///< departure order; only the front's arrival is scheduled
+  Fifo<InFlight> line_;  ///< departure order; only the front's arrival is scheduled
   TimePoint busy_until_ = TimePoint::origin();  ///< when the transmitter frees up
   /// Leading entries of `line_` already counted in packets_sent_/bytes_sent_
   /// (a cursor: each packet passes it once, when it is seen to have started).
@@ -94,7 +96,8 @@ class Link : private LinkState {
   void export_metrics(obs::MetricsRegistry& registry) const;
 
   /// Rewinds to a just-constructed state for scenario-arena reuse: buffers
-  /// of undelivered packets recycled, then a fresh State.
+  /// of undelivered packets recycled, then a fresh State that keeps the
+  /// line's storage.
   void reset();
 
   using State = LinkState;

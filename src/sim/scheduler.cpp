@@ -160,9 +160,12 @@ void Scheduler::wheel_cascade(int level, std::size_t idx) {
   // Advance the cursor to the span start of this bucket (bytes above `level`
   // unchanged, byte `level` = idx, lower bytes zero) and re-place its
   // entries one level of resolution finer. Entries landing exactly on the
-  // span start drop straight into ready_.
-  cascade_scratch_.clear();
-  cascade_scratch_.swap(buckets_[level][idx]);
+  // span start drop straight into ready_. The entries are copied out, not
+  // swapped out, so every bucket keeps its own capacity: a swap would hand
+  // buckets each other's storage and make later inserts reallocate.
+  std::vector<HeapEntry>& bucket = buckets_[level][idx];
+  cascade_scratch_.assign(bucket.begin(), bucket.end());
+  bucket.clear();
   occupancy_[level][idx >> 6] &= ~(1ULL << (idx & 63));
   std::uint64_t above_mask = ~((1ULL << (8 * (level + 1))) - 1);
   cur_tick_ = (cur_tick_ & above_mask) |
@@ -177,8 +180,8 @@ void Scheduler::wheel_reanchor_to_far() {
   std::uint64_t min_tick = tick_of(far_.front().at);
   for (const HeapEntry& e : far_) min_tick = std::min(min_tick, tick_of(e.at));
   cur_tick_ = min_tick;
-  cascade_scratch_.clear();
-  cascade_scratch_.swap(far_);
+  cascade_scratch_.assign(far_.begin(), far_.end());
+  far_.clear();
   for (const HeapEntry& e : cascade_scratch_) wheel_insert(e);
   cascade_scratch_.clear();
 }
@@ -218,6 +221,9 @@ std::uint32_t Scheduler::acquire_slot() {
     return index;
   }
   slots_.emplace_back();
+  // reset() refills the free list with every slot; growing it alongside the
+  // slab keeps that refill from allocating.
+  free_.reserve(slots_.capacity());
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 

@@ -179,6 +179,12 @@ class Scheduler {
   /// point a packet dies (delivery or drop).
   BufferPool& buffer_pool() { return buffers_; }
 
+  /// The scenario-wide pool for the bytes transports hold between packets:
+  /// TCP send-queue blocks (util/byte_queue.h), out-of-order segments
+  /// waiting for a hole to fill, and queued DCCP datagrams. Kept apart from
+  /// buffer_pool() so the wire-buffer counters count packets only.
+  BufferPool& queue_pool() { return queue_buffers_; }
+
   /// Event-slot slab size / current free-list depth (pool observability).
   std::size_t event_pool_slots() const { return slots_.size(); }
   std::size_t event_pool_free() const { return free_.size(); }
@@ -343,6 +349,7 @@ class Scheduler {
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> free_;
   BufferPool buffers_;
+  BufferPool queue_buffers_;
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_stamp_ = 1;  ///< 0 is "never scheduled"; never rewound

@@ -69,6 +69,7 @@ TcpEndpoint::TcpEndpoint(sim::Node& node, const TcpProfile& profile, TcpEndpoint
 TcpEndpoint::~TcpEndpoint() {
   retransmit_timer_.cancel();
   time_wait_timer_.cancel();
+  release_queues();
 }
 
 // ---------------------------------------------------------------- app API
@@ -96,9 +97,9 @@ void TcpEndpoint::accept(Seq remote_isn, bool peer_sack_permitted) {
   arm_retransmit();
 }
 
-void TcpEndpoint::send(const Bytes& data) {
+void TcpEndpoint::send(std::span<const std::uint8_t> data) {
   if (!accepts_data()) return;
-  send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+  send_buf_.append(data, queue_pool());
   queued_total_ += data.size();
   push_points_.push_back(queued_total_);  // PSH at the end of this write
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) try_send();
@@ -322,21 +323,17 @@ void TcpEndpoint::process_ack(const Segment& s) {
     // New data acknowledged.
     std::uint32_t acked = s.ack - snd_una_;
     std::size_t data_acked = std::min<std::size_t>(acked, send_buf_.size());
-    send_buf_.erase(send_buf_.begin(), send_buf_.begin() + static_cast<std::ptrdiff_t>(data_acked));
+    send_buf_.pop_front(data_acked, queue_pool());
     acked_total_ += data_acked;
     while (!push_points_.empty() && push_points_.front() <= acked_total_)
       push_points_.pop_front();
     snd_una_ = s.ack;
-    // Scoreboard ranges at or below the new cumulative ACK are spent.
-    if (!sacked_.empty()) {
-      auto it = sacked_.begin();
-      while (it != sacked_.end() && seq_leq(it->second, snd_una_)) it = sacked_.erase(it);
-      if (it != sacked_.end() && seq_lt(it->first, snd_una_)) {
-        Seq end = it->second;
-        sacked_.erase(it);
-        sacked_.emplace(snd_una_, end);
-      }
-    }
+    // Scoreboard ranges at or below the new cumulative ACK are spent; one
+    // straddling it is trimmed to start there.
+    auto spent = std::find_if(sacked_.begin(), sacked_.end(),
+                              [this](const SackBlock& r) { return seq_gt(r.end, snd_una_); });
+    sacked_.erase(sacked_.begin(), spent);
+    if (!sacked_.empty() && seq_lt(sacked_.front().start, snd_una_)) sacked_.front().start = snd_una_;
     snd_wnd_ = s.window;
     take_rtt_sample(s.ack);
     retries_ = 0;
@@ -448,16 +445,20 @@ void TcpEndpoint::process_payload(const Segment& s) {
     if (profile_->sack_renege && s.payload.size() <= config_.recv_buffer) {
       while (!out_of_order_.empty() &&
              out_of_order_bytes_ + s.payload.size() > config_.recv_buffer) {
-        auto last = std::prev(out_of_order_.end());
-        out_of_order_bytes_ -= last->second.size();
+        out_of_order_bytes_ -= out_of_order_.back().data.size();
         ++stats_.sack_reneges;
-        out_of_order_.erase(last);
+        drop_ooo(out_of_order_.end() - 1, out_of_order_.end());
       }
     }
+    auto at = std::lower_bound(
+        out_of_order_.begin(), out_of_order_.end(), s.seq,
+        [](const OutOfOrderSegment& held, Seq seq) { return seq_lt(held.seq, seq); });
     if (out_of_order_bytes_ + s.payload.size() <= config_.recv_buffer &&
-        !out_of_order_.contains(s.seq)) {
+        (at == out_of_order_.end() || at->seq != s.seq)) {
       out_of_order_bytes_ += s.payload.size();
-      out_of_order_[s.seq] = s.payload;
+      Bytes data = queue_pool().acquire();
+      data.assign(s.payload.begin(), s.payload.end());
+      out_of_order_.insert(at, OutOfOrderSegment{s.seq, std::move(data)});
       last_ooo_start_ = s.seq;
       ++stats_.ooo_buffered;
     } else {
@@ -467,36 +468,26 @@ void TcpEndpoint::process_payload(const Segment& s) {
     return;
   }
 
-  // In order (trimming any already-received prefix). The exact-fit case —
-  // nearly every data segment of a healthy transfer — delivers the parsed
-  // payload as-is instead of re-copying ~MSS per packet.
-  std::size_t skip = rcv_nxt_ - s.seq;
-  if (skip == 0) {
-    rcv_nxt_ += static_cast<std::uint32_t>(s.payload.size());
-    stats_.bytes_delivered += s.payload.size();
-    if (callbacks_.on_data) callbacks_.on_data(s.payload);
-  } else {
-    Bytes fresh(s.payload.begin() + static_cast<std::ptrdiff_t>(skip), s.payload.end());
-    rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
-    stats_.bytes_delivered += fresh.size();
-    if (callbacks_.on_data) callbacks_.on_data(fresh);
-  }
+  // In order: deliver the payload in place, trimming any already-received
+  // prefix.
+  std::span<const std::uint8_t> fresh = s.payload.bytes().subspan(rcv_nxt_ - s.seq);
+  rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
+  stats_.bytes_delivered += fresh.size();
+  if (callbacks_.on_data) callbacks_.on_data(fresh);
 
   // Drain now-contiguous buffered segments.
   auto it = out_of_order_.begin();
-  while (it != out_of_order_.end()) {
-    if (seq_gt(it->first, rcv_nxt_)) break;
-    Seq end = it->first + static_cast<std::uint32_t>(it->second.size());
+  for (; it != out_of_order_.end() && !seq_gt(it->seq, rcv_nxt_); ++it) {
+    Seq end = it->seq + static_cast<std::uint32_t>(it->data.size());
     if (seq_gt(end, rcv_nxt_)) {
-      std::size_t offset = rcv_nxt_ - it->first;
-      Bytes chunk(it->second.begin() + static_cast<std::ptrdiff_t>(offset), it->second.end());
+      std::span<const std::uint8_t> rest = std::span(it->data).subspan(rcv_nxt_ - it->seq);
       rcv_nxt_ = end;
-      stats_.bytes_delivered += chunk.size();
-      if (callbacks_.on_data) callbacks_.on_data(chunk);
+      stats_.bytes_delivered += rest.size();
+      if (callbacks_.on_data) callbacks_.on_data(rest);
     }
-    out_of_order_bytes_ -= it->second.size();
-    it = out_of_order_.erase(it);
+    out_of_order_bytes_ -= it->data.size();
   }
+  drop_ooo(out_of_order_.begin(), it);
   if (out_of_order_.empty()) last_ooo_start_.reset();
   send_ack();
 }
@@ -534,8 +525,8 @@ void TcpEndpoint::process_fin(const Segment& s) {
 
 // ---------------------------------------------------------------- output
 
-void TcpEndpoint::emit(std::uint8_t flags, Seq seq, Bytes payload, bool dsack,
-                       const SackBlock* dsack_block) {
+void TcpEndpoint::emit(std::uint8_t flags, Seq seq, std::span<const std::uint8_t> payload,
+                       bool dsack, const SackBlock* dsack_block) {
   Segment s;
   s.src_port = config_.local_port;
   s.dst_port = config_.remote_port;
@@ -551,7 +542,7 @@ void TcpEndpoint::emit(std::uint8_t flags, Seq seq, Bytes payload, bool dsack,
   }
   s.window = advertised_window();
   stats_.bytes_sent_wire += payload.size();
-  s.payload = std::move(payload);
+  s.payload = Payload(payload);
 
   sim::Packet p;
   p.dst = config_.remote_addr;
@@ -568,36 +559,59 @@ void TcpEndpoint::send_ack(bool dsack, const SackBlock* dsack_block) {
   emit(kTcpAck, snd_nxt_, {}, dsack, dsack_block);
 }
 
-std::vector<SackBlock> TcpEndpoint::receiver_sack_blocks(const SackBlock* dsack_block) const {
-  std::vector<SackBlock> ranges;
-  for (const auto& [seq, data] : out_of_order_) {
-    Seq end = seq + static_cast<std::uint32_t>(data.size());
-    if (!ranges.empty() && seq_leq(seq, ranges.back().end)) {
-      if (seq_gt(end, ranges.back().end)) ranges.back().end = end;
-    } else {
-      ranges.push_back({seq, end});
+void TcpEndpoint::emit_data(Seq seq, std::size_t offset, std::size_t len) {
+  // PSH marks the end of an application write (real stacks do the same),
+  // so bulk data is mostly plain ACK segments and PSH+ACK "occur[s] only
+  // occasionally in the data stream" as the paper observes.
+  const std::uint64_t start = acked_total_ + offset;
+  const std::uint8_t flags = covers_push_point(start, start + len) ? (kTcpPsh | kTcpAck) : kTcpAck;
+  emit(flags, seq, send_buf_.view(offset, len, straddle_scratch_));
+}
+
+template <typename F>
+void TcpEndpoint::for_each_ooo_range(F&& f) const {
+  std::optional<SackBlock> range;
+  for (const OutOfOrderSegment& held : out_of_order_) {
+    Seq end = held.seq + static_cast<std::uint32_t>(held.data.size());
+    if (range.has_value() && seq_leq(held.seq, range->end)) {
+      if (seq_gt(end, range->end)) range->end = end;
+      continue;
     }
+    if (range.has_value()) f(*range);
+    range = SackBlock{held.seq, end};
   }
-  // The range containing the most recent arrival goes first (RFC 2018 §4).
+  if (range.has_value()) f(*range);
+}
+
+SackBlockList TcpEndpoint::receiver_sack_blocks(const SackBlock* dsack_block) const {
+  SackBlockList blocks;
+  if (dsack_block != nullptr) blocks.push_back(*dsack_block);
+  // The range containing the most recent arrival goes first (RFC 2018 §4),
+  // then the others in sequence order, up to the option's limit.
+  std::optional<SackBlock> newest;
   if (last_ooo_start_.has_value()) {
-    for (std::size_t i = 1; i < ranges.size(); ++i) {
-      if (seq_leq(ranges[i].start, *last_ooo_start_) &&
-          seq_lt(*last_ooo_start_, ranges[i].end)) {
-        std::rotate(ranges.begin(), ranges.begin() + static_cast<std::ptrdiff_t>(i),
-                    ranges.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-        break;
-      }
-    }
+    for_each_ooo_range([&](const SackBlock& r) {
+      if (seq_leq(r.start, *last_ooo_start_) && seq_lt(*last_ooo_start_, r.end)) newest = r;
+    });
   }
-  if (dsack_block != nullptr) ranges.insert(ranges.begin(), *dsack_block);
-  if (ranges.size() > Segment::kMaxSackBlocks) ranges.resize(Segment::kMaxSackBlocks);
-  return ranges;
+  if (newest.has_value()) blocks.push_back(*newest);
+  for_each_ooo_range([&](const SackBlock& r) {
+    if (blocks.size() < Segment::kMaxSackBlocks && !(newest.has_value() && r == *newest))
+      blocks.push_back(r);
+  });
+  return blocks;
+}
+
+void TcpEndpoint::drop_ooo(std::vector<OutOfOrderSegment>::iterator first,
+                           std::vector<OutOfOrderSegment>::iterator last) {
+  for (auto it = first; it != last; ++it) queue_pool().release(std::move(it->data));
+  out_of_order_.erase(first, last);
 }
 
 void TcpEndpoint::absorb_sack(const Segment& s, bool& saw_dsack, bool& advanced) {
   auto covered = [this] {
     std::uint64_t n = 0;
-    for (const auto& [start, end] : sacked_) n += static_cast<std::uint32_t>(end - start);
+    for (const SackBlock& r : sacked_) n += static_cast<std::uint32_t>(r.end - r.start);
     return n;
   };
   std::uint64_t before = covered();
@@ -620,17 +634,17 @@ void TcpEndpoint::absorb_sack(const Segment& s, bool& saw_dsack, bool& advanced)
     Seq merge_end = raw.end;
     auto it = sacked_.begin();
     while (it != sacked_.end()) {
-      if (seq_lt(it->second, merge_start)) {
+      if (seq_lt(it->end, merge_start)) {
         ++it;
         continue;
       }
-      if (seq_gt(it->first, merge_end)) break;
+      if (seq_gt(it->start, merge_end)) break;
       // Overlapping or adjacent: coalesce.
-      if (seq_lt(it->first, merge_start)) merge_start = it->first;
-      if (seq_gt(it->second, merge_end)) merge_end = it->second;
+      if (seq_lt(it->start, merge_start)) merge_start = it->start;
+      if (seq_gt(it->end, merge_end)) merge_end = it->end;
       it = sacked_.erase(it);
     }
-    sacked_.emplace(merge_start, merge_end);
+    sacked_.insert(it, SackBlock{merge_start, merge_end});
   }
   advanced = covered() > before;
 }
@@ -639,14 +653,14 @@ void TcpEndpoint::retransmit_next_hole() {
   if (send_buf_.empty()) return;
   Seq at = seq_lt(sack_retx_next_, snd_una_) ? snd_una_ : sack_retx_next_;
   Seq hole_end = snd_nxt_;
-  for (const auto& [start, end] : sacked_) {
-    if (seq_leq(start, at) && seq_lt(at, end)) {
-      at = end;  // inside a SACKed range: the hole starts after it
+  for (const SackBlock& r : sacked_) {
+    if (seq_leq(r.start, at) && seq_lt(at, r.end)) {
+      at = r.end;  // inside a SACKed range: the hole starts after it
       hole_end = snd_nxt_;
       continue;
     }
-    if (seq_gt(start, at)) {
-      hole_end = start;
+    if (seq_gt(r.start, at)) {
+      hole_end = r.start;
       break;
     }
   }
@@ -656,14 +670,10 @@ void TcpEndpoint::retransmit_next_hole() {
   std::size_t len = std::min({config_.mss, static_cast<std::size_t>(hole_end - at),
                               send_buf_.size() - offset});
   if (len == 0) return;
-  Bytes chunk(send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-              send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + len));
   ++stats_.retransmissions;
   ++stats_.sack_retransmits;
   timed_seq_.reset();
-  std::uint64_t start_off = acked_total_ + offset;
-  emit(covers_push_point(start_off, start_off + len) ? (kTcpPsh | kTcpAck) : kTcpAck, at,
-       std::move(chunk));
+  emit_data(at, offset, len);
   sack_retx_next_ = at + static_cast<std::uint32_t>(len);
 }
 
@@ -700,16 +710,8 @@ void TcpEndpoint::try_send() {
     // shred the stream into tiny segments while data is outstanding — wait
     // for the window to open a full MSS or for everything to be acked.
     if (can_send < config_.mss && flight_bytes() > 0 && unsent_bytes() > can_send) break;
-    std::size_t offset = snd_nxt_ - snd_una_;
-    Bytes chunk(send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-                send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + can_send));
     start_rtt_sample(snd_nxt_ + static_cast<std::uint32_t>(can_send));
-    // PSH marks the end of an application write (real stacks do the same),
-    // so bulk data is mostly plain ACK segments and PSH+ACK "occur[s] only
-    // occasionally in the data stream" as the paper observes.
-    std::uint64_t start = acked_total_ + offset;
-    bool boundary = covers_push_point(start, start + can_send);
-    emit(boundary ? (kTcpPsh | kTcpAck) : kTcpAck, snd_nxt_, std::move(chunk));
+    emit_data(snd_nxt_, snd_nxt_ - snd_una_, can_send);
     snd_nxt_ += static_cast<std::uint32_t>(can_send);
     if (seq_gt(snd_nxt_, snd_max_)) snd_max_ = snd_nxt_;
   }
@@ -807,9 +809,8 @@ void TcpEndpoint::on_retransmit_timeout() {
         send_fin_if_ready();
       } else if (unsent_bytes() > 0 && snd_wnd_ == 0) {
         // Zero-window probe: one byte past the edge.
-        std::size_t offset = snd_nxt_ - snd_una_;
-        Bytes probe = {send_buf_[offset]};
-        emit(kTcpPsh | kTcpAck, snd_nxt_, std::move(probe));
+        const std::uint8_t probe = send_buf_[snd_nxt_ - snd_una_];
+        emit(kTcpPsh | kTcpAck, snd_nxt_, std::span(&probe, 1));
         snd_nxt_ += 1;
         if (seq_gt(snd_nxt_, snd_max_)) snd_max_ = snd_nxt_;
       }
@@ -828,16 +829,14 @@ void TcpEndpoint::retransmit_one() {
     // With a scoreboard, the first hole ends where the first SACKed range
     // begins — no point retransmitting bytes the receiver already holds.
     if (sack_enabled_ && !sacked_.empty()) {
-      std::uint32_t hole = sacked_.begin()->first - snd_una_;
+      std::uint32_t hole = sacked_.front().start - snd_una_;
       if (hole > 0) len = std::min<std::size_t>(len, hole);
     }
-    Bytes chunk(send_buf_.begin(), send_buf_.begin() + static_cast<std::ptrdiff_t>(len));
     ++stats_.retransmissions;
     timed_seq_.reset();
     last_retx_end_ = snd_una_ + static_cast<std::uint32_t>(len);
     if (sack_enabled_) sack_retx_next_ = last_retx_end_;
-    emit(covers_push_point(acked_total_, acked_total_ + len) ? (kTcpPsh | kTcpAck) : kTcpAck,
-         snd_una_, std::move(chunk));
+    emit_data(snd_una_, 0, len);
   } else if (fin_sent_ && seq_leq(snd_una_, fin_seq_)) {
     ++stats_.retransmissions;
     last_retx_end_ = fin_seq_ + 1;
@@ -900,7 +899,13 @@ void TcpEndpoint::reset_connection(bool notify) {
   release();
 }
 
+void TcpEndpoint::release_queues() {
+  send_buf_.release(queue_pool());
+  drop_ooo(out_of_order_.begin(), out_of_order_.end());
+}
+
 void TcpEndpoint::snapshot_zombify() {
+  release_queues();
   State::operator=(State(*profile_, config_, rng_));
   released_ = true;
 }

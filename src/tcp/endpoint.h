@@ -9,17 +9,19 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sim/node.h"
 #include "tcp/congestion.h"
 #include "tcp/profile.h"
 #include "tcp/segment.h"
 #include "tcp/seq.h"
+#include "util/byte_queue.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -45,7 +47,10 @@ const char* to_string(TcpState state);
 /// Application-facing callbacks. All optional.
 struct TcpCallbacks {
   std::function<void()> on_established;
-  std::function<void(const Bytes&)> on_data;
+  /// In-order bytes for the application. The span views the arriving
+  /// packet's buffer (or the endpoint's out-of-order store) and is valid
+  /// only during the call: copy what must outlive it.
+  std::function<void(std::span<const std::uint8_t>)> on_data;
   std::function<void()> on_remote_close;  ///< peer FIN processed
   std::function<void()> on_reset;         ///< connection aborted (RST or give-up)
   std::function<void()> on_closed;        ///< socket fully released
@@ -109,13 +114,22 @@ struct TcpEndpointConfig {
   Duration initial_rto = Duration::seconds(1.0);
 };
 
+/// An out-of-order segment held until the hole below it fills: its bytes,
+/// copied out of the packet into a buffer from the scenario's queue pool.
+struct OutOfOrderSegment {
+  Seq seq = 0;
+  Bytes data;
+};
+
 /// Every mutable per-connection member of a TcpEndpoint. The endpoint
 /// inherits it privately, so its methods use these members by name; a
-/// snapshot is a copy of this struct. Identity members (node, profile,
-/// config, callbacks) stay on TcpEndpoint: a restore writes into the same
-/// endpoint object whose callbacks were wired at creation. Timer handles are
-/// copied verbatim; they stay valid because the scheduler snapshot preserves
-/// slot indices and generations.
+/// snapshot is a copy of this struct. Its queues are flat — blocks, vectors
+/// and Fifos, no tree or deque node per byte run or segment — and copy only
+/// their live contents, so a snapshot costs what the connection holds.
+/// Identity members (node, profile, config, callbacks) stay on TcpEndpoint:
+/// a restore writes into the same endpoint object whose callbacks were
+/// wired at creation. Timer handles are copied verbatim; they stay valid
+/// because the scheduler snapshot preserves slot indices and generations.
 struct TcpEndpointState {
   TcpEndpointState(const TcpProfile& profile, const TcpEndpointConfig& config, snake::Rng rng)
       : rng_(rng),
@@ -132,13 +146,13 @@ struct TcpEndpointState {
   Seq snd_nxt_ = 0;
   Seq snd_max_ = 0;  ///< highest sequence ever sent (survives RTO rewind)
   std::uint32_t snd_wnd_ = 0;
-  std::deque<std::uint8_t> send_buf_;  ///< bytes [snd_una_, snd_una_+size)
+  ByteQueue send_buf_;  ///< bytes [snd_una_, snd_una_+size), blocks from the queue pool
   // Stream-offset bookkeeping for PSH: real stacks set PSH on the final
   // segment of each application write, so bulk data carries PSH "only
   // occasionally". Offsets are cumulative byte counts since connect.
   std::uint64_t queued_total_ = 0;
   std::uint64_t acked_total_ = 0;
-  std::deque<std::uint64_t> push_points_;
+  Fifo<std::uint64_t> push_points_;
   bool fin_pending_ = false;
   bool fin_sent_ = false;
   Seq fin_seq_ = 0;
@@ -147,7 +161,8 @@ struct TcpEndpointState {
   // Receive sequence space.
   Seq irs_ = 0;
   Seq rcv_nxt_ = 0;
-  std::map<Seq, Bytes, SeqCircularLess> out_of_order_;  ///< wrap-safe ordering
+  /// Sorted by wrap-safe seq order, at most one segment per start seq.
+  std::vector<OutOfOrderSegment> out_of_order_;
   std::size_t out_of_order_bytes_ = 0;
   bool remote_fin_seen_ = false;
 
@@ -155,7 +170,7 @@ struct TcpEndpointState {
   // holds disjoint SACKed ranges strictly above snd_una_, coalesced and
   // pruned as the cumulative ACK advances, cleared on RTO (reneging safety).
   bool sack_enabled_ = false;
-  std::map<Seq, Seq, SeqCircularLess> sacked_;  ///< start -> end, wrap-safe order
+  std::vector<SackBlock> sacked_;  ///< disjoint [start, end) ranges, wrap-safe order
   Seq sack_retx_next_ = 0;  ///< next hole candidate in the current recovery
   std::optional<Seq> last_ooo_start_;  ///< most recent out-of-order arrival
 
@@ -209,8 +224,9 @@ class TcpEndpoint : private TcpEndpointState {
   /// `peer_sack_permitted` reflects the SYN's kind-4 option (RFC 2018 §2).
   void accept(Seq remote_isn, bool peer_sack_permitted = false);
 
-  /// Queues application data for transmission.
-  void send(const Bytes& data);
+  /// Queues application data for transmission (copied into the send
+  /// queue; PSH marks the end of this write).
+  void send(std::span<const std::uint8_t> data);
 
   /// Graceful close: FIN after queued data drains.
   void close();
@@ -276,15 +292,28 @@ class TcpEndpoint : private TcpEndpointState {
   /// The SACK blocks the receiver side advertises right now: coalesced
   /// out-of-order ranges, most recently changed first, optional leading
   /// DSACK block, truncated to Segment::kMaxSackBlocks.
-  std::vector<SackBlock> receiver_sack_blocks(const SackBlock* dsack_block) const;
+  SackBlockList receiver_sack_blocks(const SackBlock* dsack_block) const;
+  /// Calls `f(range)` for each coalesced range of the out-of-order store,
+  /// in sequence order.
+  template <typename F>
+  void for_each_ooo_range(F&& f) const;
+  /// Erases out-of-order entries [first, last), returning their buffers to
+  /// the queue pool.
+  void drop_ooo(std::vector<OutOfOrderSegment>::iterator first,
+                std::vector<OutOfOrderSegment>::iterator last);
   /// Retransmits the first scoreboard hole at or after sack_retx_next_.
   void retransmit_next_hole();
 
   // Output.
-  /// Takes the payload by value so data segments move their bytes straight
-  /// into the Segment instead of re-copying ~MSS per packet on the hot path.
-  void emit(std::uint8_t flags, Seq seq, Bytes payload = {}, bool dsack = false,
-            const SackBlock* dsack_block = nullptr);
+  /// Sends one segment. `payload` is a view — of the send queue for data
+  /// segments — that serialize_into copies straight into the pooled wire
+  /// buffer, so a data segment costs one copy of its bytes and no
+  /// allocation.
+  void emit(std::uint8_t flags, Seq seq, std::span<const std::uint8_t> payload = {},
+            bool dsack = false, const SackBlock* dsack_block = nullptr);
+  /// Sends send-queue bytes [offset, offset + len) from snd_una_ as one
+  /// data segment at `seq`, PSH set when they end an application write.
+  void emit_data(Seq seq, std::size_t offset, std::size_t len);
   void send_ack(bool dsack = false, const SackBlock* dsack_block = nullptr);
   void send_rst(Seq seq, bool with_ack = false);
   void try_send();
@@ -303,6 +332,10 @@ class TcpEndpoint : private TcpEndpointState {
   void set_state(TcpState next);
   void release();
   void reset_connection(bool notify);
+  /// Returns the send queue's blocks and the out-of-order buffers to the
+  /// scenario's queue pool, leaving both empty.
+  void release_queues();
+  BufferPool& queue_pool() { return node_.scheduler().queue_pool(); }
 
   std::size_t flight_bytes() const { return snd_nxt_ - snd_una_; }
   std::size_t unsent_bytes() const {
@@ -314,6 +347,9 @@ class TcpEndpoint : private TcpEndpointState {
   TcpEndpointConfig config_;
   TcpCallbacks callbacks_;
   std::function<void()> on_released_;
+  /// Gathers a data segment that straddles two send-queue blocks (not
+  /// state: its contents are dead once the segment is serialized).
+  Bytes straddle_scratch_;
 };
 
 }  // namespace snake::tcp

@@ -155,7 +155,7 @@ std::optional<Segment> parse_segment(const Bytes& raw) {
   s.urgent_ptr = r.u16();
   if (header_bytes < kFixedHeaderBytes || header_bytes > raw.size()) return std::nullopt;
   if (!parse_options(raw, header_bytes, s)) return std::nullopt;
-  s.payload = Bytes(raw.begin() + static_cast<std::ptrdiff_t>(header_bytes), raw.end());
+  s.payload = Payload(std::span<const std::uint8_t>(raw).subspan(header_bytes));
   return s;
 }
 

@@ -24,7 +24,7 @@ void ByteWriter::u64(std::uint64_t v) {
     out_.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
-void ByteWriter::raw(const Bytes& data) { out_.insert(out_.end(), data.begin(), data.end()); }
+void ByteWriter::raw(std::span<const std::uint8_t> data) { out_.insert(out_.end(), data.begin(), data.end()); }
 
 void ByteWriter::zeros(std::size_t count) { out_.insert(out_.end(), count, 0); }
 

@@ -4,15 +4,69 @@
 // helpers are the single place where endianness is handled.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace snake {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// A packet's payload as the typed packet views (tcp::Segment,
+/// dccp::DccpPacket) carry it: a view of bytes that live elsewhere, or its
+/// own copy. The data path only makes views — parsing points the payload
+/// into the wire buffer, a sender points it into its send queue — so no
+/// packet copies its payload on the way in or out. A view is valid only
+/// while the bytes it points into are alive and unchanged. Assigning bytes
+/// (a Bytes or a brace list, as tests and hand-built packets do) makes an
+/// owning payload, which copies like a value.
+class Payload {
+ public:
+  using value_type = std::uint8_t;
+  using const_iterator = const std::uint8_t*;
+  using iterator = const_iterator;
+
+  Payload() = default;
+  /// A view of `bytes`, which must outlive every use of this payload.
+  explicit Payload(std::span<const std::uint8_t> bytes) : view_(bytes) {}
+  Payload(Bytes bytes) : owned_(std::move(bytes)), owning_(true), view_(owned_) {}
+  Payload(std::initializer_list<std::uint8_t> bytes) : Payload(Bytes(bytes)) {}
+
+  Payload(const Payload& other) : owned_(other.owned_), owning_(other.owning_) {
+    view_ = owning_ ? std::span<const std::uint8_t>(owned_) : other.view_;
+  }
+  Payload(Payload&& other) noexcept : owned_(std::move(other.owned_)), owning_(other.owning_) {
+    view_ = owning_ ? std::span<const std::uint8_t>(owned_) : other.view_;
+  }
+  Payload& operator=(Payload other) noexcept {
+    owned_ = std::move(other.owned_);
+    owning_ = other.owning_;
+    view_ = owning_ ? std::span<const std::uint8_t>(owned_) : other.view_;
+    return *this;
+  }
+
+  std::size_t size() const { return view_.size(); }
+  bool empty() const { return view_.empty(); }
+  const std::uint8_t* data() const { return view_.data(); }
+  const_iterator begin() const { return view_.data(); }
+  const_iterator end() const { return view_.data() + view_.size(); }
+  std::uint8_t operator[](std::size_t i) const { return view_[i]; }
+  std::span<const std::uint8_t> bytes() const { return view_; }
+  operator std::span<const std::uint8_t>() const { return view_; }  // NOLINT: a payload is bytes
+
+  bool operator==(const Payload& other) const { return std::ranges::equal(view_, other.view_); }
+
+ private:
+  Bytes owned_;
+  bool owning_ = false;
+  std::span<const std::uint8_t> view_;
+};
 
 /// Appends big-endian integers to a growing buffer.
 class ByteWriter {
@@ -24,7 +78,7 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u48(std::uint64_t v);  // low 48 bits, used by DCCP sequence numbers
   void u64(std::uint64_t v);
-  void raw(const Bytes& data);
+  void raw(std::span<const std::uint8_t> data);
   void zeros(std::size_t count);
 
   std::size_t size() const { return out_.size(); }

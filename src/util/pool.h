@@ -193,7 +193,11 @@ class BufferPool {
     std::uint64_t released = 0;
   };
 
-  explicit BufferPool(std::size_t max_free = kDefaultMaxFree) : max_free_(max_free) {}
+  /// The free list is sized for `max_free` up front, so release() never
+  /// allocates.
+  explicit BufferPool(std::size_t max_free = kDefaultMaxFree) : max_free_(max_free) {
+    free_.reserve(max_free_);
+  }
 
   Bytes acquire() {
     ++stats_.acquired;

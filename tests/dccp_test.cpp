@@ -83,7 +83,8 @@ TEST(DccpWire, RejectsCorruption) {
   Bytes wire = serialize(p);
   wire[10] ^= 0x55;
   EXPECT_FALSE(parse_dccp(wire).has_value());
-  EXPECT_FALSE(parse_dccp(Bytes(8, 0)).has_value());
+  const Bytes truncated(8, 0);
+  EXPECT_FALSE(parse_dccp(truncated).has_value());
 }
 
 TEST(DccpWire, MatchesDslCodec) {
@@ -203,7 +204,7 @@ struct IperfFixture {
     pair.server().listen(5001, [this](DccpEndpoint& ep) {
       server_ep = &ep;
       DccpCallbacks cb;
-      cb.on_data = [this](const Bytes& d) { server_goodput += d.size(); };
+      cb.on_data = [this](std::span<const std::uint8_t> d) { server_goodput += d.size(); };
       return cb;
     });
     DccpCallbacks cb;

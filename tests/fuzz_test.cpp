@@ -548,7 +548,8 @@ TEST(CodecFuzz, TcpSackOptionMutantsNeverCrashAndRoundTrip) {
     Bytes mutant = mutate_bytes(rng, wire);
     std::optional<tcp::Segment> parsed = tcp::parse_segment(mutant);
     if (parsed.has_value()) {
-      std::optional<tcp::Segment> again = tcp::parse_segment(tcp::serialize(*parsed));
+      const Bytes reserialized = tcp::serialize(*parsed);
+      std::optional<tcp::Segment> again = tcp::parse_segment(reserialized);
       if (!again.has_value()) return "accepted mutant failed to re-serialize/parse";
     }
     return std::nullopt;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "obs/json.h"
@@ -176,6 +177,32 @@ TEST(Json, ParserHandlesEscapesAndNumbers) {
   EXPECT_EQ(v->find("s")->str_v, "aA\n\\");
   EXPECT_DOUBLE_EQ(v->find("x")->num_v, -150.0);
   ASSERT_EQ(v->find("arr")->array_v.size(), 3u);
+}
+
+TEST(Json, EscapeGoldenForControlCharactersQuotesAndBackslashes) {
+  // Every control character, the quote and the backslash, each between
+  // plain runs, escape exactly as the reports have always written them;
+  // everything else (DEL and UTF-8 bytes included) is copied as-is.
+  std::string text;
+  for (int c = 0; c < 0x20; ++c) {
+    text += 'a';
+    text += static_cast<char>(c);
+  }
+  text += "q\"b\\z\x7f\xc3\xa9!";
+  const std::string expected =
+      "a\\u0000a\\u0001a\\u0002a\\u0003a\\u0004a\\u0005a\\u0006a\\u0007"
+      "a\\ba\\ta\\na\\u000ba\\fa\\ra\\u000ea\\u000f"
+      "a\\u0010a\\u0011a\\u0012a\\u0013a\\u0014a\\u0015a\\u0016a\\u0017"
+      "a\\u0018a\\u0019a\\u001aa\\u001ba\\u001ca\\u001da\\u001ea\\u001f"
+      "q\\\"b\\\\z\x7f\xc3\xa9!";
+  EXPECT_EQ(json_escape(text), expected);
+  EXPECT_EQ(json_escape(""), "");
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("\"\""), "\\\"\\\"");
+  // The escaped text parses back to the original.
+  auto v = parse_json("\"" + expected + "\"");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->str_v, text);
 }
 
 TEST(Json, ParserRejectsMalformedInput) {

@@ -128,12 +128,12 @@ TEST(Duplex, SimultaneousBidirectionalTransfer) {
     server_side = &ep;
     tcp::TcpCallbacks cb;
     cb.on_established = [&ep] { ep.send(Bytes(300000, 0xB)); };
-    cb.on_data = [&](const Bytes& d) { b_received += d.size(); };
+    cb.on_data = [&](std::span<const std::uint8_t> d) { b_received += d.size(); };
     return cb;
   });
   tcp::TcpCallbacks cb;
   cb.on_established = [&] {};
-  cb.on_data = [&](const Bytes& d) { a_received += d.size(); };
+  cb.on_data = [&](std::span<const std::uint8_t> d) { a_received += d.size(); };
   tcp::TcpEndpoint& conn = w.tcp_a.connect(2, 80, std::move(cb));
   w.net.scheduler().run_until(TimePoint::origin() + Duration::millis(50));
   conn.send(Bytes(300000, 0xA));  // client pushes data too

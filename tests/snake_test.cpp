@@ -9,6 +9,8 @@
 #include "snake/detector.h"
 #include "snake/scenario.h"
 #include "tcp/profile.h"
+#include "tcp/segment.h"
+#include "util/strings.h"
 
 namespace snake::core {
 namespace {
@@ -186,6 +188,72 @@ ScenarioConfig dccp_config(std::uint64_t seed = 5) {
   c.test_duration = Duration::seconds(20.0);
   c.seed = seed;
   return c;
+}
+
+// ------------------------------------- segment views over captured traffic
+
+/// Every packet a run put on the wire, in send order.
+class SendCapture : public RunInspector {
+ public:
+  std::vector<sim::Packet> packets;
+  void on_run_complete(sim::Dumbbell& net, proxy::AttackProxy&, const RunMetrics&) override {
+    for (const sim::TraceEntry& e : net.network().trace().entries())
+      if (e.kind == sim::TraceKind::kSend) packets.push_back(e.packet);
+  }
+};
+
+/// Parses every packet of a 3 s baseline: the payload must be a view into
+/// the packet's own bytes, serializing the parse must give those bytes
+/// back, and seq_len()/summary() must agree with the header fields the
+/// codec reads.
+void expect_baseline_segments_round_trip(const tcp::TcpProfile& profile) {
+  ScenarioConfig c = tcp_config(profile);
+  c.test_duration = Duration::seconds(3.0);
+  SendCapture capture;
+  c.inspector = &capture;
+  run_scenario(c, std::nullopt);
+  const packet::HeaderFormat& f = packet::tcp_format();
+  auto field = [&](const sim::Packet& p, const char* name) {
+    return f.read(p.bytes, *f.compiled(name));
+  };
+  std::size_t data_segments = 0;
+  for (const sim::Packet& p : capture.packets) {
+    ASSERT_EQ(p.protocol, sim::kProtoTcp);
+    std::optional<tcp::Segment> s = tcp::parse_segment(p.bytes);
+    ASSERT_TRUE(s.has_value());
+    EXPECT_EQ(tcp::serialize(*s), p.bytes);
+
+    const std::size_t header_bytes = field(p, "data_offset") * 4;
+    const std::uint64_t flags = field(p, "flags");
+    const std::size_t len = p.bytes.size() - header_bytes;
+    EXPECT_EQ(s->payload.size(), len);
+    if (len > 0) {
+      EXPECT_EQ(s->payload.data(), p.bytes.data() + header_bytes);
+    }
+    EXPECT_EQ(s->seq_len(), len + ((flags & packet::kTcpSyn) ? 1 : 0) +
+                                ((flags & packet::kTcpFin) ? 1 : 0));
+    std::string names;
+    for (auto [bit, name] : {std::pair{packet::kTcpSyn, "SYN+"}, {packet::kTcpFin, "FIN+"},
+                             {packet::kTcpRst, "RST+"}, {packet::kTcpPsh, "PSH+"},
+                             {packet::kTcpAck, "ACK+"}, {packet::kTcpUrg, "URG+"}})
+      if (flags & bit) names += name;
+    names = names.empty() ? "none" : names.substr(0, names.size() - 1);
+    const std::string header = str_format(
+        "%s seq=%u ack=%u len=%zu win=%u", names.c_str(),
+        static_cast<unsigned>(field(p, "seq")), static_cast<unsigned>(field(p, "ack")), len,
+        static_cast<unsigned>(field(p, "window")));
+    EXPECT_EQ(s->summary().rfind(header, 0), 0u) << s->summary() << " vs " << header;
+    if (len > 0) ++data_segments;
+  }
+  EXPECT_GT(data_segments, 100u);
+}
+
+TEST(SegmentView, LinuxBaselinePacketsRoundTrip) {
+  expect_baseline_segments_round_trip(tcp::linux_3_13_profile());
+}
+
+TEST(SegmentView, SackBaselinePacketsRoundTrip) {
+  expect_baseline_segments_round_trip(tcp::sack_rfc2018_profile());
 }
 
 TEST(Scenario, TcpBaselineIsHealthy) {

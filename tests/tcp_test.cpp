@@ -56,7 +56,8 @@ TEST(Segment, ParseRejectsCorruption) {
   Bytes wire = serialize(s);
   wire[4] ^= 0xFF;  // corrupt seq, checksum now wrong
   EXPECT_FALSE(parse_segment(wire).has_value());
-  EXPECT_FALSE(parse_segment(Bytes(10, 0)).has_value());  // truncated
+  const Bytes truncated(10, 0);
+  EXPECT_FALSE(parse_segment(truncated).has_value());  // truncated
 }
 
 TEST(Segment, WireFormatMatchesDslCodec) {
@@ -279,7 +280,7 @@ struct BulkFixture {
       return cb;
     });
     TcpCallbacks cb;
-    cb.on_data = [this](const Bytes& chunk) {
+    cb.on_data = [this](std::span<const std::uint8_t> chunk) {
       received.insert(received.end(), chunk.begin(), chunk.end());
     };
     cb.on_reset = [this] { reset = true; };
@@ -627,7 +628,8 @@ TEST(Segment, SackOptionsRoundTrip) {
   Segment syn;
   syn.flags = kTcpSyn;
   syn.sack_permitted = true;
-  auto parsed_syn = parse_segment(serialize(syn));
+  const Bytes syn_wire = serialize(syn);
+  auto parsed_syn = parse_segment(syn_wire);
   ASSERT_TRUE(parsed_syn.has_value());
   EXPECT_TRUE(parsed_syn->sack_permitted);
   EXPECT_TRUE(parsed_syn->sack_blocks.empty());
@@ -653,7 +655,8 @@ TEST(Segment, SackBlocksTruncateAtSerializationLimit) {
   s.flags = kTcpAck;
   for (std::uint32_t i = 0; i < 6; ++i)
     s.sack_blocks.push_back({i * 3000 + 1000, i * 3000 + 2400});
-  auto parsed = parse_segment(serialize(s));
+  const Bytes wire = serialize(s);
+  auto parsed = parse_segment(wire);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->sack_blocks.size(), Segment::kMaxSackBlocks);
   for (std::size_t i = 0; i < Segment::kMaxSackBlocks; ++i)
@@ -859,7 +862,7 @@ TEST(TcpIntegration, RenegeProfileEvictsSackedDataUnderPressure) {
     } r;
     TcpCallbacks cb;
     auto* received = &r.received;
-    cb.on_data = [received](const Bytes& chunk) { *received += chunk.size(); };
+    cb.on_data = [received](std::span<const std::uint8_t> chunk) { *received += chunk.size(); };
     TcpEndpoint& client_ep = pair.client().connect(2, 80, std::move(cb), config);
     pair.run_for(60.0);
     r.client = client_ep.stats();
